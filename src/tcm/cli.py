@@ -3,7 +3,8 @@
 The only module that performs I/O.  Data rows go to stdout in one of
 three formats (table, json, csv); progress and warnings go to stderr so
 the data stream stays machine-clean.  Exit codes: 0 success, 2 usage
-error, 3 serialization failure, 4 cache-integrity failure.
+error or a request over the memory budget, 3 serialization failure,
+4 cache-integrity failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -29,7 +29,7 @@ from .analytics import (
     phi_bound_scan,
 )
 from .errors import CacheFormatError, CacheIntegrityError, CapExceededError
-from .feasibility import bound_records, constant_over
+from .feasibility import bound_records, constant_over, sweep_region
 from .galois_image import (
     cn_order,
     kernel_size,
@@ -37,6 +37,7 @@ from .galois_image import (
     verify_homotheties,
 )
 from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K_of_N, principal_ideal
+from .primes import prime_list_bytes
 from .quad_core import (
     class_number,
     class_number_dirichlet,
@@ -48,6 +49,9 @@ from .quad_core import (
 CACHE_HEADER = "tcm-cache-v1"
 DEFAULT_CACHE_PATH = "./tcm-cache-v1.csv"
 DEFAULT_CACHE_CAP = 10**4
+# upper bound on the bytes one bound row holds: its BoundRecord, its row
+# dict and its share of the serialized text
+BOUND_ROW_BYTES = 2048
 
 
 def _round12(x: float) -> float:
@@ -66,14 +70,28 @@ def worker_count() -> int:
         return 1
 
 
+def memory_budget() -> int:
+    """The most one request may plan to allocate: half of physical RAM."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def preflight(what: str, estimate: int) -> None:
+    """Exit 2 before allocating anything if the estimated peak memory is over budget."""
+    budget = memory_budget()
+    if estimate > budget:
+        print(
+            f"error: {what} needs an estimated {estimate / 2**20:,.0f} MiB, over the "
+            f"budget of {budget / 2**20:,.0f} MiB (half of physical RAM)",
+            file=sys.stderr,
+        )
+        sys.exit(2)
+
+
 # ---------------------------------------------------------------- envelope
 
 
 def make_envelope(command: str, params: dict, rows: list[dict], **meta_extra) -> dict:
-    meta = {
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+    meta = {"version": __version__}
     meta.update(meta_extra)
     return {"command": command, "params": params, "rows": rows, "meta": meta}
 
@@ -280,6 +298,11 @@ def bound(d_min, d_max, fmt):
     """Per-degree torsion bounds B(d) with maximizing shapes."""
     if not 1 <= d_min <= d_max <= 10**6:
         raise click.UsageError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
+    region = sweep_region(d_max)
+    preflight(
+        f"bound up to d = {d_max} (n_max = {region.n_max})",
+        region.peak_bytes + BOUND_ROW_BYTES * (d_max - d_min + 1),
+    )
     records = bound_records(d_min, d_max)
     rows = [bound_record_row(rec) for rec in records]
     ratios = [rec for rec in records if rec.ratio is not None]
@@ -293,7 +316,13 @@ def bound(d_min, d_max, fmt):
             file=sys.stderr,
         )
     envelope = make_envelope(
-        "bound", {"d_min": d_min, "d_max": d_max, "format": fmt}, rows, constant=constant
+        "bound",
+        {"d_min": d_min, "d_max": d_max, "format": fmt},
+        rows,
+        constant=constant,
+        n_max=region.n_max,
+        a_max=region.a_max,
+        pairs_scanned=region.pairs_scanned,
     )
     emit(envelope, fmt)
 
@@ -409,6 +438,7 @@ def analytics():
 @_format_option
 def mertens(x, fmt):
     """Product of (1 - 1/p) over primes p <= x."""
+    preflight(f"primes up to x = {x}", prime_list_bytes(x))
     try:
         est = mertens_product(x)
     except ValueError as exc:
@@ -423,6 +453,7 @@ def mertens(x, fmt):
 @_format_option
 def product(disc, x, fmt):
     """Character Euler product of (1 - chi(p)/p) over primes p <= x."""
+    preflight(f"primes up to x = {x}", prime_list_bytes(x))
     try:
         est = char_euler_product(disc, x)
     except ValueError as exc:

@@ -4,19 +4,41 @@ A torsion shape Z/a x Z/ab over a degree-d field must satisfy
 h * phi_K((ab)) <= 6 b d.  Relaxing with h >= 1 and the everywhere-split
 minimum phi_K((n)) >= phi(n)^2 leaves the field-independent test
 phi(ab)^2 <= 6 b d, whose maximal surviving size a^2 b is the rigorous
-bound B(d).  The search region is finite by explicit totient lower
-bounds; all feasibility comparisons are exact integer arithmetic.
+bound B(d).  All feasibility comparisons are exact integer arithmetic.
+
+The search region is finite by a proven totient lower bound.  With
+n = ab the test reads phi(n)^2 <= c n for c = 6d/a.  Rosser and
+Schoenfeld (Illinois J. Math. 6, 1962) prove
+n / phi(n) < e^gamma loglog n + 2.50637 / loglog n for n >= 3.  With
+E(n) = e^gamma loglog n + 3 / loglog n (3 in place of 2.50637: slack
+that also absorbs float rounding), a feasible n obeys n < c E(n)^2.
+``product_cutoff(c)`` turns that into an integer M(c) >= 63 with
+phi(n)^2 <= c n  =>  n <= M(c): n / E(n)^2 increases for n >= 64, and
+below 64 nothing is claimed.  Hence every feasible pair satisfies
+
+    a <= n <= M(6d/a),
+
+so a runs only while M(6d/a) >= a (M is nondecreasing in c, so the
+first failure ends the range; phi(n)^2 >= n/2 also gives a <= 12d), and
+each a scans n only up to min(n_max, M(6d/a)) with n_max = M(6 d_max).
+The region holds about 1.6 n_max pairs instead of n_max ln(12 d_max).
+One kernel, ``activations``, sweeps it over an int32 totient table:
+phi(n) <= n <= n_max(10^6) = 237,662,443 < 2^31, and each slice is cast
+to int64 before squaring.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .galois_image import squaring_degree_bound
 from .ideal_arith import phi_K_of_N, principal_ideal
-from .primes import EULER_GAMMA, euler_phi, phi_sieve
+from .primes import EULER_GAMMA, euler_phi, phi_sieve, phi_sieve_bytes
 from .quad_core import (
     Discriminant,
     class_number,
@@ -26,6 +48,11 @@ from .quad_core import (
 from .ray_class_bounds import degree_bounds
 
 _ENV_SCALE = math.exp(EULER_GAMMA)
+
+# multiples of a handled per kernel step, and an upper bound on the bytes
+# of int64 and bool temporaries one step holds per multiple
+_CHUNK = 1 << 16
+_CHUNK_BYTES_PER_PAIR = 128
 
 
 @dataclass(frozen=True)
@@ -117,61 +144,118 @@ def _totient_envelope(n: float) -> float:
     return _ENV_SCALE * ll + 3.0 / ll
 
 
-def feasible_product_cutoff(d: int) -> int:
-    """Bound M such that phi(n)^2 <= 6 n d forces n <= M.
+def product_cutoff(c: float) -> int:
+    """M(c) >= 63 such that phi(n)^2 <= c n forces n <= M(c).
 
-    Two passes: double until the envelope bound 6 d (e^g loglog n + 3/loglog n)^2
-    drops below n (beyond that point n/phi(n)^2-feasibility is impossible,
-    the envelope being monotone there), then refine once by evaluating the
-    envelope at the over-approximation.
+    Two passes: double from 64 until n > c E(n)^2 (from there on n/E(n)^2
+    only grows, so no larger n is feasible), then refine once by
+    evaluating the envelope at that over-approximation (E increases on
+    [64, limit], so nothing between M(c) and limit is feasible either).
+    The floor 63 leaves the non-monotone range n < 64 unclaimed.
     """
+    limit = 64
+    while limit <= c * _totient_envelope(limit) ** 2:
+        limit *= 2
+    return max(63, int(c * _totient_envelope(limit) ** 2) + 1)
+
+
+def feasible_product_cutoff(d: int) -> int:
+    """n_max = M(6d): phi(n)^2 <= 6 n d forces n <= n_max."""
     if d < 1:
         raise ValueError("need d >= 1")
-    limit = 64
-    while limit <= 6 * d * _totient_envelope(limit) ** 2:
-        limit *= 2
-    return int(6 * d * _totient_envelope(limit) ** 2) + 1
+    return product_cutoff(6 * d)
+
+
+@dataclass(frozen=True)
+class SweepRegion:
+    """The proven search region of the sweep up to d_max.
+
+    Pair (a, n = ab) is scanned iff a <= a_max and n is a multiple of a
+    with n <= n_hi[a - 1] = min(n_max, M(6 d_max / a)).
+    """
+
+    d_max: int
+    n_hi: tuple[int, ...]
+
+    @property
+    def n_max(self) -> int:
+        return self.n_hi[0]
+
+    @property
+    def a_max(self) -> int:
+        return len(self.n_hi)
+
+    @property
+    def pairs_scanned(self) -> int:
+        return sum(n // a for a, n in enumerate(self.n_hi, start=1))
+
+    @property
+    def peak_bytes(self) -> int:
+        """Upper estimate of the kernel's peak memory, by arithmetic only.
+
+        The larger of the sieve's peak and the int32 table plus one chunk
+        of temporaries, plus the int64 per-degree reduction array.
+        """
+        sweep = 4 * (self.n_max + 1) + _CHUNK * _CHUNK_BYTES_PER_PAIR
+        return max(phi_sieve_bytes(self.n_max), sweep) + 16 * (self.d_max + 1)
+
+
+def sweep_region(d_max: int) -> SweepRegion:
+    """The cutoffs a <= n <= min(n_max, M(6 d_max / a)) of the sweep."""
+    n_max = feasible_product_cutoff(d_max)
+    n_hi: list[int] = []
+    for a in range(1, 12 * d_max + 1):  # phi(n)^2 >= n/2 forces a <= 12d
+        cutoff = product_cutoff(6 * d_max / a)
+        if cutoff < a:  # M is nondecreasing in c, so every larger a fails too
+            break
+        n_hi.append(min(n_max, cutoff))
+    return SweepRegion(d_max=d_max, n_hi=tuple(n_hi))
+
+
+def activations(region: SweepRegion) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The feasibility kernel: yield (a, n, degree) for the region's pairs.
+
+    degree[i] = ceil(a phi(n)^2 / (6 n)) is the least d at which (a, n[i])
+    is feasible; only pairs with degree <= d_max are yielded.  Pairs come
+    in increasing (a, n) order, at most _CHUNK at a time, so peak memory
+    is the int32 totient table plus one chunk of temporaries.
+    """
+    phi = phi_sieve(region.n_max)
+    for a, n_hi in enumerate(region.n_hi, start=1):
+        for lo in range(a, n_hi + 1, a * _CHUNK):
+            hi = min(n_hi, lo + a * (_CHUNK - 1))
+            n = np.arange(lo, hi + 1, a, dtype=np.int64)
+            f = phi[lo : hi + 1 : a].astype(np.int64)
+            six_n = 6 * n
+            # a f^2 <= n_hi * a M(6 d_max / a), about n_max^2 < 2^63
+            degree = (f * f * a + six_n - 1) // six_n
+            keep = degree <= region.d_max
+            yield a, n[keep], degree[keep]
 
 
 def bound_records(d_min: int, d_max: int) -> list[BoundRecord]:
     """BoundRecords for every degree in [d_min, d_max], in one sweep.
 
-    Each feasible pair (a, b) first becomes feasible at the degree
-    ceil(phi(ab)^2 a / (6 ab)); scattering pairs into their activation
-    degree and taking a running maximum yields B(d) for all d at once.
-    Ties are broken toward the smallest a (then b is determined).
+    Each feasible pair (a, n = ab) is reduced into its activation degree,
+    keyed by (size a n, then smallest a); a running maximum over the
+    degrees then yields B(d) for all d at once.
     """
     if not 1 <= d_min <= d_max:
         raise ValueError(f"need 1 <= d_min <= d_max, got [{d_min}, {d_max}]")
-    n_max = feasible_product_cutoff(d_max)
-    phi = phi_sieve(n_max)
-    slots: list[tuple[int, int, int] | None] = [None] * (d_max + 1)
-    for a in range(1, 12 * d_max + 1):  # feasible needs a <= 12 d
-        for n in range(a, n_max + 1, a):
-            f = phi[n]
-            six_n = 6 * n
-            activation = (f * f * a + six_n - 1) // six_n
-            if activation > d_max:
-                continue
-            size = a * n
-            cur = slots[activation]
-            if cur is None or size > cur[0] or (size == cur[0] and a < cur[1]):
-                slots[activation] = (size, a, n // a)
+    region = sweep_region(d_max)
+    shift = 1 << region.a_max.bit_length()  # key = size * shift + (shift - a), a < shift
+    best = np.zeros(d_max + 1, dtype=np.int64)
+    for a, n, degree in activations(region):
+        np.maximum.at(best, degree, a * n * shift + (shift - a))
+    best = np.maximum.accumulate(best)  # (a, b) = (1, 1) activates at d = 1
     records: list[BoundRecord] = []
-    best: tuple[int, int, int] | None = None
-    for d in range(1, d_max + 1):
-        cand = slots[d]
-        if cand is not None and (
-            best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1])
-        ):
-            best = cand
-        if d >= d_min:
-            assert best is not None  # (a, b) = (1, 1) activates at d = 1
-            size, a, b = best
-            ratio = size / (d * math.log(math.log(d))) if d >= 3 else None
-            records.append(
-                BoundRecord(d=d, best_shape=TorsionShape(a=a, b=b), bound=size, ratio=ratio)
-            )
+    for d, key in enumerate(best[d_min:].tolist(), start=d_min):
+        size, rest = divmod(key, shift)
+        a = shift - rest
+        ratio = size / (d * math.log(math.log(d))) if d >= 3 else None
+        records.append(
+            BoundRecord(d=d, best_shape=TorsionShape(a=a, b=size // (a * a)), bound=size, ratio=ratio)
+        )
     return records
 
 
@@ -203,18 +287,10 @@ def explicit_constant(d_min: int, d_max: int) -> ConstantEstimate:
 
 
 def relaxed_pairs(d: int) -> list[tuple[int, int]]:
-    """Every (a, b) with phi(ab)^2 <= 6 b d, via the proven cutoffs."""
+    """Every (a, b) with phi(ab)^2 <= 6 b d, sorted, via the proven cutoffs."""
     if d < 1:
         raise ValueError("need d >= 1")
-    n_max = feasible_product_cutoff(d)
-    phi = phi_sieve(n_max)
-    pairs: list[tuple[int, int]] = []
-    for a in range(1, 12 * d + 1):
-        for n in range(a, n_max + 1, a):
-            if phi[n] ** 2 * a <= 6 * n * d:
-                pairs.append((a, n // a))
-    pairs.sort()
-    return pairs
+    return [(a, n // a) for a, ns, _ in activations(sweep_region(d)) for n in ns.tolist()]
 
 
 def refined_table(
@@ -266,14 +342,18 @@ __all__ = [
     "ChainStep",
     "ConstantEstimate",
     "FeasibilityRow",
+    "SweepRegion",
     "TorsionShape",
+    "activations",
     "bound_records",
     "chain_audit",
     "constant_over",
     "explicit_constant",
     "feasible_product_cutoff",
+    "product_cutoff",
     "refined_table",
     "relaxed_feasible",
     "relaxed_pairs",
+    "sweep_region",
     "torsion_bound",
 ]

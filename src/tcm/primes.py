@@ -1,53 +1,38 @@
 """Prime generation and elementary factorization helpers.
 
-Everything here is exact integer arithmetic.  The sieve is segmented so
-that large limits do not allocate one giant odd-composite table.
+Everything here is exact integer arithmetic.  The prime sieve is a
+numpy bool table and the totient sieve a numpy int32 table built on its
+primes.  The ``*_bytes`` functions estimate peak memory by arithmetic
+alone, so a caller can refuse a request before allocating anything.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log
 
-_SEGMENT = 1 << 17
+import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 EULER_GAMMA = 0.5772156649015329
 
 
-def _simple_sieve(limit: int) -> list[int]:
+def prime_array(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array, by the sieve of Eratosthenes."""
     if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
+        return np.zeros(0, dtype=np.int64)
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = True
     for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite)
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, via a segmented Eratosthenes sieve."""
-    if limit < 2:
-        return []
-    if limit <= _SEGMENT:
-        return _simple_sieve(limit)
-    base = _simple_sieve(isqrt(limit))
-    primes = list(base)
-    lo = isqrt(limit) + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        flags = bytearray([1]) * (hi - lo + 1)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-        primes.extend(lo + i for i, f in enumerate(flags) if f)
-        lo = hi + 1
-    return primes
+    """All primes <= limit."""
+    return prime_array(limit).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -123,11 +108,55 @@ def squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-def phi_sieve(limit: int) -> list[int]:
-    """Totient table phi[0..limit] (phi[0] = 0) via the in-place prime sieve."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # untouched, hence prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
+def prime_count_bound(x: int) -> int:
+    """Upper bound on the number of primes <= x.
+
+    pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, Illinois
+    J. Math. 6, 1962, (3.6)).
+    """
+    return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
+
+
+# bytes cached_primes keeps per prime (an int object and a pointer in the
+# tuple) plus the transient list and the int64 and float64 arrays of the
+# sieve and the analytic products
+_PRIME_LIST_BYTES = 100
+
+
+def prime_list_bytes(x: int) -> int:
+    """Upper estimate of the peak memory of an analytic product over primes <= x.
+
+    The sieve's bool table and its complement (2 B per entry) plus the
+    per-prime cost.
+    """
+    return 2 * (x + 1) + _PRIME_LIST_BYTES * prime_count_bound(x)
+
+
+def phi_sieve_bytes(limit: int) -> int:
+    """Upper estimate of phi_sieve's peak memory.
+
+    The int32 table (4 B per entry), the slice temporary for p = 2 (2 B
+    per entry), the int64 array of the primes and 64 KiB for array headers.
+    """
+    return 6 * (limit + 1) + 8 * prime_count_bound(limit) + (1 << 16)
+
+
+def phi_sieve(limit: int) -> np.ndarray:
+    """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
+
+    One vectorized slice update phi[p::p] -= phi[p::p] // p per prime
+    p <= limit / 2; a prime above limit / 2 has no other multiple in the
+    table, so those are set to p - 1 in one step.  int32 holds every
+    entry while limit < 2^31, which covers n_max(10^6) = 237,662,443;
+    callers cast to int64 before squaring.
+    """
+    if limit >= 2**31:
+        raise ValueError(f"phi_sieve limit {limit} does not fit int32")
+    primes = prime_array(limit)
+    phi = np.arange(limit + 1, dtype=np.int32)
+    half = int(np.searchsorted(primes, limit // 2, side="right"))
+    phi[primes[half:]] -= 1
+    for p in map(int, primes[:half]):
+        multiples = phi[p::p]
+        multiples -= multiples // p
     return phi

@@ -27,6 +27,18 @@ def sieve_phi(limit: int) -> list[int]:
     return phi
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def trial_factor(n: int) -> list[tuple[int, int]]:
     out = []
     p = 2
@@ -41,3 +53,41 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def oracle_bound_records(d_max: int) -> list[tuple[int, int, int]]:
+    """(bound, a, b) of B(d) for d = 1 .. d_max, by the plain double loop.
+
+    Scans every a <= 12 d_max and every multiple n of a up to the product
+    cutoff at d_max, scatters each pair into the degree where it first
+    becomes feasible, and takes a running maximum (largest size, then
+    smallest a).  Independent of the library's totient table and of its
+    per-a cutoffs.
+    """
+    from tcm.feasibility import feasible_product_cutoff
+
+    n_max = feasible_product_cutoff(d_max)
+    phi = sieve_phi(n_max)
+    slots: list[tuple[int, int] | None] = [None] * (d_max + 1)
+    for a in range(1, 12 * d_max + 1):
+        for n in range(a, n_max + 1, a):
+            f = phi[n]
+            six_n = 6 * n
+            activation = (f * f * a + six_n - 1) // six_n
+            if activation > d_max:
+                continue
+            size = a * n
+            cur = slots[activation]
+            if cur is None or size > cur[0] or (size == cur[0] and a < cur[1]):
+                slots[activation] = (size, a)
+    records = []
+    best = None
+    for d in range(1, d_max + 1):
+        cand = slots[d]
+        if cand is not None and (
+            best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1])
+        ):
+            best = cand
+        size, a = best
+        records.append((size, a, size // (a * a)))
+    return records

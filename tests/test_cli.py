@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -20,7 +22,7 @@ from tcm.cli import (
     validate_cache,
 )
 from tcm.errors import CacheFormatError, CacheIntegrityError
-from tcm.feasibility import bound_records
+from tcm.feasibility import bound_records, sweep_region
 
 
 @pytest.fixture
@@ -93,6 +95,57 @@ def test_bound_default_table_format(runner):
 def test_bound_invalid_range_is_usage_error(runner):
     assert runner.invoke(cli, ["bound", "--d-min", "5", "--d-max", "3"]).exit_code == 2
     assert runner.invoke(cli, ["bound", "--d-min", "0", "--d-max", "3"]).exit_code == 2
+
+
+def test_bound_meta_records_the_cutoffs_used(runner):
+    result = runner.invoke(cli, ["bound", "--d-min", "3", "--d-max", "100", "--format", "json"])
+    assert result.exit_code == 0
+    meta = json.loads(result.stdout)["meta"]
+    region = sweep_region(100)
+    assert meta["n_max"] == region.n_max
+    assert meta["a_max"] == region.a_max
+    assert meta["pairs_scanned"] == region.pairs_scanned
+    assert "timestamp" not in meta
+
+
+def test_bound_stdout_is_deterministic():
+    args = [sys.executable, "-m", "tcm", "bound", "--d-min", "3", "--d-max", "100", "--format", "json"]
+    first, second = (subprocess.run(args, capture_output=True, check=True) for _ in range(2))
+    assert first.stdout == second.stdout
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("ran past the memory pre-flight")
+
+
+def test_bound_preflight_refuses_before_allocating(runner, monkeypatch):
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
+    monkeypatch.setattr(cli_mod, "bound_records", _refuse_to_run)
+    result = runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "1000000"])
+    assert result.exit_code == 2
+    assert "n_max = 237662443" in result.stderr
+    assert "MiB" in result.stderr and "budget of 64 MiB" in result.stderr
+    assert result.stdout == ""
+
+
+def test_bound_preflight_passes_small_requests(runner, monkeypatch):
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
+    assert runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "2000"]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args,fn",
+    [
+        (["mertens", "--x", str(10**12)], "mertens_product"),
+        (["product", "--disc", "-4", "--x", str(10**12)], "char_euler_product"),
+    ],
+)
+def test_analytics_preflight_refuses_before_allocating(runner, monkeypatch, args, fn):
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
+    monkeypatch.setattr(cli_mod, fn, _refuse_to_run)
+    result = runner.invoke(cli, ["analytics", *args])
+    assert result.exit_code == 2
+    assert f"primes up to x = {10**12}" in result.stderr
 
 
 def test_serialization_failure_exits_three(runner, monkeypatch):

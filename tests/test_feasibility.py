@@ -10,15 +10,22 @@ from tcm.feasibility import (
     constant_over,
     explicit_constant,
     feasible_product_cutoff,
+    product_cutoff,
     refined_table,
     relaxed_feasible,
     relaxed_pairs,
+    sweep_region,
     torsion_bound,
 )
 from tcm.ideal_arith import phi_K_of_N
 from tcm.quad_core import class_number
 
-from conftest import sieve_phi
+from conftest import oracle_bound_records, sieve_phi, traced_peak
+
+
+@pytest.fixture(scope="module")
+def oracle_to_2000():
+    return oracle_bound_records(2000)
 
 
 def brute_force_bound(d: int, a_max: int, b_max: int) -> tuple[int, int, int]:
@@ -101,6 +108,65 @@ def test_product_cutoff_excludes_everything_beyond():
         phi = sieve_phi(cutoff + 500)
         for n in range(cutoff + 1, cutoff + 501):
             assert phi[n] ** 2 > 6 * n * d, (d, n)
+
+
+def test_per_a_cutoff_excludes_everything_beyond():
+    # M(c) with c = 6d/a: no n in (M(c), M(c) + 500] has a phi(n)^2 <= 6 d n
+    grid = [(d, a) for d in (1, 2, 5, 60, 500) for a in (1, 2, 3, 7, 13, 40, 200, 547)]
+    cutoffs = {(d, a): product_cutoff(6 * d / a) for d, a in grid}
+    phi = sieve_phi(max(cutoffs.values()) + 500)
+    for (d, a), cutoff in cutoffs.items():
+        assert cutoff >= 63
+        for n in range(cutoff + 1, cutoff + 501):
+            assert a * phi[n] ** 2 > 6 * d * n, (d, a, n)
+
+
+def test_sweep_region_cutoffs():
+    region = sweep_region(2000)
+    assert region.n_max == feasible_product_cutoff(2000) == 397_468
+    assert region.a_max == 547
+    assert product_cutoff(6 * 2000 / 548) < 548  # the a-range ends where M(6d/a) < a
+    assert region.n_hi[546] == product_cutoff(6 * 2000 / 547) >= 547
+    assert region.pairs_scanned == 638_795  # against 4,226,155 over a <= 12d, n <= n_max
+    for d in (1, 2, 5):
+        assert sweep_region(d).a_max <= 12 * d
+    assert sweep_region(10**6).n_max == 237_662_443 < 2**31  # int32 holds the CLI's largest table
+
+
+def test_bound_records_match_oracle_to_2000(oracle_to_2000):
+    records = bound_records(1, 2000)
+    assert [(r.bound, r.best_shape.a, r.best_shape.b) for r in records] == oracle_to_2000
+
+
+def test_single_degree_regions_match_oracle(oracle_to_2000):
+    # each d_max has its own per-a cutoffs
+    for d in (1, 2, 3, 7, 12, 60, 547, 1999, 2000):
+        rec = torsion_bound(d)
+        assert (rec.bound, rec.best_shape.a, rec.best_shape.b) == oracle_to_2000[d - 1], d
+
+
+def test_relaxed_pairs_match_brute_force_over_old_region():
+    # the region before the per-a cutoffs: a <= 12d, n <= feasible_product_cutoff(d)
+    top = 60
+    n_top = feasible_product_cutoff(top)
+    phi = sieve_phi(n_top)
+    candidates = [
+        (a, n, phi[n] ** 2 * a)
+        for a in range(1, 12 * top + 1)
+        for n in range(a, n_top + 1, a)
+        if phi[n] ** 2 * a <= 6 * n * top
+    ]
+    for d in range(1, top + 1):
+        n_max = feasible_product_cutoff(d)
+        expected = sorted(
+            (a, n // a) for a, n, lhs in candidates if a <= 12 * d and n <= n_max and lhs <= 6 * n * d
+        )
+        assert relaxed_pairs(d) == expected, d
+
+
+def test_region_peak_bytes_bounds_measured_peak():
+    for d in (1, 50, 2000):
+        assert traced_peak(bound_records, 1, d) <= sweep_region(d).peak_bytes, d
 
 
 def test_a_cutoff_boundary_sampling():
