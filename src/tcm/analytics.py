@@ -14,13 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideal_arith import FactoredIdeal, ideal_norm, ideals_up_to_norm, phi_K
+from .ideal_arith import FactoredIdeal, min_phi_ideal, norm_sieve, norm_sieve_bytes
 from .primes import EULER_GAMMA, cached_primes
-from .quad_core import Discriminant, field_constants, kronecker, require_fundamental
+from .quad_core import Discriminant, character_table, field_constants, require_fundamental
 
 # below this cutoff a plain sequential product is exact enough; above it,
 # logs are accumulated with numpy's pairwise summation to bound drift
 _LOG_ACCUM_THRESHOLD = 10**5
+
+# norms reduced per numpy step, and an upper bound on the bytes of the
+# float64, int64 and bool temporaries one step holds per norm
+_REDUCE_CHUNK = 1 << 16
+_REDUCE_BYTES_PER_NORM = 64
+# numpy's log may differ from math.log in the last bits, so every norm
+# within this relative distance of a step's numpy minimum is re-evaluated
+# with math.log; the slack is far above the few ulps the two logs differ by
+_LOG_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,23 +41,24 @@ class ProductEstimate:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """The minimum over norms in window = (lo, x); norms counts those with an ideal."""
+
     disc: Discriminant
     x: int
     min_value: float
     argmin_ideal: FactoredIdeal
+    window: tuple[int, int]
+    norms: int
 
 
 @dataclass(frozen=True)
 class LandauCheck:
+    """The tail minimum over norms in window = (lo, x); norms counts those with an ideal."""
+
     empirical_min_tail: float
     target: float
-
-
-def character_table(d: int | Discriminant) -> list[int]:
-    """chi(r) for r = 0 .. |d|-1 (the character has period |d|)."""
-    disc = require_fundamental(d)
-    m = -disc.value
-    return [0] + [kronecker(disc, r) for r in range(1, m)]
+    window: tuple[int, int]
+    norms: int
 
 
 def mertens_product(x: int) -> ProductEstimate:
@@ -109,28 +119,65 @@ def char_sum_S(d: int | Discriminant, t: int) -> float:
     return float((chi * np.log(arr)).sum())
 
 
+def scan_bytes(d: int | Discriminant, x: int) -> int:
+    """Upper estimate of the peak memory of phi_bound_scan or landau_liminf_check.
+
+    The norm sieve up to x plus one reduction step's temporaries.
+    """
+    return norm_sieve_bytes(d, x) + _REDUCE_BYTES_PER_NORM * _REDUCE_CHUNK
+
+
+def _window_min(minphi: np.ndarray, lo: int) -> tuple[float | None, int, int]:
+    """(value, n, norms): the least minphi[n] * loglog n / n over norms
+    lo <= n < len(minphi) that have an ideal, the smallest such n, and the
+    number of norms in the window that have an ideal.
+
+    The value is computed as float(minphi[n]) * math.log(math.log(n)) / n,
+    the order the ideal-by-ideal scan uses, so it is bit-identical to it.
+    """
+    best: float | None = None
+    arg = 0
+    norms = 0
+    for start in range(lo, len(minphi), _REDUCE_CHUNK):
+        phi = minphi[start : start + _REDUCE_CHUNK]
+        has = phi > 0
+        found = int(np.count_nonzero(has))
+        if not found:
+            continue
+        norms += found
+        n = np.arange(start, start + len(phi), dtype=np.float64)
+        approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
+        cut = approx.min() * (1 + _LOG_SLACK)
+        for i in np.flatnonzero(approx <= cut).tolist():
+            k = start + i
+            value = float(minphi[k]) * math.log(math.log(k)) / k
+            if best is None or value < best:
+                best, arg = value, k
+    return best, arg, norms
+
+
 def phi_bound_scan(d: int | Discriminant, x: int) -> ScanResult:
     """Minimum of phi_K(c) * loglog|c| / |c| over ideals with 3 <= |c| <= x.
 
     Multiplied by the class number this is the observed constant in the
-    uniform lower bound phi_K(c) >= (C/h) |c| / loglog|c|.
+    uniform lower bound phi_K(c) >= (C/h) |c| / loglog|c|.  A reduction
+    over ``norm_sieve``; ties go to the smallest norm, and within it to
+    the ideal ``min_phi_ideal`` names.
     """
     disc = require_fundamental(d)
     if x < 3:
         raise ValueError(f"need x >= 3, got {x}")
-    best_value: float | None = None
-    best_ideal: FactoredIdeal | None = None
-    for ideal in ideals_up_to_norm(disc, x):
-        norm = ideal_norm(ideal)
-        if norm < 3:
-            continue
-        value = phi_K(ideal) * math.log(math.log(norm)) / norm
-        if best_value is None or value < best_value:
-            best_value = value
-            best_ideal = ideal
-    if best_ideal is None:
+    best, arg, norms = _window_min(norm_sieve(disc, x), 3)
+    if best is None:
         raise ValueError(f"no ideals with norm in [3, {x}] for discriminant {disc.value}")
-    return ScanResult(disc=disc, x=x, min_value=best_value, argmin_ideal=best_ideal)
+    return ScanResult(
+        disc=disc,
+        x=x,
+        min_value=best,
+        argmin_ideal=min_phi_ideal(disc, arg),
+        window=(3, x),
+        norms=norms,
+    )
 
 
 def landau_liminf_check(d: int | Discriminant, x: int) -> LandauCheck:
@@ -144,16 +191,9 @@ def landau_liminf_check(d: int | Discriminant, x: int) -> LandauCheck:
     if x < 100:
         raise ValueError(f"need x >= 100, got {x}")
     lo = x // 10
-    best: float | None = None
-    for ideal in ideals_up_to_norm(disc, x):
-        norm = ideal_norm(ideal)
-        if norm < lo:
-            continue
-        value = phi_K(ideal) * math.log(math.log(norm)) / norm
-        if best is None or value < best:
-            best = value
+    best, _, norms = _window_min(norm_sieve(disc, x), lo)
     target = math.exp(-EULER_GAMMA) / l1_from_class_number(disc)
-    return LandauCheck(empirical_min_tail=best, target=target)
+    return LandauCheck(empirical_min_tail=best, target=target, window=(lo, x), norms=norms)
 
 
 __all__ = [
@@ -162,9 +202,9 @@ __all__ = [
     "ScanResult",
     "char_euler_product",
     "char_sum_S",
-    "character_table",
     "l1_from_class_number",
     "landau_liminf_check",
     "mertens_product",
     "phi_bound_scan",
+    "scan_bytes",
 ]

@@ -27,6 +27,7 @@ from .analytics import (
     landau_liminf_check,
     mertens_product,
     phi_bound_scan,
+    scan_bytes,
 )
 from .errors import CacheFormatError, CacheIntegrityError, CapExceededError
 from .feasibility import bound_records, constant_over, sweep_region
@@ -468,6 +469,7 @@ def product(disc, x, fmt):
 @_format_option
 def scan(disc, x, fmt):
     """Minimum of phi_K(c) loglog|c| / |c| over ideals with 3 <= |c| <= x."""
+    preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
     try:
         result = phi_bound_scan(disc, x)
     except ValueError as exc:
@@ -481,7 +483,9 @@ def scan(disc, x, fmt):
             "argmin_ideal": str(result.argmin_ideal),
         }
     ]
-    emit(make_envelope("analytics.scan", {"disc": disc, "x": x, "format": fmt}, rows), fmt)
+    params = {"disc": disc, "x": x, "format": fmt}
+    meta = {"window": list(result.window), "norms": result.norms}
+    emit(make_envelope("analytics.scan", params, rows, **meta), fmt)
 
 
 @analytics.command()
@@ -490,6 +494,7 @@ def scan(disc, x, fmt):
 @_format_option
 def landau(disc, x, fmt):
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi)."""
+    preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
     try:
         result = landau_liminf_check(disc, x)
     except ValueError as exc:
@@ -502,7 +507,9 @@ def landau(disc, x, fmt):
             "target": _round12(result.target),
         }
     ]
-    emit(make_envelope("analytics.landau", {"disc": disc, "x": x, "format": fmt}, rows), fmt)
+    params = {"disc": disc, "x": x, "format": fmt}
+    meta = {"window": list(result.window), "norms": result.norms}
+    emit(make_envelope("analytics.landau", params, rows, **meta), fmt)
 
 
 @cli.command()

@@ -5,19 +5,26 @@ quantity needed downstream (norm, the ideal Euler function, splitting
 data) depends only on that factorization, so there is no element-level
 ideal arithmetic here.  A residue-ring brute-force count doubles as the
 oracle for the Euler-function formula.
+
+``norm_sieve`` is the one norm-indexed kernel: the minimum of phi_K over
+the ideals of each norm n <= x, as a numpy table.  ``ideals_up_to_norm``
+lists the ideals themselves and is its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 from .errors import CapExceededError
-from .primes import cached_primes, factorize, is_prime
+from .primes import cached_primes, factorize, is_prime, prime_array, prime_count_bound
 from .quad_core import (
     Discriminant,
     Splitting,
     as_discriminant,
+    character_table,
     require_fundamental,
     splitting_type,
 )
@@ -157,31 +164,147 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
     """Yield every integral ideal of norm <= x exactly once.
 
     Ordered by norm, ties broken lexicographically on the factorization;
-    a fresh generator restarts the same deterministic stream.
+    a fresh generator restarts the same deterministic stream.  The ideals
+    are built depth first over the prime ideals sorted by norm, and a
+    partial product is extended only while its norm stays <= x, so the
+    work is proportional to the number of ideals listed.
     """
     disc = require_fundamental(d)
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    prime_ideals = []
-    for p in cached_primes(x):
-        for P in primes_above(disc, p):
-            if P.norm <= x:
-                prime_ideals.append(P)
-    # (norm, factor list) pairs, extended one prime ideal at a time
-    partial: list[tuple[int, tuple[tuple[PrimeIdeal, int], ...]]] = [(1, ())]
-    for P in prime_ideals:
-        grown = []
-        for norm, factors in partial:
+    prime_ideals = sorted(
+        (P for p in cached_primes(x) for P in primes_above(disc, p) if P.norm <= x),
+        key=lambda P: P.norm,
+    )
+    found: list[tuple[int, FactoredIdeal]] = []
+    # (norm, index of the first prime ideal it may still take, factor list)
+    stack: list[tuple[int, int, tuple[tuple[PrimeIdeal, int], ...]]] = [(1, 0, ())]
+    while stack:
+        norm, start, factors = stack.pop()
+        ideal = FactoredIdeal(disc=disc, factors=tuple(sorted(factors, key=_factor_key)))
+        found.append((norm, ideal))
+        for i in range(start, len(prime_ideals)):
+            P = prime_ideals[i]
+            grown = norm * P.norm
+            if grown > x:
+                break
             e = 1
-            norm *= P.norm
-            while norm <= x:
-                grown.append((norm, factors + ((P, e),)))
+            while grown <= x:
+                stack.append((grown, i + 1, factors + ((P, e),)))
                 e += 1
-                norm *= P.norm
-        partial.extend(grown)
-    ideals = [FactoredIdeal(disc=disc, factors=tuple(sorted(f, key=_factor_key))) for _, f in partial]
-    ideals.sort(key=lambda ideal: (ideal_norm(ideal), ideal.sort_key()))
-    yield from ideals
+                grown *= P.norm
+    found.sort(key=lambda entry: (entry[0], entry[1].sort_key()))
+    for _, ideal in found:
+        yield ideal
+
+
+# bytes norm_sieve holds per norm (the int64 table, and the parity mask of
+# an inert 2 at x/2 entries) and per prime <= x (the int64 prime array and
+# at most five int64-sized temporaries of the step over the primes above
+# sqrt(x)), and per residue of the character (its list and int8 table)
+_NORM_SIEVE_BYTES_PER_NORM = 9
+_NORM_SIEVE_BYTES_PER_PRIME = 48
+_NORM_SIEVE_BYTES_PER_RESIDUE = 18
+
+
+def norm_sieve_bytes(d: int | Discriminant, x: int) -> int:
+    """Upper estimate of norm_sieve's peak memory, by arithmetic alone.
+
+    Per-norm, per-prime and per-residue costs, plus 64 KiB for array
+    headers.  The prime sieve's own two bool tables (2 B per norm) are
+    freed before the table is allocated.  Accepts any int d, so a caller
+    can size a request before validating it.
+    """
+    x = max(x, 1)
+    return (
+        _NORM_SIEVE_BYTES_PER_NORM * (x + 1)
+        + _NORM_SIEVE_BYTES_PER_PRIME * prime_count_bound(x)
+        + _NORM_SIEVE_BYTES_PER_RESIDUE * abs(int(d))
+        + (1 << 16)
+    )
+
+
+def norm_sieve(d: int | Discriminant, x: int) -> np.ndarray:
+    """Minimum of phi_K over the ideals of norm n, for n = 0 .. x (int64).
+
+    An entry is 0 when no ideal has norm n (and at n = 0).  Over the
+    ideals of norm n the minimum of phi_K is multiplicative in n, with
+    local factors: split p -> p - 1, split p^e (e >= 2) -> p^(e-2)(p-1)^2
+    (both conjugates present), inert p^(2k) -> p^(2k-2)(p^2-1), inert odd
+    powers -> 0, ramified p^e -> p^(e-1)(p-1).  Each factor is at most
+    p^e, so every entry is at most n.
+
+    A prime p <= sqrt(x) takes one slice update per power p^k <= x, by a
+    gain whose running product over k is the local factor (for an inert
+    p the odd powers are zeroed afterwards).  What is left of n is 1 or
+    one prime q > sqrt(x) to the first power; for each cofactor
+    j <= x / q those are multiplied in by one gather over the primes
+    above sqrt(x), with chi(q) read from the character table.
+    """
+    disc = require_fundamental(d)
+    if x < 1:
+        raise ValueError(f"need x >= 1, got {x}")
+    m = -disc.value
+    chi = np.array(character_table(disc), dtype=np.int8)
+    primes = prime_array(x)
+    root = isqrt(x)
+    small = int(np.searchsorted(primes, root, side="right"))
+    minphi = np.ones(x + 1, dtype=np.int64)
+    minphi[0] = 0
+    for p in map(int, primes[:small]):
+        kind = int(chi[p % m])
+        if kind == 1:
+            gains = [p - 1, p - 1]
+        elif kind == 0:
+            gains = [p - 1]
+        else:
+            gains = [1, p * p - 1]
+        q, k = p, 0
+        while q <= x:
+            minphi[q::q] *= gains[k] if k < len(gains) else p
+            q *= p
+            k += 1
+        if kind == -1:
+            # odd[i]: the exponent of p in p * (i + 1) is odd
+            odd = np.ones(x // p, dtype=bool)
+            q = p
+            while q * p <= x:
+                odd[q - 1 :: q] ^= True
+                q *= p
+            minphi[p::p][odd] = 0
+    large = primes[small:]
+    gain = np.where(chi[large % m] == -1, 0, large - 1)
+    for j in range(1, x // (root + 1) + 1):
+        count = int(np.searchsorted(large, x // j, side="right"))
+        minphi[large[:count] * j] *= gain[:count]
+    return minphi
+
+
+def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
+    """The ideal of norm n with the least phi_K, ties to the smallest sort_key.
+
+    Per rational prime p^e || n: split e = 1 -> P.0, split e >= 2 ->
+    P.0 * P.1^(e-1), inert -> P^(e/2), ramified -> P^e.  Raises
+    ValueError when no ideal has norm n.
+    """
+    disc = require_fundamental(d)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    factors: list[tuple[PrimeIdeal, int]] = []
+    for p, e in factorize(n):
+        above = primes_above(disc, p)
+        P = above[0]
+        if P.splitting == Splitting.SPLIT:
+            factors.append((P, 1))
+            if e > 1:
+                factors.append((above[1], e - 1))
+        elif P.splitting == Splitting.INERT:
+            if e % 2:
+                raise ValueError(f"no ideal of {disc.value} has norm {n}")
+            factors.append((P, e // 2))
+        else:
+            factors.append((P, e))
+    return FactoredIdeal(disc=disc, factors=tuple(factors))
 
 
 def ideal_count_oracle(d: int | Discriminant, n: int) -> int:
@@ -200,6 +323,9 @@ __all__ = [
     "ideal_norm",
     "ideals_up_to_norm",
     "merge",
+    "min_phi_ideal",
+    "norm_sieve",
+    "norm_sieve_bytes",
     "phi_K",
     "phi_K_of_N",
     "primes_above",

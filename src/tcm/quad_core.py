@@ -144,6 +144,13 @@ def kronecker(d: int | Discriminant, n: int) -> int:
     return result if n == 1 else 0
 
 
+def character_table(d: int | Discriminant) -> list[int]:
+    """chi(r) for r = 0 .. |d|-1 (the character has period |d|)."""
+    disc = require_fundamental(d)
+    m = -disc.value
+    return [0] + [kronecker(disc, r) for r in range(1, m)]
+
+
 def reduced_forms(d: int | Discriminant) -> set[BinaryQuadraticForm]:
     """One reduced primitive positive-definite form per ideal class.
 
@@ -239,6 +246,7 @@ __all__ = [
     "FieldConstants",
     "Splitting",
     "as_discriminant",
+    "character_table",
     "class_number",
     "class_number_dirichlet",
     "field_constants",

@@ -91,3 +91,34 @@ def oracle_bound_records(d_max: int) -> list[tuple[int, int, int]]:
         size, a = best
         records.append((size, a, size // (a * a)))
     return records
+
+
+def oracle_min_phi(d: int, x: int) -> dict[int, object]:
+    """For each norm n <= x that has an ideal, the first ideal of norm n in
+    the enumeration stream with the least phi_K, by listing every ideal."""
+    from tcm.ideal_arith import ideal_norm, ideals_up_to_norm, phi_K
+
+    best: dict[int, object] = {}
+    for ideal in ideals_up_to_norm(d, x):
+        n = ideal_norm(ideal)
+        if n not in best or phi_K(ideal) < phi_K(best[n]):
+            best[n] = ideal
+    return best
+
+
+def oracle_scan(d: int, x: int, lo: int) -> tuple[float, object]:
+    """min of phi_K(c) loglog N(c) / N(c) over ideals with lo <= N(c) <= x,
+    ideal by ideal over the enumeration stream (first strict minimum wins)."""
+    import math
+
+    from tcm.ideal_arith import ideal_norm, ideals_up_to_norm, phi_K
+
+    best_value, best_ideal = None, None
+    for ideal in ideals_up_to_norm(d, x):
+        norm = ideal_norm(ideal)
+        if norm < lo:
+            continue
+        value = phi_K(ideal) * math.log(math.log(norm)) / norm
+        if best_value is None or value < best_value:
+            best_value, best_ideal = value, ideal
+    return best_value, best_ideal

@@ -6,15 +6,17 @@ import pytest
 from tcm.analytics import (
     char_euler_product,
     char_sum_S,
-    character_table,
     l1_from_class_number,
     landau_liminf_check,
     mertens_product,
     phi_bound_scan,
+    scan_bytes,
 )
 from tcm.ideal_arith import ideal_norm, phi_K, principal_ideal
 from tcm.primes import EULER_GAMMA, factorize, primes_up_to
-from tcm.quad_core import Splitting, kronecker
+from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker
+
+from conftest import oracle_scan, traced_peak
 
 
 def test_mertens_single_factor():
@@ -102,6 +104,37 @@ def test_phi_bound_scan_empty_window():
     # no ideal of Q(i) has norm exactly 3
     with pytest.raises(ValueError):
         phi_bound_scan(-4, 3)
+
+
+@pytest.mark.parametrize(
+    "d,x",
+    [(d, 10**3) for d in fundamental_discriminants(100)] + [(-3, 10**4), (-4, 10**4), (-84, 10**4)],
+)
+def test_scans_match_ideal_by_ideal_oracle(d, x):
+    result = phi_bound_scan(d, x)
+    value, ideal = oracle_scan(d, x, 3)
+    assert result.min_value.hex() == value.hex()
+    assert str(result.argmin_ideal) == str(ideal)
+    assert result.argmin_ideal == ideal
+    tail, _ = oracle_scan(d, x, x // 10)
+    assert landau_liminf_check(d, x).empirical_min_tail.hex() == tail.hex()
+
+
+def test_scans_record_their_window():
+    result = phi_bound_scan(-4, 100)
+    assert result.window == (3, 100)
+    # norms in [3, 100] with no prime = 3 mod 4 to an odd power
+    assert result.norms == 41
+    check = landau_liminf_check(-4, 200)
+    assert check.window == (20, 200)
+    assert check.norms == 68
+
+
+@pytest.mark.parametrize("x", [10**4, 2 * 10**5])
+def test_scan_bytes_bounds_measured_peak(x):
+    for d in (-3, -4):
+        assert traced_peak(phi_bound_scan, d, x) <= scan_bytes(d, x)
+        assert traced_peak(landau_liminf_check, d, x) <= scan_bytes(d, x)
 
 
 def test_landau_liminf_directional_check():

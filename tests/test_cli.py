@@ -23,6 +23,7 @@ from tcm.cli import (
 )
 from tcm.errors import CacheFormatError, CacheIntegrityError
 from tcm.feasibility import bound_records, sweep_region
+from tcm.ideal_arith import ideal_count_oracle
 
 
 @pytest.fixture
@@ -148,6 +149,26 @@ def test_analytics_preflight_refuses_before_allocating(runner, monkeypatch, args
     assert f"primes up to x = {10**12}" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command,fn", [("scan", "phi_bound_scan"), ("landau", "landau_liminf_check")]
+)
+def test_scan_preflight_refuses_before_allocating(runner, monkeypatch, command, fn):
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
+    monkeypatch.setattr(cli_mod, fn, _refuse_to_run)
+    result = runner.invoke(cli, ["analytics", command, "--disc", "-4", "--x", str(10**8)])
+    assert result.exit_code == 2
+    assert f"norm sieve up to x = {10**8}" in result.stderr
+    assert "budget of 64 MiB" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["scan", "landau"])
+def test_scan_preflight_passes_small_requests(runner, monkeypatch, command):
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
+    result = runner.invoke(cli, ["analytics", command, "--disc", "-4", "--x", str(10**5)])
+    assert result.exit_code == 0
+
+
 def test_serialization_failure_exits_three(runner, monkeypatch):
     def broken(envelope):
         raise TypeError("unserializable")
@@ -260,6 +281,20 @@ def test_analytics_scan(runner):
     (row,) = json.loads(result.stdout)["rows"]
     assert row["min_value"] > 0
     assert row["argmin_norm"] >= 3
+
+
+def test_analytics_scan_meta_records_the_window(runner):
+    args = ["analytics", "scan", "--disc", "-4", "--x", "100", "--format", "json"]
+    envelope = json.loads(runner.invoke(cli, args).stdout)
+    assert envelope["meta"]["window"] == [3, 100]
+    assert envelope["meta"]["norms"] == 41
+    assert envelope["rows"] == [
+        {"disc": -4, "x": 100, "min_value": 0.163317129989, "argmin_norm": 4, "argmin_ideal": "P2^2"}
+    ]
+    args = ["analytics", "landau", "--disc", "-4", "--x", "100", "--format", "json"]
+    meta = json.loads(runner.invoke(cli, args).stdout)["meta"]
+    assert meta["window"] == [10, 100]
+    assert meta["norms"] == sum(1 for n in range(10, 101) if ideal_count_oracle(-4, n))
 
 
 def test_analytics_landau(runner):

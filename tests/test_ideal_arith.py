@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tcm.errors import CapExceededError
@@ -8,6 +9,9 @@ from tcm.ideal_arith import (
     ideal_norm,
     ideals_up_to_norm,
     merge,
+    min_phi_ideal,
+    norm_sieve,
+    norm_sieve_bytes,
     phi_K,
     phi_K_of_N,
     primes_above,
@@ -16,7 +20,7 @@ from tcm.ideal_arith import (
 )
 from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
 
-from conftest import naive_phi
+from conftest import naive_phi, oracle_min_phi, traced_peak
 
 
 def test_primes_above_split_inert_ramified():
@@ -150,3 +154,64 @@ def test_ideals_stream_is_sorted_and_restartable():
     assert first == second
     keys = [(ideal_norm(i), i.sort_key()) for i in first]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -8, -15, -84])
+def test_norm_sieve_matches_enumeration(d):
+    x = 1000
+    best = oracle_min_phi(d, x)
+    minphi = norm_sieve(d, x)
+    assert minphi.dtype == np.int64 and len(minphi) == x + 1
+    assert minphi.tolist() == [phi_K(best[n]) if n in best else 0 for n in range(x + 1)]
+
+
+@pytest.mark.parametrize("d", [-3, -4, -20, -23])
+def test_norm_sieve_zero_exactly_where_no_ideal(d):
+    minphi = norm_sieve(d, 2000)
+    for n in range(1, 2001):
+        assert (minphi[n] == 0) == (ideal_count_oracle(d, n) == 0), (d, n)
+
+
+def test_norm_sieve_tiny_cutoffs():
+    assert norm_sieve(-4, 1).tolist() == [0, 1]
+    assert norm_sieve(-4, 2).tolist() == [0, 1, 1]
+    assert norm_sieve(-3, 4).tolist() == [0, 1, 0, 2, 3]
+    with pytest.raises(ValueError):
+        norm_sieve(-4, 0)
+    with pytest.raises(ValueError):
+        norm_sieve(-12, 10)
+
+
+@pytest.mark.parametrize(
+    "d,n,expected",
+    [
+        (-4, 5, "P5.0"),  # split, e = 1
+        (-4, 25, "P5.0*P5.1"),  # split square: both conjugates
+        (-4, 125, "P5.0*P5.1^2"),
+        (-4, 9, "P3"),  # inert square: the prime of norm 9
+        (-4, 81, "P3^2"),
+        (-4, 8, "P2^3"),  # ramified power
+        (-84, 49, "P7^2"),
+        (-4, 2 * 9 * 25, "P2*P3*P5.0*P5.1"),
+        (-7, 1, "(1)"),
+    ],
+)
+def test_min_phi_ideal_tie_break_matches_stream(d, n, expected):
+    ideal = min_phi_ideal(d, n)
+    assert str(ideal) == expected
+    assert ideal == oracle_min_phi(d, n)[n]
+    assert phi_K(ideal) == norm_sieve(d, n)[n]
+
+
+def test_min_phi_ideal_rejects_norms_without_ideals():
+    with pytest.raises(ValueError):
+        min_phi_ideal(-4, 3)
+    with pytest.raises(ValueError):
+        min_phi_ideal(-4, 27)
+
+
+@pytest.mark.parametrize("x", [10**4, 2 * 10**5])
+def test_norm_sieve_bytes_bounds_measured_peak(x):
+    # -3: the inert 2 makes the largest parity mask
+    for d in (-3, -4):
+        assert traced_peak(norm_sieve, d, x) <= norm_sieve_bytes(d, x)
