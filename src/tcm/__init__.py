@@ -46,7 +46,6 @@ from .ray_class_bounds import (
 from .galois_image import (
     GaloisImageReport,
     GaloisMatrix,
-    TorsionVector,
     cn_elements,
     cn_order,
     kernel_size,
@@ -78,4 +77,4 @@ from .analytics import (
     mertens_product,
     phi_bound_scan,
 )
-from .errors import CacheFormatError, CacheIntegrityError, CapExceededError
+from .errors import CapExceededError

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideal_arith import FactoredIdeal, min_phi_ideal, norm_sieve, norm_sieve_bytes
-from .primes import EULER_GAMMA, cached_primes
+from .primes import EULER_GAMMA, prime_array
 from .quad_core import Discriminant, character_table, field_constants, require_fundamental
-
-# below this cutoff a plain sequential product is exact enough; above it,
-# logs are accumulated with numpy's pairwise summation to bound drift
-_LOG_ACCUM_THRESHOLD = 10**5
 
 # norms reduced per numpy step, and an upper bound on the bytes of the
 # float64, int64 and bool temporaries one step holds per norm
@@ -61,37 +57,36 @@ class LandauCheck:
     norms: int
 
 
+def _prime_character(disc: Discriminant, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p <= x and chi(p) as float64, for the field character chi."""
+    ps = prime_array(x)
+    return ps, np.array(character_table(disc), dtype=np.float64)[ps % -disc.value]
+
+
 def mertens_product(x: int) -> ProductEstimate:
-    """prod over primes p <= x of (1 - 1/p)."""
+    """prod over primes p <= x of (1 - 1/p).
+
+    The log1p terms are accumulated with numpy's pairwise summation, whose
+    rounding error grows like log(pi(x)) rather than pi(x) as a
+    sequential product's does.
+    """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    ps = cached_primes(x)
-    if x <= _LOG_ACCUM_THRESHOLD:
-        value = 1.0
-        for p in ps:
-            value *= 1.0 - 1.0 / p
-    else:
-        arr = np.array(ps, dtype=np.float64)
-        value = float(np.exp(np.log1p(-1.0 / arr).sum()))
+    ps = prime_array(x)
+    value = float(np.exp(np.log1p(-1.0 / ps).sum()))
     return ProductEstimate(x=x, value=value, terms=len(ps))
 
 
 def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
-    """prod over primes p <= x of (1 - chi(p)/p) for the field character chi."""
+    """prod over primes p <= x of (1 - chi(p)/p) for the field character chi.
+
+    Summed in logs like ``mertens_product``.
+    """
     disc = require_fundamental(d)
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    ps = cached_primes(x)
-    m = -disc.value
-    table = character_table(disc)
-    if x <= _LOG_ACCUM_THRESHOLD:
-        value = 1.0
-        for p in ps:
-            value *= 1.0 - table[p % m] / p
-    else:
-        arr = np.array(ps, dtype=np.int64)
-        chi = np.array(table, dtype=np.float64)[arr % m]
-        value = float(np.exp(np.log1p(-chi / arr).sum()))
+    ps, chi = _prime_character(disc, x)
+    value = float(np.exp(np.log1p(-chi / ps).sum()))
     return ProductEstimate(x=x, value=value, terms=len(ps))
 
 
@@ -109,14 +104,8 @@ def char_sum_S(d: int | Discriminant, t: int) -> float:
     disc = require_fundamental(d)
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    ps = cached_primes(t)
-    m = -disc.value
-    table = character_table(disc)
-    if t <= _LOG_ACCUM_THRESHOLD:
-        return sum(table[p % m] * math.log(p) for p in ps)
-    arr = np.array(ps, dtype=np.int64)
-    chi = np.array(table, dtype=np.float64)[arr % m]
-    return float((chi * np.log(arr)).sum())
+    ps, chi = _prime_character(disc, t)
+    return float((chi * np.log(ps)).sum())
 
 
 def scan_bytes(d: int | Discriminant, x: int) -> int:

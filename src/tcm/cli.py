@@ -1,10 +1,9 @@
-"""Command-line surface, serialization, and the class-number cache.
+"""Command-line surface and serialization.
 
 The only module that performs I/O.  Data rows go to stdout in one of
 three formats (table, json, csv); progress and warnings go to stderr so
 the data stream stays machine-clean.  Exit codes: 0 success, 2 usage
-error or a request over the memory budget, 3 serialization failure,
-4 cache-integrity failure.
+error or a request over the memory budget, 3 serialization failure.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ import csv
 import io
 import json
 import os
-import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
 
 import click
 
@@ -29,7 +24,7 @@ from .analytics import (
     phi_bound_scan,
     scan_bytes,
 )
-from .errors import CacheFormatError, CacheIntegrityError, CapExceededError
+from .errors import CapExceededError
 from .feasibility import bound_records, constant_over, sweep_region
 from .galois_image import (
     cn_order,
@@ -39,17 +34,8 @@ from .galois_image import (
 )
 from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K_of_N, principal_ideal
 from .primes import prime_list_bytes
-from .quad_core import (
-    class_number,
-    class_number_dirichlet,
-    fundamental_discriminants,
-    is_fundamental,
-    unit_count,
-)
+from .quad_core import is_fundamental
 
-CACHE_HEADER = "tcm-cache-v1"
-DEFAULT_CACHE_PATH = "./tcm-cache-v1.csv"
-DEFAULT_CACHE_CAP = 10**4
 # upper bound on the bytes one bound row holds: its BoundRecord, its row
 # dict and its share of the serialized text
 BOUND_ROW_BYTES = 2048
@@ -58,17 +44,6 @@ BOUND_ROW_BYTES = 2048
 def _round12(x: float) -> float:
     """Clamp a float to 12 significant digits (the serialized precision)."""
     return float(f"{x:.12g}")
-
-
-def worker_count() -> int:
-    """Parallelism override from TCM_THREADS (default 1)."""
-    raw = os.environ.get("TCM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def memory_budget() -> int:
@@ -152,143 +127,14 @@ _format_option = click.option(
 )
 
 
-# ------------------------------------------------------------------ cache
-
-
-@dataclass
-class ClassNumberCache:
-    """Map from fundamental discriminant to (class number, unit count)."""
-
-    entries: dict[int, tuple[int, int]]
-
-
-def _cache_entry(value: int) -> tuple[int, int, int]:
-    return (value, class_number(value), unit_count(value))
-
-
-def build_cache(cap: int = DEFAULT_CACHE_CAP, workers: int = 1) -> ClassNumberCache:
-    discs = fundamental_discriminants(cap)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            triples = list(pool.map(_cache_entry, discs, chunksize=64))
-    else:
-        triples = [_cache_entry(value) for value in discs]
-    return ClassNumberCache(entries={v: (h, w) for v, h, w in triples})
-
-
-def save_cache(cache: ClassNumberCache, path: str | Path) -> None:
-    lines = [CACHE_HEADER]
-    for value in sorted(cache.entries, key=abs):
-        h, w = cache.entries[value]
-        lines.append(f"{value},{h},{w}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_cache(path: str | Path) -> ClassNumberCache:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise CacheFormatError(f"cannot read cache file {path}: {exc}") from exc
-    if not lines or lines[0].strip() != CACHE_HEADER:
-        raise CacheFormatError(f"{path} does not start with the header {CACHE_HEADER!r}")
-    entries: dict[int, tuple[int, int]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            value, h, w = (int(p) for p in parts)
-        except ValueError as exc:
-            raise CacheFormatError(f"{path}:{lineno}: malformed line {line!r}") from exc
-        entries[value] = (h, w)
-    return ClassNumberCache(entries=entries)
-
-
-def validate_cache(
-    cache: ClassNumberCache, fraction: float = 0.01, rng: random.Random | None = None
-) -> int:
-    """Re-derive a sample of entries from the character-sum oracle.
-
-    Returns the number of entries checked; raises CacheIntegrityError on
-    the first disagreement.
-    """
-    values = sorted(cache.entries, key=abs)
-    if not values:
-        return 0
-    rng = rng or random.Random(0)
-    k = max(1, round(fraction * len(values)))
-    sample = values if k >= len(values) else rng.sample(values, k)
-    for value in sample:
-        h, w = cache.entries[value]
-        expected_h = class_number_dirichlet(value)
-        expected_w = unit_count(value)
-        if (h, w) != (expected_h, expected_w):
-            raise CacheIntegrityError(
-                f"cache entry D={value} has (h, w)=({h}, {w}), oracle says "
-                f"({expected_h}, {expected_w})"
-            )
-    return len(sample)
-
-
-def cache_io(
-    path: str | Path,
-    cap: int = DEFAULT_CACHE_CAP,
-    validate_fraction: float = 0.01,
-    rebuild: bool = False,
-) -> ClassNumberCache:
-    """Load the cache at path, rebuilding it if absent or corrupt.
-
-    A corrupt file is rebuilt with a warning; a validation mismatch
-    propagates as CacheIntegrityError (hard failure).
-    """
-    path = Path(path)
-    cache = None
-    if path.exists() and not rebuild:
-        try:
-            cache = load_cache(path)
-        except CacheFormatError as exc:
-            print(f"warning: {exc}; rebuilding", file=sys.stderr)
-        else:
-            missing = [d for d in fundamental_discriminants(cap) if d not in cache.entries]
-            if missing:
-                print(
-                    f"warning: cache covers {len(cache.entries)} entries but "
-                    f"{len(missing)} discriminants with |D| <= {cap} are absent; rebuilding",
-                    file=sys.stderr,
-                )
-                cache = None
-    if cache is None:
-        workers = worker_count()
-        if cap >= 2000:
-            print(
-                f"building class-number cache for |D| <= {cap} (workers={workers})",
-                file=sys.stderr,
-            )
-        cache = build_cache(cap=cap, workers=workers)
-        save_cache(cache, path)
-    validate_cache(cache, fraction=validate_fraction)
-    return cache
-
-
 # ---------------------------------------------------------------- commands
 
 
 @click.group()
 @click.version_option(version=__version__, prog_name="tcm")
-@click.option(
-    "--cache",
-    "cache_path",
-    type=click.Path(dir_okay=False),
-    default=DEFAULT_CACHE_PATH,
-    show_default=True,
-    help="Class-number cache file.",
-)
-@click.pass_context
-def cli(ctx, cache_path):
+def cli():
     """Explicit per-degree bounds on CM elliptic-curve torsion, plus the
     exact and analytic machinery behind them."""
-    ctx.ensure_object(dict)
-    ctx.obj["cache_path"] = cache_path
 
 
 @cli.command()
@@ -512,26 +358,8 @@ def landau(disc, x, fmt):
     emit(make_envelope("analytics.landau", params, rows, **meta), fmt)
 
 
-@cli.command()
-@click.option("--rebuild", is_flag=True, help="Rebuild even if the file exists.")
-@click.option("--cap", type=int, default=DEFAULT_CACHE_CAP, show_default=True)
-@click.option("--validate-all", is_flag=True, help="Revalidate every entry, not a sample.")
-@click.pass_context
-def cache(ctx, rebuild, cap, validate_all):
-    """Build, load, and revalidate the class-number cache."""
-    path = ctx.obj["cache_path"]
-    fraction = 1.0 if validate_all else 0.01
-    try:
-        result = cache_io(path, cap=cap, validate_fraction=fraction, rebuild=rebuild)
-    except CacheIntegrityError as exc:
-        print(f"cache integrity failure: {exc}", file=sys.stderr)
-        sys.exit(4)
-    checked = "all entries" if validate_all else "a 1% sample"
-    click.echo(f"cache at {path}: {len(result.entries)} entries, revalidated {checked}")
-
-
 def main():
-    cli(obj={})
+    cli()
 
 
 if __name__ == "__main__":

@@ -10,10 +10,3 @@ class CapExceededError(ValueError):
         self.requested = requested
         self.cap = cap
 
-
-class CacheFormatError(RuntimeError):
-    """The cache file is unreadable or malformed (recoverable by rebuild)."""
-
-
-class CacheIntegrityError(RuntimeError):
-    """A cached class number disagrees with the independent oracle."""

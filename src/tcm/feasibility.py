@@ -293,9 +293,7 @@ def relaxed_pairs(d: int) -> list[tuple[int, int]]:
     return [(a, n // a) for a, ns, _ in activations(sweep_region(d)) for n in ns.tolist()]
 
 
-def refined_table(
-    d: int, D_cap: int, class_numbers: "dict[int, int] | None" = None
-) -> list[FeasibilityRow]:
+def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
     """Exact per-field feasibility of every relaxed-feasible shape.
 
     Diagnostic only: restricting the fields to |D| <= D_cap does not by
@@ -307,7 +305,7 @@ def refined_table(
     rows: list[FeasibilityRow] = []
     for value in fundamental_discriminants(D_cap):
         disc = require_fundamental(value)
-        h = class_numbers[value] if class_numbers is not None else class_number(disc)
+        h = class_number(disc)
         for a, b in pairs:
             lhs = Fraction(h * phi_K_of_N(disc, a * b), 6 * b)
             rows.append(FeasibilityRow(disc=disc, a=a, b=b, lhs=lhs, feasible=lhs <= d))

@@ -68,19 +68,6 @@ class GaloisMatrix:
 
 
 @dataclass(frozen=True)
-class TorsionVector:
-    """A point of (Z/NZ)^2 together with its additive order."""
-
-    x: int
-    y: int
-    modulus: int
-
-    @property
-    def order(self) -> int:
-        return self.modulus // gcd(self.x, self.y, self.modulus)
-
-
-@dataclass(frozen=True)
 class GaloisImageReport:
     """Observed maximal point-stabilizer order and the divisor it must obey."""
 
@@ -246,7 +233,6 @@ __all__ = [
     "CN_CAP",
     "GaloisImageReport",
     "GaloisMatrix",
-    "TorsionVector",
     "cn_elements",
     "cn_order",
     "kernel_size",

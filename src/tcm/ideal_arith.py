@@ -19,7 +19,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import CapExceededError
-from .primes import cached_primes, factorize, is_prime, prime_array, prime_count_bound
+from .primes import cached_primes, factorize, prime_array, prime_count_bound
 from .quad_core import (
     Discriminant,
     Splitting,
@@ -73,9 +73,7 @@ class FactoredIdeal:
 def primes_above(d: int | Discriminant, p: int) -> list[PrimeIdeal]:
     """The prime ideals over the rational prime p, by splitting type."""
     disc = require_fundamental(d)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    kind = splitting_type(disc, p)
+    kind = splitting_type(disc, p)  # raises ValueError unless p is prime
     if kind == Splitting.SPLIT:
         return [
             PrimeIdeal(p=p, conjugate_index=0, splitting=kind, norm=p),

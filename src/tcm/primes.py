@@ -117,9 +117,9 @@ def prime_count_bound(x: int) -> int:
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
 
 
-# bytes cached_primes keeps per prime (an int object and a pointer in the
-# tuple) plus the transient list and the int64 and float64 arrays of the
-# sieve and the analytic products
+# bytes per prime: the analytic products hold a few 8-byte arrays over
+# the primes at once (the primes, their residues, chi(p) and the
+# temporaries of the log sum); the rest is headroom
 _PRIME_LIST_BYTES = 100
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .primes import is_prime, squarefree
@@ -28,16 +28,16 @@ class Splitting(enum.Enum):
 
 @dataclass(frozen=True)
 class Discriminant:
-    """A negative integer congruent to 0 or 1 mod 4."""
+    """A negative integer congruent to 0 or 1 mod 4.
+
+    Validated once, on construction, which also derives is_fundamental.
+    """
 
     value: int
-    is_fundamental: bool
+    is_fundamental: bool = field(init=False)
 
     def __post_init__(self):
-        if self.is_fundamental != is_fundamental(self.value):
-            raise ValueError(
-                f"is_fundamental={self.is_fundamental} is wrong for {self.value}"
-            )
+        object.__setattr__(self, "is_fundamental", is_fundamental(self.value))
 
     def __int__(self) -> int:
         return self.value
@@ -103,7 +103,7 @@ def as_discriminant(d: int | Discriminant) -> Discriminant:
     """Coerce an int (validating it) or pass a Discriminant through."""
     if isinstance(d, Discriminant):
         return d
-    return Discriminant(d, is_fundamental(d))
+    return Discriminant(d)
 
 
 def require_fundamental(d: int | Discriminant) -> Discriminant:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,29 @@ def test_mertens_asymptotic_at_million():
     scaled = est.value * math.exp(EULER_GAMMA) * math.log(10**6)
     assert 0.99 <= scaled <= 1.01
     assert est.terms == 78498
+
+
+def decimal_product(chi, x: int) -> Decimal:
+    """prod over primes p <= x of (1 - chi(p)/p) to 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        value = Decimal(1)
+        for p in primes_up_to(x):
+            value *= 1 - Decimal(chi(p)) / p
+        return value
+
+
+# the 12 printed digits against a 50-digit oracle; a sequential float
+# product misses the last digit at the first three x and at (-24, 436)
+@pytest.mark.parametrize("x", [4910, 42352, 57581, 10**6])
+def test_mertens_printed_digits_match_decimal_oracle(x):
+    oracle = decimal_product(lambda p: 1, x)
+    assert f"{mertens_product(x).value:.12g}" == f"{oracle:.12g}"
+
+
+def test_char_product_printed_digits_match_decimal_oracle():
+    oracle = decimal_product(lambda p: kronecker(-24, p), 436)
+    assert f"{char_euler_product(-24, 436).value:.12g}" == f"{oracle:.12g}"
 
 
 def test_char_product_examples():

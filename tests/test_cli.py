@@ -9,19 +9,12 @@ from click.testing import CliRunner
 
 from tcm import cli as cli_mod
 from tcm.cli import (
-    CACHE_HEADER,
-    ClassNumberCache,
     bound_record_row,
-    build_cache,
     cli,
-    load_cache,
     make_envelope,
-    save_cache,
     serialize_csv,
     serialize_json,
-    validate_cache,
 )
-from tcm.errors import CacheFormatError, CacheIntegrityError
 from tcm.feasibility import bound_records, sweep_region
 from tcm.ideal_arith import ideal_count_oracle
 
@@ -113,6 +106,16 @@ def test_bound_stdout_is_deterministic():
     args = [sys.executable, "-m", "tcm", "bound", "--d-min", "3", "--d-max", "100", "--format", "json"]
     first, second = (subprocess.run(args, capture_output=True, check=True) for _ in range(2))
     assert first.stdout == second.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # every command starts a fresh interpreter, so tcm.cli's imports are paid per run
+    code = (
+        "import sys, tcm.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _refuse_to_run(*args, **kwargs):
@@ -310,61 +313,3 @@ def test_analytics_floats_carry_twelve_significant_digits(runner):
     (row,) = json.loads(result.stdout)["rows"]
     assert row["value"] == float(f"{row['value']:.12g}")
 
-
-# --------------------------------------------------------------------- cache
-
-
-def test_cache_build_load_validate(tmp_path):
-    path = tmp_path / "cache.csv"
-    cache = build_cache(cap=60)
-    save_cache(cache, path)
-    text = path.read_text().splitlines()
-    assert text[0] == CACHE_HEADER
-    assert text[1] == "-3,1,6"
-    reloaded = load_cache(path)
-    assert reloaded.entries == cache.entries
-    assert validate_cache(reloaded, fraction=1.0) == len(cache.entries)
-
-
-def test_cache_detects_tampering(tmp_path):
-    path = tmp_path / "cache.csv"
-    cache = build_cache(cap=60)
-    cache.entries[-23] = (4, 2)
-    save_cache(cache, path)
-    with pytest.raises(CacheIntegrityError):
-        validate_cache(load_cache(path), fraction=1.0)
-
-
-def test_cache_rejects_bad_header(tmp_path):
-    path = tmp_path / "cache.csv"
-    path.write_text("nonsense\n-3,1,6\n")
-    with pytest.raises(CacheFormatError):
-        load_cache(path)
-
-
-def test_cache_command_end_to_end(runner, tmp_path):
-    path = str(tmp_path / "cache.csv")
-    result = runner.invoke(cli, ["--cache", path, "cache", "--cap", "60", "--validate-all"])
-    assert result.exit_code == 0
-    assert "21 entries" in result.stdout
-
-    # tampering makes the command exit 4
-    lines = open(path).read().splitlines()
-    lines = [("-23,4,2" if line.startswith("-23,") else line) for line in lines]
-    open(path, "w").write("\n".join(lines) + "\n")
-    result = runner.invoke(cli, ["--cache", path, "cache", "--cap", "60", "--validate-all"])
-    assert result.exit_code == 4
-    assert "integrity" in result.stderr
-
-    # a corrupt file is rebuilt with a warning, not a failure
-    open(path, "w").write("garbage\n")
-    result = runner.invoke(cli, ["--cache", path, "cache", "--cap", "60", "--validate-all"])
-    assert result.exit_code == 0
-    assert "rebuilding" in result.stderr
-
-
-def test_cache_sample_validation_deterministic():
-    cache = ClassNumberCache(entries={d: (1, 2) for d in (-7, -8, -11)})
-    cache.entries[-3] = (1, 6)
-    cache.entries[-4] = (1, 4)
-    assert validate_cache(cache, fraction=0.01) == 1

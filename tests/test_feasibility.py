@@ -227,12 +227,6 @@ def test_refined_table_sorted_by_size_descending():
     assert sizes == sorted(sizes, reverse=True)
 
 
-def test_refined_table_accepts_precomputed_class_numbers():
-    table = {d: class_number(d) for d in (-3, -4, -7, -8)}
-    rows = refined_table(1, 8, class_numbers=table)
-    assert rows == refined_table(1, 8)
-
-
 def test_refined_feasibility_implies_relaxed():
     # exact feasibility of any shape for any field implies the relaxed test
     for d in (1, 2, 3):

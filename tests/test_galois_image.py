@@ -6,7 +6,6 @@ import pytest
 from tcm.errors import CapExceededError
 from tcm.galois_image import (
     GaloisMatrix,
-    TorsionVector,
     cn_elements,
     cn_order,
     kernel_size,
@@ -130,22 +129,6 @@ def test_stabilizer_consistent_with_squaring_rule():
         for p in (2, 3, 5, 7):
             report = max_stabilizer_order(d, p, 0)
             assert report.max_stabilizer_order <= squaring_degree_bound(1, p)
-
-
-def test_torsion_vector_order():
-    for n in (2, 3, 4, 6, 8, 12):
-        for x in range(n):
-            for y in range(n):
-                v = TorsionVector(x=x, y=y, modulus=n)
-                # brute additive order
-                k = 1
-                while (k * x % n, k * y % n) != (0, 0):
-                    k += 1
-                assert v.order == k
-                assert n % v.order == 0
-                from math import gcd
-
-                assert (v.order == n) == (gcd(x, gcd(y, n)) == 1)
 
 
 def test_caps_are_enforced():

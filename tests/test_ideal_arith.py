@@ -43,6 +43,25 @@ def test_primes_above_rejects_composite_and_nonfundamental():
         primes_above(-12, 5)
 
 
+def test_enumeration_tests_each_prime_once(monkeypatch):
+    import tcm.ideal_arith
+    import tcm.quad_core
+    from tcm.primes import is_prime, primes_up_to
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(tcm.quad_core, "is_prime", counting)
+    monkeypatch.setattr(tcm.ideal_arith, "is_prime", counting, raising=False)
+    x = 10**4
+    for _ in ideals_up_to_norm(-3, x):
+        pass
+    assert len(calls) <= len(primes_up_to(x))
+
+
 def test_principal_ideal_examples():
     one = principal_ideal(-4, 1)
     assert one.factors == () and ideal_norm(one) == 1

@@ -215,9 +215,20 @@ def test_as_discriminant_carries_fundamentality():
 def test_discriminant_rejects_wrong_fundamentality_flag():
     from tcm.quad_core import Discriminant
 
-    with pytest.raises(ValueError):
+    # the flag is derived from the value, so no caller can pass a wrong one
+    assert Discriminant(-12).is_fundamental is False
+    assert Discriminant(-4).is_fundamental is True
+    with pytest.raises(TypeError):
         Discriminant(-12, True)
     with pytest.raises(ValueError):
-        Discriminant(-4, False)
-    with pytest.raises(ValueError):
-        Discriminant(-14, False)
+        Discriminant(-14)
+
+
+def test_as_discriminant_factors_once(monkeypatch):
+    import tcm.quad_core as quad_core
+
+    calls = []
+    real = quad_core.squarefree
+    monkeypatch.setattr(quad_core, "squarefree", lambda n: calls.append(n) or real(n))
+    as_discriminant(-4)
+    assert calls == [1]
