@@ -46,6 +46,7 @@ from .ray_class_bounds import (
 from .galois_image import (
     GaloisImageReport,
     GaloisMatrix,
+    UnitGroup,
     cn_elements,
     cn_order,
     kernel_size,

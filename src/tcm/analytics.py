@@ -60,7 +60,7 @@ class LandauCheck:
 def _prime_character(disc: Discriminant, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The primes p <= x and chi(p) as float64, for the field character chi."""
     ps = prime_array(x)
-    return ps, np.array(character_table(disc), dtype=np.float64)[ps % -disc.value]
+    return ps, character_table(disc)[ps % -disc.value].astype(np.float64)
 
 
 def mertens_product(x: int) -> ProductEstimate:

@@ -2,8 +2,8 @@
 
 A matrix in the group has the shape [[x, q*y], [y, x + y*D]] with
 q = (D - D^2)/4, and lies in the group iff its determinant
-x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N.  The module builds the
-full set for small N and measures, exhaustively, the facts the torsion
+x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N.  The module scans the
+full group for small N and measures, exhaustively, the facts the torsion
 bound rests on: the homotheties are present, reduction kernels have size
 p^(2B), and point stabilizers divide p - 1 / 1 / p according to the
 splitting of p.
@@ -11,12 +11,14 @@ splitting of p.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from .errors import CapExceededError
+from .primes import is_prime
 from .quad_core import Discriminant, Splitting, as_discriminant, splitting_type
 
 CN_CAP = 200
@@ -100,30 +102,62 @@ def _unit_pairs(delta: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs.astype(np.int64), ys.astype(np.int64)
 
 
-def cn_elements(d: int | Discriminant, n: int, cap: int = CN_CAP) -> set[GaloisMatrix]:
-    """The full unit group mod n, built by scanning all (alpha, beta) pairs."""
+class UnitGroup(Set):
+    """The unit group mod n as a read-only set of ``GaloisMatrix``.
+
+    Holds only the (n, n) unit mask: the length is the mask count,
+    membership reads the mask, and iteration builds the matrices in
+    (alpha, beta) order.
+    """
+
+    def __init__(self, disc: int, modulus: int, mask: np.ndarray):
+        self.disc = disc
+        self.modulus = modulus
+        self._unit_mask = mask
+        self._size = int(mask.sum())
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[GaloisMatrix]:
+        xs, ys = np.nonzero(self._unit_mask)
+        for a, b in zip(xs.tolist(), ys.tolist()):
+            yield GaloisMatrix(disc=self.disc, modulus=self.modulus, alpha=a, beta=b)
+
+    def __contains__(self, item: object) -> bool:
+        n = self.modulus
+        return (
+            isinstance(item, GaloisMatrix)
+            and (item.disc, item.modulus) == (self.disc, n)
+            and 0 <= item.alpha < n
+            and 0 <= item.beta < n
+            and bool(self._unit_mask[item.alpha, item.beta])
+        )
+
+    @classmethod
+    def _from_iterable(cls, it) -> set[GaloisMatrix]:
+        # the results of &, |, - and ^ are plain sets
+        return set(it)
+
+
+def cn_elements(d: int | Discriminant, n: int, cap: int = CN_CAP) -> UnitGroup:
+    """The full unit group mod n, from a scan of all (alpha, beta) pairs."""
     disc = as_discriminant(d)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > cap:
         raise CapExceededError("n", n, cap)
-    xs, ys = _unit_pairs(disc.value, n)
-    return {
-        GaloisMatrix(disc=disc.value, modulus=n, alpha=int(a), beta=int(b))
-        for a, b in zip(xs.tolist(), ys.tolist())
-    }
+    return UnitGroup(disc.value, n, _unit_mask(disc.value, n))
 
 
 def cn_order(d: int | Discriminant, n: int, cap: int = CN_CAP) -> int:
-    """Size of the unit group mod n, without materializing elements."""
+    """Size of the unit group mod n: the length of ``cn_elements`` (1 for n = 1)."""
     disc = as_discriminant(d)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > cap:
         raise CapExceededError("n", n, cap)
-    if n == 1:
-        return 1
-    return int(_unit_mask(disc.value, n).sum())
+    return 1 if n == 1 else len(cn_elements(disc, n, cap=cap))
 
 
 def verify_homotheties(d: int | Discriminant, n: int, cap: int = CN_CAP) -> bool:
@@ -144,6 +178,8 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int, cap: int = CN_CAP
     surjective onto the level-p^A group.
     """
     disc = as_discriminant(d)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if A < 1 or B < 1:
         raise ValueError("need A >= 1 and B >= 1")
     big = p ** (A + B)
@@ -171,6 +207,15 @@ def max_stabilizer_order(
     splits, is inert, or ramifies.  For A >= 1 the scan runs over the
     kernel of reduction to level p^A and points of exact order p^(A+1);
     the maximum must divide p.
+
+    One point per orbit of the full unit group suffices.  The group acts
+    on O/nO by multiplication in a commutative ring, so for a unit u and
+    a candidate g, g(uv) = uv iff u(gv - v) = 0 iff gv = v: the number of
+    candidates fixing a point is constant on each orbit.  Both point sets
+    (nonzero points; points outside pO) are unions of orbits, because
+    multiplying by a unit keeps a point in them.  The scan takes the
+    first unmarked point, marks its orbit, counts its fixers and repeats,
+    in (#orbits) * |group| work rather than |candidates| * n^2.
     """
     disc = as_discriminant(d)
     if A < 0:
@@ -181,31 +226,31 @@ def max_stabilizer_order(
     kind = splitting_type(disc, p)
 
     xs, ys = _unit_pairs(disc.value, n)
+    grid = np.arange(n, dtype=np.int64)
     if A == 0:
-        candidates = np.ones(len(xs), dtype=bool)
+        gx, gy = xs, ys
         expected = {Splitting.SPLIT: p - 1, Splitting.INERT: 1, Splitting.RAMIFIED: p}[kind]
+        unmarked = (grid[:, None] != 0) | (grid[None, :] != 0)
     else:
         small = p**A
-        candidates = (xs % small == 1) & (ys % small == 0)
+        in_kernel = (xs % small == 1) & (ys % small == 0)
+        gx, gy = xs[in_kernel], ys[in_kernel]
         expected = p
+        unmarked = (grid[:, None] % p != 0) | (grid[None, :] % p != 0)  # exact order p^(A+1)
 
     delta = disc.value
-    entry_q = (delta - delta * delta) // 4
-    grid = np.arange(n, dtype=np.int64)
-    vx = np.repeat(grid, n)
-    vy = np.tile(grid, n)
-    if A == 0:
-        point_mask = (vx != 0) | (vy != 0)
-    else:
-        point_mask = (vx % p != 0) | (vy % p != 0)  # exact order p^(A+1)
+    qm, dm = (delta - delta * delta) // 4 % n, delta % n
 
-    counts = np.zeros(n * n, dtype=np.int64)
-    qm, dm = entry_q % n, delta % n
-    for a, b in zip(xs[candidates].tolist(), ys[candidates].tolist()):
-        gx = (a * vx + qm * b % n * vy) % n
-        gy = (b * vx + (a + b * dm) % n * vy) % n
-        counts += (gx == vx) & (gy == vy)
-    observed = int(counts[point_mask].max())
+    def times(ux, uy, vx, vy):
+        # (ux + uy w)(vx + vy w) with w^2 = q + D w, as its pair mod n
+        return (ux * vx + qm * uy * vy) % n, (ux * vy + uy * vx + dm * uy * vy) % n
+
+    observed = 0
+    while unmarked.any():
+        vx, vy = divmod(int(np.argmax(unmarked)), n)
+        unmarked[times(xs, ys, vx, vy)] = False
+        fx, fy = times(gx, gy, vx, vy)
+        observed = max(observed, int(((fx == vx) & (fy == vy)).sum()))
     return GaloisImageReport(
         disc=disc.value,
         p=p,
@@ -233,6 +278,7 @@ __all__ = [
     "CN_CAP",
     "GaloisImageReport",
     "GaloisMatrix",
+    "UnitGroup",
     "cn_elements",
     "cn_order",
     "kernel_size",

@@ -243,7 +243,7 @@ def norm_sieve(d: int | Discriminant, x: int) -> np.ndarray:
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     m = -disc.value
-    chi = np.array(character_table(disc), dtype=np.int8)
+    chi = character_table(disc)
     primes = prime_array(x)
     root = isqrt(x)
     small = int(np.searchsorted(primes, root, side="right"))

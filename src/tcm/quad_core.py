@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .primes import is_prime, squarefree
+import numpy as np
+
+from .primes import is_prime, prime_array, squarefree
 
 
 class Splitting(enum.Enum):
@@ -144,50 +147,81 @@ def kronecker(d: int | Discriminant, n: int) -> int:
     return result if n == 1 else 0
 
 
-def character_table(d: int | Discriminant) -> list[int]:
-    """chi(r) for r = 0 .. |d|-1 (the character has period |d|)."""
+def character_table(d: int | Discriminant) -> np.ndarray:
+    """chi(r) for r = 0 .. |d|-1 as an int8 array (the character has period |d|).
+
+    Built by complete multiplicativity: a table of ones, chi(0) = 0, and
+    for each prime p < |d| the factor chi(p) multiplied into the
+    multiples of every power p^k < |d|, one slice per power.  That is one
+    ``kronecker`` call per prime rather than one per residue.
+    """
     disc = require_fundamental(d)
     m = -disc.value
-    return [0] + [kronecker(disc, r) for r in range(1, m)]
+    chi = np.ones(m, dtype=np.int8)
+    chi[0] = 0
+    for p in map(int, prime_array(m - 1)):
+        sign = kronecker(disc, p)
+        if sign == 0:
+            chi[p::p] = 0
+        elif sign == -1:
+            q = p
+            while q < m:
+                chi[q::q] *= -1
+                q *= p
+    return chi
+
+
+def _reduced_triples(value: int) -> Iterator[tuple[int, int, int]]:
+    """The reduced primitive forms (a, b, c) of discriminant value with b >= 0.
+
+    b-first (Cohen, A Course in Computational Algebraic Number Theory,
+    5.3): b = value mod 2 up to sqrt(|value|/3), q = (b^2 - value)/4, and
+    a runs over the divisors of q with b <= a <= sqrt(q), c = q/a.  The
+    form (a, -b, c) is reduced too exactly when 0 < b < a < c.
+    """
+    for b in range(value % 2, isqrt(-value // 3) + 1, 2):
+        q = (b * b - value) // 4
+        for a in range(max(b, 1), isqrt(q) + 1):
+            if q % a == 0 and gcd(gcd(a, b), q // a) == 1:
+                yield a, b, q // a
 
 
 def reduced_forms(d: int | Discriminant) -> set[BinaryQuadraticForm]:
     """One reduced primitive positive-definite form per ideal class.
 
-    Valid for any (fundamental or order) discriminant.  The scan covers
-    |b| <= a <= sqrt(|d|/3), which contains every reduced form.
+    Valid for any (fundamental or order) discriminant.
     """
-    value = as_discriminant(d).value
     forms: set[BinaryQuadraticForm] = set()
-    for a in range(1, isqrt(-value // 3) + 1):
-        for b in range(-a, a + 1):
-            if (b * b - value) % (4 * a):
-                continue
-            c = (b * b - value) // (4 * a)
-            if c < a:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            forms.add(BinaryQuadraticForm(a, b, c))
+    for a, b, c in _reduced_triples(as_discriminant(d).value):
+        forms.add(BinaryQuadraticForm(a, b, c))
+        if 0 < b < a < c:
+            forms.add(BinaryQuadraticForm(a, -b, c))
     return forms
 
 
 def class_number(d: int | Discriminant) -> int:
-    """h(d) as the count of reduced primitive forms of discriminant d."""
-    return len(reduced_forms(d))
+    """h(d) as the count of reduced primitive forms of discriminant d.
+
+    Counted without building the forms: (a, b, c) counts once when
+    b = 0, a = b or a = c, and twice (for (a, +-b, c)) otherwise.
+    """
+    return sum(
+        1 if b == 0 or a == b or a == c else 2
+        for a, b, c in _reduced_triples(as_discriminant(d).value)
+    )
 
 
 def class_number_dirichlet(d: int | Discriminant) -> int:
     """h(d) from the finite character sum (w / 2|d|) * |sum chi(k) k|.
 
     Only valid for fundamental d (the sum as written needs the primitive
-    character); serves as the independent oracle for class_number.
+    character); serves as the independent oracle for class_number.  The
+    sum over k = 1 .. |d| is one int64 dot product with the character
+    table (chi(|d|) = chi(0) = 0, and |sum| <= |d|^2 / 2).
     """
     disc = require_fundamental(d)
     m = -disc.value
-    total = sum(kronecker(disc, k) * k for k in range(1, m + 1))
+    total = int(character_table(disc).astype(np.int64) @ np.arange(m, dtype=np.int64))
     w = unit_count(disc)
     num = w * abs(total)
     if num % (2 * m):

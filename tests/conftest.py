@@ -122,3 +122,77 @@ def oracle_scan(d: int, x: int, lo: int) -> tuple[float, object]:
         if best_value is None or value < best_value:
             best_value, best_ideal = value, ideal
     return best_value, best_ideal
+
+
+def oracle_reduced_forms(d: int) -> set[tuple[int, int, int]]:
+    """The reduced primitive forms (a, b, c) of discriminant d, a-first:
+    every |b| <= a <= sqrt(|d|/3), with c from the discriminant."""
+    from math import gcd, isqrt
+
+    forms = set()
+    for a in range(1, isqrt(-d // 3) + 1):
+        for b in range(-a, a + 1):
+            if (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            if c < a:
+                continue
+            if (abs(b) == a or a == c) and b < 0:
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            forms.add((a, b, c))
+    return forms
+
+
+def oracle_unit_pairs(d: int, n: int) -> list[tuple[int, int]]:
+    """The pairs (x, y) mod n whose norm x^2 + dxy + ((d^2 - d)/4) y^2 is a
+    unit mod n, by one gcd per pair, in (x, y) order."""
+    from math import gcd
+
+    quad = (d * d - d) // 4
+    return [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if gcd((x * x + d * x * y + quad * y * y) % n, n) == 1
+    ]
+
+
+def oracle_cn_elements(d: int, n: int) -> set:
+    """The unit group mod n as a set of GaloisMatrix, one per unit pair."""
+    from tcm.galois_image import GaloisMatrix
+
+    return {GaloisMatrix(disc=d, modulus=n, alpha=x, beta=y) for x, y in oracle_unit_pairs(d, n)}
+
+
+def oracle_max_stabilizer_order(d: int, p: int, A: int) -> int:
+    """Largest number of candidates fixing a point, by testing every
+    candidate against every point: candidates are the units mod p^(A+1)
+    (those = 1 mod p^A when A >= 1), points the nonzero ones (those
+    outside pO when A >= 1)."""
+    import numpy as np
+
+    n = p ** (A + 1)
+    pairs = np.array(oracle_unit_pairs(d, n), dtype=np.int64)
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    if A == 0:
+        candidates = np.ones(len(xs), dtype=bool)
+    else:
+        small = p**A
+        candidates = (xs % small == 1) & (ys % small == 0)
+    entry_q = (d - d * d) // 4
+    grid = np.arange(n, dtype=np.int64)
+    vx = np.repeat(grid, n)
+    vy = np.tile(grid, n)
+    if A == 0:
+        point_mask = (vx != 0) | (vy != 0)
+    else:
+        point_mask = (vx % p != 0) | (vy % p != 0)
+    counts = np.zeros(n * n, dtype=np.int64)
+    qm, dm = entry_q % n, d % n
+    for a, b in zip(xs[candidates].tolist(), ys[candidates].tolist()):
+        gx = (a * vx + qm * b % n * vy) % n
+        gy = (b * vx + (a + b * dm) % n * vy) % n
+        counts += (gx == vx) & (gy == vy)
+    return int(counts[point_mask].max())

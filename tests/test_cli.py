@@ -242,6 +242,26 @@ def test_galois_stabilizer_mode(runner):
     assert row["divides"]
 
 
+@pytest.mark.parametrize(
+    "d,p,kind,order", [(-7, 197, "split", 196), (-4, 199, "inert", 1)]
+)
+def test_galois_stabilizer_mode_at_the_cap(runner, d, p, kind, order):
+    result = runner.invoke(
+        cli, ["galois", "--disc", str(d), "--p", str(p), "--a", "0", "--format", "json"]
+    )
+    (row,) = json.loads(result.stdout)["rows"]
+    assert row["split_type"] == kind
+    assert row["max_stabilizer_order"] == order
+    assert row["divides"]
+
+
+@pytest.mark.parametrize("extra", [["--a", "1", "--b", "1"], ["--a", "0"]])
+def test_galois_rejects_composite_level(runner, extra):
+    result = runner.invoke(cli, ["galois", "--disc", "-4", "--p", "4", *extra])
+    assert result.exit_code == 2
+    assert "4 is not prime" in result.stderr
+
+
 def test_galois_group_order_mode(runner):
     result = runner.invoke(cli, ["galois", "--disc", "-4", "--n", "10", "--format", "json"])
     (row,) = json.loads(result.stdout)["rows"]

@@ -6,6 +6,7 @@ import pytest
 from tcm.errors import CapExceededError
 from tcm.galois_image import (
     GaloisMatrix,
+    UnitGroup,
     cn_elements,
     cn_order,
     kernel_size,
@@ -16,7 +17,7 @@ from tcm.galois_image import (
 from tcm.ideal_arith import brute_force_phi
 from tcm.quad_core import Splitting, splitting_type
 
-from conftest import GRID_DISCS
+from conftest import GRID_DISCS, oracle_cn_elements, oracle_max_stabilizer_order
 
 
 def test_cn_sizes_examples():
@@ -33,6 +34,31 @@ def test_cn_order_matches_brute_force_grid():
 
 def test_cn_accepts_order_discriminants():
     assert cn_order(-12, 7) == brute_force_phi(-12, 7)
+
+
+def test_cn_elements_view_matches_set_construction():
+    for d in GRID_DISCS:
+        for n in range(2, 41):
+            group = cn_elements(d, n)
+            expected = oracle_cn_elements(d, n)
+            assert isinstance(group, UnitGroup)
+            assert set(group) == expected, (d, n)
+            assert group == expected and len(group) == len(expected), (d, n)
+
+
+def test_cn_elements_view_order_and_membership():
+    group = cn_elements(-4, 6)
+    pairs = [(m.alpha, m.beta) for m in group]
+    assert pairs == sorted(pairs) and len(pairs) == len(group) == 16
+    assert all(m in group for m in group)
+    assert GaloisMatrix.identity(-4, 6) in group
+    assert GaloisMatrix(disc=-4, modulus=6, alpha=0, beta=0) not in group  # zero
+    assert GaloisMatrix(disc=-4, modulus=6, alpha=2, beta=0) not in group  # a zero divisor
+    assert GaloisMatrix(disc=-4, modulus=6, alpha=7, beta=0) not in group  # not reduced mod 6
+    assert GaloisMatrix(disc=-4, modulus=5, alpha=1, beta=0) not in group  # another modulus
+    assert GaloisMatrix(disc=-3, modulus=6, alpha=1, beta=0) not in group  # another disc
+    assert (1, 0) not in group
+    assert group & set(group) == set(group) and type(group | set()) is set
 
 
 @pytest.mark.parametrize("d,n", [(-3, 12), (-4, 8), (-7, 9), (-8, 6), (-7, 30)])
@@ -113,6 +139,22 @@ def test_stabilizer_deeper_levels_divide_p():
         for p, A in [(2, 1), (2, 2), (3, 1), (5, 1)]:
             report = max_stabilizer_order(d, p, A)
             assert p % report.max_stabilizer_order == 0, (d, p, A)
+
+
+def test_stabilizer_matches_per_candidate_oracle():
+    # the criterion-5 grid, plus three order discriminants
+    for d in GRID_DISCS + (-12, -16, -27):
+        for p in (2, 3, 5, 7, 11, 13):
+            A = 0
+            while p ** (A + 1) <= 200:
+                report = max_stabilizer_order(d, p, A)
+                assert report.max_stabilizer_order == oracle_max_stabilizer_order(d, p, A), (d, p, A)
+                A += 1
+
+
+def test_kernel_size_rejects_composite_level():
+    with pytest.raises(ValueError, match="not prime"):
+        kernel_size(-4, 4, 1, 1)
 
 
 def test_squaring_degree_bound():

@@ -6,6 +6,7 @@ import pytest
 from tcm.quad_core import (
     BinaryQuadraticForm,
     as_discriminant,
+    character_table,
     class_number,
     class_number_dirichlet,
     field_constants,
@@ -19,7 +20,7 @@ from tcm.quad_core import (
     Splitting,
 )
 
-from conftest import trial_factor
+from conftest import oracle_reduced_forms, trial_factor
 
 
 # ----------------------------------------------------------------------
@@ -127,11 +128,29 @@ def test_reduced_forms_are_reduced_with_right_discriminant():
             assert form.is_reduced()
 
 
+def test_reduced_forms_match_a_first_scan():
+    for d in order_discriminants(3000):
+        expected = oracle_reduced_forms(d)
+        assert {(f.a, f.b, f.c) for f in reduced_forms(d)} == expected, d
+        assert class_number(d) == len(expected), d
+
+
+def test_character_table_matches_kronecker_per_residue():
+    for d in fundamental_discriminants(2000):
+        table = character_table(d)
+        assert table.tolist() == [0] + [kronecker(d, r) for r in range(1, -d)], d
+
+
 # --------------------------------------------------------------- class numbers
 
 
 def test_class_number_double_entry_small_range():
     for d in fundamental_discriminants(300):
+        assert class_number(d) == class_number_dirichlet(d), d
+
+
+def test_class_number_double_entry_to_ten_thousand():
+    for d in fundamental_discriminants(10**4):
         assert class_number(d) == class_number_dirichlet(d), d
 
 
