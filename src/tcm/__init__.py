@@ -11,18 +11,14 @@ analytic product estimates the bound's constant shadows.
 __version__ = "0.1.0"
 
 from .quad_core import (
-    BinaryQuadraticForm,
     Discriminant,
-    FieldConstants,
     Splitting,
     as_discriminant,
     class_number,
     class_number_dirichlet,
-    field_constants,
     fundamental_discriminants,
     is_fundamental,
     kronecker,
-    reduced_forms,
     splitting_type,
     unit_count,
 )
@@ -38,11 +34,7 @@ from .ideal_arith import (
     principal_ideal,
     unit_ideal,
 )
-from .ray_class_bounds import (
-    DegreeBounds,
-    degree_bounds,
-    min_absolute_degree_with_full_N_torsion,
-)
+from .ray_class_bounds import DegreeBounds, degree_bounds
 from .galois_image import (
     GaloisImageReport,
     GaloisMatrix,
@@ -62,17 +54,13 @@ from .feasibility import (
     TorsionShape,
     bound_records,
     chain_audit,
-    explicit_constant,
     refined_table,
-    relaxed_feasible,
-    torsion_bound,
 )
 from .analytics import (
     LandauCheck,
     ProductEstimate,
     ScanResult,
     char_euler_product,
-    char_sum_S,
     l1_from_class_number,
     landau_liminf_check,
     mertens_product,

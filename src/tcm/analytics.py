@@ -1,10 +1,9 @@
 """Numerical product estimates and empirical constant scans.
 
 Mertens products, quadratic-character Euler products, L(1, chi) from the
-class number formula, the weighted character sum over primes, and scans
-measuring the observed constant in the uniform lower bound for the ideal
-Euler function.  Values here are floating point; everything rigorous
-lives upstream in the exact modules.
+class number formula, and scans measuring the observed constant in the
+uniform lower bound for the ideal Euler function.  Values here are
+floating point; everything rigorous lives upstream in the exact modules.
 """
 
 from __future__ import annotations
@@ -15,8 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideal_arith import FactoredIdeal, min_phi_ideal, norm_sieve, norm_sieve_bytes
-from .primes import EULER_GAMMA, prime_array
-from .quad_core import Discriminant, character_table, field_constants, require_fundamental
+from .primes import EULER_GAMMA, prime_array, prime_list_bytes
+from .quad_core import (
+    CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    Discriminant,
+    character_table,
+    class_number,
+    require_fundamental,
+    unit_count,
+)
 
 # norms reduced per numpy step, and an upper bound on the bytes of the
 # float64, int64 and bool temporaries one step holds per norm
@@ -57,12 +63,6 @@ class LandauCheck:
     norms: int
 
 
-def _prime_character(disc: Discriminant, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p <= x and chi(p) as float64, for the field character chi."""
-    ps = prime_array(x)
-    return ps, character_table(disc)[ps % -disc.value].astype(np.float64)
-
-
 def mertens_product(x: int) -> ProductEstimate:
     """prod over primes p <= x of (1 - 1/p).
 
@@ -85,27 +85,27 @@ def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
     disc = require_fundamental(d)
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    ps, chi = _prime_character(disc, x)
+    ps = prime_array(x)
+    chi = character_table(disc)[ps % -disc.value].astype(np.float64)
     value = float(np.exp(np.log1p(-chi / ps).sum()))
     return ProductEstimate(x=x, value=value, terms=len(ps))
 
 
+def product_bytes(d: int | Discriminant, x: int) -> int:
+    """Upper estimate of char_euler_product's peak memory, by arithmetic alone.
+
+    The primes up to x and the character table over |d|.  Accepts any
+    int d, so a caller can size a request before validating it.
+    """
+    return prime_list_bytes(x) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
+
+
 def l1_from_class_number(d: int | Discriminant) -> float:
     """L(1, chi) as the exact rearrangement 2 pi h / (w sqrt|d|)."""
-    return field_constants(d).l1
-
-
-def char_sum_S(d: int | Discriminant, t: int) -> float:
-    """Weighted character sum over primes: sum of chi(p) log p for p <= t.
-
-    Diagnostic only; the quantity of interest is how much cancellation
-    the character forces at large cutoffs.
-    """
     disc = require_fundamental(d)
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    ps, chi = _prime_character(disc, t)
-    return float((chi * np.log(ps)).sum())
+    h = class_number(disc)
+    w = unit_count(disc)
+    return 2.0 * math.pi * h / (w * math.sqrt(-disc.value))
 
 
 def scan_bytes(d: int | Discriminant, x: int) -> int:
@@ -190,10 +190,10 @@ __all__ = [
     "ProductEstimate",
     "ScanResult",
     "char_euler_product",
-    "char_sum_S",
     "l1_from_class_number",
     "landau_liminf_check",
     "mertens_product",
     "phi_bound_scan",
+    "product_bytes",
     "scan_bytes",
 ]

@@ -10,3 +10,6 @@ class CapExceededError(ValueError):
         self.requested = requested
         self.cap = cap
 
+
+
+__all__ = ["CapExceededError"]

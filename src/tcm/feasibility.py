@@ -38,7 +38,7 @@ import numpy as np
 
 from .galois_image import squaring_degree_bound
 from .ideal_arith import phi_K_of_N, principal_ideal
-from .primes import EULER_GAMMA, euler_phi, phi_sieve, phi_sieve_bytes
+from .primes import EULER_GAMMA, phi_sieve, phi_sieve_bytes
 from .quad_core import (
     Discriminant,
     class_number,
@@ -128,14 +128,6 @@ class ChainAudit:
     @property
     def holds(self) -> bool:
         return self.first_failure is None
-
-
-def relaxed_feasible(d: int, a: int, b: int) -> bool:
-    """Field-independent necessary condition phi(ab)^2 <= 6 b d."""
-    if d < 1 or a < 1 or b < 1:
-        raise ValueError("need d, a, b >= 1")
-    f = euler_phi(a * b)
-    return f * f <= 6 * b * d
 
 
 def _totient_envelope(n: float) -> float:
@@ -259,11 +251,6 @@ def bound_records(d_min: int, d_max: int) -> list[BoundRecord]:
     return records
 
 
-def torsion_bound(d: int) -> BoundRecord:
-    """B(d) = max a^2 b over the relaxed-feasible region, with its shape."""
-    return bound_records(d, d)[0]
-
-
 def constant_over(records: list[BoundRecord]) -> ConstantEstimate:
     """Sup of the ratio field over records with d >= 3 (smallest argmax wins)."""
     best_value = None
@@ -277,13 +264,6 @@ def constant_over(records: list[BoundRecord]) -> ConstantEstimate:
     if best_value is None:
         raise ValueError("no degrees >= 3 in the record list")
     return ConstantEstimate(value=best_value, argmax_d=best_d)
-
-
-def explicit_constant(d_min: int, d_max: int) -> ConstantEstimate:
-    """Empirical constant sup B(d)/(d log log d) over [d_min, d_max]."""
-    if not 3 <= d_min <= d_max:
-        raise ValueError(f"need 3 <= d_min <= d_max, got [{d_min}, {d_max}]")
-    return constant_over(bound_records(d_min, d_max))
 
 
 def relaxed_pairs(d: int) -> list[tuple[int, int]]:
@@ -346,12 +326,9 @@ __all__ = [
     "bound_records",
     "chain_audit",
     "constant_over",
-    "explicit_constant",
     "feasible_product_cutoff",
     "product_cutoff",
     "refined_table",
-    "relaxed_feasible",
     "relaxed_pairs",
     "sweep_region",
-    "torsion_bound",
 ]

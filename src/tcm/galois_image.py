@@ -53,16 +53,8 @@ class GaloisMatrix:
         if (self.disc, self.modulus) != (other.disc, other.modulus):
             raise ValueError("matrices live in different groups")
         n = self.modulus
-        (a1, b1), (c1, d1) = self.entries
-        (a2, b2), (c2, d2) = other.entries
-        p00 = (a1 * a2 + b1 * c2) % n
-        p10 = (c1 * a2 + d1 * c2) % n
-        return GaloisMatrix(disc=self.disc, modulus=n, alpha=p00, beta=p10)
-
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        (a, b), (c, d) = self.entries
-        n = self.modulus
-        return ((a * x + b * y) % n, (c * x + d * y) % n)
+        alpha, beta = _times(self.disc, n, self.alpha, self.beta, other.alpha, other.beta)
+        return GaloisMatrix(disc=self.disc, modulus=n, alpha=alpha, beta=beta)
 
     @classmethod
     def identity(cls, disc: int, modulus: int) -> "GaloisMatrix":
@@ -83,6 +75,15 @@ class GaloisImageReport:
     @property
     def divides(self) -> bool:
         return self.expected_divisor % self.max_stabilizer_order == 0
+
+
+def _times(delta, n, ux, uy, vx, vy):
+    """(ux + uy w)(vx + vy w) mod n as its pair, where w = (D + sqrt(D))/2
+    satisfies w^2 = q + D w with q = (D - D^2)/4.  Works on ints and on
+    int64 arrays of entries below n (the coefficients are reduced first).
+    """
+    qm, dm = (delta - delta * delta) // 4 % n, delta % n
+    return (ux * vx + qm * uy * vy) % n, (ux * vy + uy * vx + dm * uy * vy) % n
 
 
 def _unit_mask(delta: int, n: int) -> np.ndarray:
@@ -140,38 +141,36 @@ class UnitGroup(Set):
         return set(it)
 
 
-def cn_elements(d: int | Discriminant, n: int, cap: int = CN_CAP) -> UnitGroup:
+def cn_elements(d: int | Discriminant, n: int) -> UnitGroup:
     """The full unit group mod n, from a scan of all (alpha, beta) pairs."""
     disc = as_discriminant(d)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > cap:
-        raise CapExceededError("n", n, cap)
+    if n > CN_CAP:
+        raise CapExceededError("n", n, CN_CAP)
     return UnitGroup(disc.value, n, _unit_mask(disc.value, n))
 
 
-def cn_order(d: int | Discriminant, n: int, cap: int = CN_CAP) -> int:
+def cn_order(d: int | Discriminant, n: int) -> int:
     """Size of the unit group mod n: the length of ``cn_elements`` (1 for n = 1)."""
     disc = as_discriminant(d)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapExceededError("n", n, cap)
-    return 1 if n == 1 else len(cn_elements(disc, n, cap=cap))
+    return 1 if n == 1 else len(cn_elements(disc, n))
 
 
-def verify_homotheties(d: int | Discriminant, n: int, cap: int = CN_CAP) -> bool:
+def verify_homotheties(d: int | Discriminant, n: int) -> bool:
     """Check every scalar matrix with unit scalar lies in the group."""
     disc = as_discriminant(d)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > cap:
-        raise CapExceededError("n", n, cap)
+    if n > CN_CAP:
+        raise CapExceededError("n", n, CN_CAP)
     mask = _unit_mask(disc.value, n)
     return all(mask[a, 0] for a in range(1, n) if gcd(a, n) == 1)
 
 
-def kernel_size(d: int | Discriminant, p: int, A: int, B: int, cap: int = CN_CAP) -> int:
+def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
     """Size of the kernel of reduction from level p^(A+B) to level p^A.
 
     Also asserts, by counting distinct images, that the reduction map is
@@ -183,22 +182,20 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int, cap: int = CN_CAP
     if A < 1 or B < 1:
         raise ValueError("need A >= 1 and B >= 1")
     big = p ** (A + B)
-    if big > cap:
-        raise CapExceededError("p**(A+B)", big, cap)
+    if big > CN_CAP:
+        raise CapExceededError("p**(A+B)", big, CN_CAP)
     small = p**A
     xs, ys = _unit_pairs(disc.value, big)
     in_kernel = (xs % small == 1) & (ys % small == 0)
     images = np.unique(xs % small * small + ys % small)
-    if len(images) != cn_order(disc, small, cap=cap):
+    if len(images) != cn_order(disc, small):
         raise ArithmeticError(
             f"reduction mod {small} of the level-{big} group is not surjective"
         )
     return int(in_kernel.sum())
 
 
-def max_stabilizer_order(
-    d: int | Discriminant, p: int, A: int, cap: int = CN_CAP
-) -> GaloisImageReport:
+def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageReport:
     """Exhaustive maximum, over points of exact order p^(A+1), of the
     number of group elements (kernel elements when A >= 1) fixing the point.
 
@@ -221,8 +218,8 @@ def max_stabilizer_order(
     if A < 0:
         raise ValueError("need A >= 0")
     n = p ** (A + 1)
-    if n > cap:
-        raise CapExceededError("p**(A+1)", n, cap)
+    if n > CN_CAP:
+        raise CapExceededError("p**(A+1)", n, CN_CAP)
     kind = splitting_type(disc, p)
 
     xs, ys = _unit_pairs(disc.value, n)
@@ -238,18 +235,11 @@ def max_stabilizer_order(
         expected = p
         unmarked = (grid[:, None] % p != 0) | (grid[None, :] % p != 0)  # exact order p^(A+1)
 
-    delta = disc.value
-    qm, dm = (delta - delta * delta) // 4 % n, delta % n
-
-    def times(ux, uy, vx, vy):
-        # (ux + uy w)(vx + vy w) with w^2 = q + D w, as its pair mod n
-        return (ux * vx + qm * uy * vy) % n, (ux * vy + uy * vx + dm * uy * vy) % n
-
     observed = 0
     while unmarked.any():
         vx, vy = divmod(int(np.argmax(unmarked)), n)
-        unmarked[times(xs, ys, vx, vy)] = False
-        fx, fy = times(gx, gy, vx, vy)
+        unmarked[_times(disc.value, n, xs, ys, vx, vy)] = False
+        fx, fy = _times(disc.value, n, gx, gy, vx, vy)
         observed = max(observed, int(((fx == vx) & (fy == vy)).sum()))
     return GaloisImageReport(
         disc=disc.value,

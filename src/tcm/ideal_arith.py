@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CapExceededError
 from .primes import cached_primes, factorize, prime_array, prime_count_bound
 from .quad_core import (
+    CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
     Splitting,
     as_discriminant,
@@ -124,17 +125,7 @@ def phi_K_of_N(d: int | Discriminant, n: int) -> int:
     return phi_K(principal_ideal(d, n))
 
 
-def merge(a: FactoredIdeal, b: FactoredIdeal) -> FactoredIdeal:
-    """Product of two ideals of the same field, by merging factorizations."""
-    if a.disc != b.disc:
-        raise ValueError("ideals live in different fields")
-    exps: dict[PrimeIdeal, int] = dict(a.factors)
-    for P, e in b.factors:
-        exps[P] = exps.get(P, 0) + e
-    return FactoredIdeal(disc=a.disc, factors=tuple(sorted(exps.items(), key=_factor_key)))
-
-
-def brute_force_phi(d: int | Discriminant, n: int, cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force_phi(d: int | Discriminant, n: int) -> int:
     """Count invertible residues of O/nO by direct enumeration.
 
     Residues are pairs (x, y) in the integral basis 1, (D + sqrt(D))/2;
@@ -144,8 +135,8 @@ def brute_force_phi(d: int | Discriminant, n: int, cap: int = BRUTE_FORCE_CAP) -
     disc = as_discriminant(d)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapExceededError("n", n, cap)
+    if n > BRUTE_FORCE_CAP:
+        raise CapExceededError("n", n, BRUTE_FORCE_CAP)
     delta = disc.value
     quad = (delta * delta - delta) // 4  # exact: delta = 0 or 1 mod 4
     count = 0
@@ -199,10 +190,9 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
 # bytes norm_sieve holds per norm (the int64 table, and the parity mask of
 # an inert 2 at x/2 entries) and per prime <= x (the int64 prime array and
 # at most five int64-sized temporaries of the step over the primes above
-# sqrt(x)), and per residue of the character (its list and int8 table)
+# sqrt(x)); the character table is costed by quad_core
 _NORM_SIEVE_BYTES_PER_NORM = 9
 _NORM_SIEVE_BYTES_PER_PRIME = 48
-_NORM_SIEVE_BYTES_PER_RESIDUE = 18
 
 
 def norm_sieve_bytes(d: int | Discriminant, x: int) -> int:
@@ -217,7 +207,7 @@ def norm_sieve_bytes(d: int | Discriminant, x: int) -> int:
     return (
         _NORM_SIEVE_BYTES_PER_NORM * (x + 1)
         + _NORM_SIEVE_BYTES_PER_PRIME * prime_count_bound(x)
-        + _NORM_SIEVE_BYTES_PER_RESIDUE * abs(int(d))
+        + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
         + (1 << 16)
     )
 
@@ -305,22 +295,13 @@ def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
     return FactoredIdeal(disc=disc, factors=tuple(factors))
 
 
-def ideal_count_oracle(d: int | Discriminant, n: int) -> int:
-    """Number of ideals of norm exactly n, as the divisor sum of chi."""
-    from .quad_core import kronecker
-
-    return sum(kronecker(d, m) for m in range(1, n + 1) if n % m == 0)
-
-
 __all__ = [
     "BRUTE_FORCE_CAP",
     "FactoredIdeal",
     "PrimeIdeal",
     "brute_force_phi",
-    "ideal_count_oracle",
     "ideal_norm",
     "ideals_up_to_norm",
-    "merge",
     "min_phi_ideal",
     "norm_sieve",
     "norm_sieve_bytes",

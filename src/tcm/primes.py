@@ -30,15 +30,10 @@ def prime_array(limit: int) -> np.ndarray:
     return np.flatnonzero(~composite)
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit."""
-    return prime_array(limit).tolist()
-
-
 @lru_cache(maxsize=8)
 def cached_primes(limit: int) -> tuple[int, ...]:
     """Memoized tuple of primes <= limit (read-only after creation)."""
-    return tuple(primes_up_to(limit))
+    return tuple(prime_array(limit).tolist())
 
 
 def is_prime(n: int) -> bool:
@@ -93,14 +88,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def euler_phi(n: int) -> int:
-    """Classical Euler totient, by trial-division factorization."""
-    result = n
-    for p, _ in factorize(n):
-        result -= result // p
-    return result
 
 
 def squarefree(n: int) -> bool:

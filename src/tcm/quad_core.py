@@ -10,7 +10,6 @@ permanently wired together so silent corruption of either is detectable.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -44,41 +43,6 @@ class Discriminant:
 
     def __int__(self) -> int:
         return self.value
-
-
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
-    """Coefficients (a, b, c) of the positive-definite form ax^2 + bxy + cy^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if a <= 0:
-            return False
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class FieldConstants:
-    """Class number h, root-of-unity count w, and L(1, chi) for one field.
-
-    l1 is the exact rearrangement 2*pi*h / (w * sqrt(|D|)) of the class
-    number formula; it is the only non-integer field here.
-    """
-
-    h: int
-    w: int
-    l1: float
 
 
 def _check_discriminant_shape(value: int) -> None:
@@ -147,6 +111,12 @@ def kronecker(d: int | Discriminant, n: int) -> int:
     return result if n == 1 else 0
 
 
+# bytes character_table holds per residue at its peak: the int8 table and
+# the prime sieve's two bool tables (3 B), and the int64 array of the
+# primes below |d| (8 pi(|d|) / |d| B, at most 2 B from |d| = 200 on)
+CHARACTER_TABLE_BYTES_PER_RESIDUE = 5
+
+
 def character_table(d: int | Discriminant) -> np.ndarray:
     """chi(r) for r = 0 .. |d|-1 as an int8 array (the character has period |d|).
 
@@ -184,19 +154,6 @@ def _reduced_triples(value: int) -> Iterator[tuple[int, int, int]]:
         for a in range(max(b, 1), isqrt(q) + 1):
             if q % a == 0 and gcd(gcd(a, b), q // a) == 1:
                 yield a, b, q // a
-
-
-def reduced_forms(d: int | Discriminant) -> set[BinaryQuadraticForm]:
-    """One reduced primitive positive-definite form per ideal class.
-
-    Valid for any (fundamental or order) discriminant.
-    """
-    forms: set[BinaryQuadraticForm] = set()
-    for a, b, c in _reduced_triples(as_discriminant(d).value):
-        forms.add(BinaryQuadraticForm(a, b, c))
-        if 0 < b < a < c:
-            forms.add(BinaryQuadraticForm(a, -b, c))
-    return forms
 
 
 def class_number(d: int | Discriminant) -> int:
@@ -251,15 +208,6 @@ def splitting_type(d: int | Discriminant, p: int) -> Splitting:
     return Splitting.RAMIFIED
 
 
-def field_constants(d: int | Discriminant) -> FieldConstants:
-    """Bundle (h, w, L(1,chi)) for a fundamental discriminant."""
-    disc = require_fundamental(d)
-    h = class_number(disc)
-    w = unit_count(disc)
-    l1 = 2.0 * math.pi * h / (w * math.sqrt(-disc.value))
-    return FieldConstants(h=h, w=w, l1=l1)
-
-
 def fundamental_discriminants(bound: int) -> list[int]:
     """All fundamental d with |d| <= bound, sorted by |d|."""
     out = []
@@ -269,26 +217,17 @@ def fundamental_discriminants(bound: int) -> list[int]:
     return out
 
 
-def order_discriminants(bound: int) -> list[int]:
-    """All valid (fundamental or not) d with |d| <= bound, sorted by |d|."""
-    return [v for v in range(-3, -bound - 1, -1) if v % 4 in (0, 1)]
-
-
 __all__ = [
-    "BinaryQuadraticForm",
+    "CHARACTER_TABLE_BYTES_PER_RESIDUE",
     "Discriminant",
-    "FieldConstants",
     "Splitting",
     "as_discriminant",
     "character_table",
     "class_number",
     "class_number_dirichlet",
-    "field_constants",
     "fundamental_discriminants",
     "is_fundamental",
     "kronecker",
-    "order_discriminants",
-    "reduced_forms",
     "require_fundamental",
     "splitting_type",
     "unit_count",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ideal_arith import FactoredIdeal, phi_K, phi_K_of_N
+from .ideal_arith import FactoredIdeal, phi_K
 from .quad_core import Discriminant, class_number, require_fundamental, unit_count
 
 
@@ -41,18 +41,4 @@ def degree_bounds(d: int | Discriminant, c: FactoredIdeal) -> DegreeBounds:
     )
 
 
-def min_absolute_degree_with_full_N_torsion(d: int | Discriminant, n: int) -> Fraction:
-    """Lower bound on [F:Q] forced by full n-torsion over FK.
-
-    Full n-torsion over FK puts the ray class field of modulus (n) inside
-    FK, so 2*[F:Q] >= [FK:Q] >= 2 * h * phi_K((n)) / 6; dividing by two
-    leaves h * phi_K((n)) / 6.
-    """
-    disc = require_fundamental(d)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    h = class_number(disc)
-    return Fraction(h * phi_K_of_N(disc, n), 6)
-
-
-__all__ = ["DegreeBounds", "degree_bounds", "min_absolute_degree_with_full_N_torsion"]
+__all__ = ["DegreeBounds", "degree_bounds"]

@@ -55,6 +55,26 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def relaxed_feasible(d: int, a: int, b: int) -> bool:
+    """The field-independent test phi(ab)^2 <= 6 b d, with phi by trial division."""
+    f = a * b
+    for p, _ in trial_factor(a * b):
+        f -= f // p
+    return f * f <= 6 * b * d
+
+
+def ideal_count_oracle(d: int, n: int) -> int:
+    """Number of ideals of norm exactly n, as the divisor sum of chi."""
+    from tcm.quad_core import kronecker
+
+    return sum(kronecker(d, m) for m in range(1, n + 1) if n % m == 0)
+
+
+def order_discriminants(bound: int) -> list[int]:
+    """All valid (fundamental or not) d with |d| <= bound, sorted by |d|."""
+    return [v for v in range(-3, -bound - 1, -1) if v % 4 in (0, 1)]
+
+
 def oracle_bound_records(d_max: int) -> list[tuple[int, int, int]]:
     """(bound, a, b) of B(d) for d = 1 .. d_max, by the plain double loop.
 

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from tcm.analytics import char_euler_product, mertens_product, phi_bound_scan
+from tcm.analytics import char_euler_product, l1_from_class_number, mertens_product, phi_bound_scan
 from tcm.cli import bound_record_row
-from tcm.feasibility import bound_records, constant_over, torsion_bound
+from tcm.feasibility import bound_records, constant_over
 from tcm.galois_image import cn_elements, kernel_size, max_stabilizer_order
 from tcm.ideal_arith import brute_force_phi, phi_K_of_N
 from tcm.primes import EULER_GAMMA
@@ -24,7 +24,6 @@ from tcm.quad_core import (
     Splitting,
     class_number,
     class_number_dirichlet,
-    field_constants,
     fundamental_discriminants,
     splitting_type,
 )
@@ -161,7 +160,7 @@ def test_criterion_6_bound_engine(records_to_2000):
                     best = max(best, a * a * b)
         expected[d] = best
     ok = expected == {1: 60, 2: 210}
-    ok = ok and torsion_bound(1).bound == 60 and torsion_bound(2).bound == 210
+    ok = ok and bound_records(1, 1)[0].bound == 60 and bound_records(2, 2)[0].bound == 210
     ok = ok and all(
         records_to_2000[i].bound <= records_to_2000[i + 1].bound
         for i in range(len(records_to_2000) - 1)
@@ -213,7 +212,7 @@ def test_criterion_9_class_number_formula_consistency():
     discs = fundamental_discriminants(200)
     worst = 0.0
     for d in discs:
-        l1 = field_constants(d).l1
+        l1 = l1_from_class_number(d)
         approx = 1.0 / char_euler_product(d, 10**6).value
         worst = max(worst, abs(approx - l1) / l1)
     _report(

@@ -6,15 +6,15 @@ import pytest
 
 from tcm.analytics import (
     char_euler_product,
-    char_sum_S,
     l1_from_class_number,
     landau_liminf_check,
     mertens_product,
     phi_bound_scan,
+    product_bytes,
     scan_bytes,
 )
 from tcm.ideal_arith import ideal_norm, phi_K, principal_ideal
-from tcm.primes import EULER_GAMMA, factorize, primes_up_to
+from tcm.primes import EULER_GAMMA, factorize, prime_array
 from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker
 
 from conftest import oracle_scan, traced_peak
@@ -28,7 +28,7 @@ def test_mertens_single_factor():
 
 def test_mertens_small_exact_rational_oracle():
     exact = Fraction(1)
-    for p in primes_up_to(10):
+    for p in prime_array(10).tolist():
         exact *= Fraction(p - 1, p)
     assert exact == Fraction(8, 35)
     est = mertens_product(10)
@@ -48,7 +48,7 @@ def decimal_product(chi, x: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
         value = Decimal(1)
-        for p in primes_up_to(x):
+        for p in prime_array(x).tolist():
             value *= 1 - Decimal(chi(p)) / p
         return value
 
@@ -75,7 +75,7 @@ def test_char_product_examples():
 def test_char_product_small_exact_rational_oracle():
     for d in (-4, -7, -23):
         exact = Fraction(1)
-        for p in primes_up_to(50):
+        for p in prime_array(50).tolist():
             exact *= Fraction(p - kronecker(d, p), p)
         assert char_euler_product(d, 50).value == pytest.approx(float(exact), rel=1e-12)
 
@@ -98,16 +98,6 @@ def test_character_table_is_periodic():
         m = -d
         for n in range(1, 3 * m):
             assert table[n % m] == kronecker(d, n)
-
-
-def test_char_sum_examples():
-    assert char_sum_S(-4, 2) == 0.0
-    assert char_sum_S(-4, 5) == pytest.approx(-math.log(3) + math.log(5), rel=1e-12)
-
-
-def test_char_sum_cancellation():
-    s = char_sum_S(-4, 10**5)
-    assert abs(s) / 10**5 < 0.05
 
 
 def test_phi_bound_scan_single_candidate():
@@ -154,11 +144,24 @@ def test_scans_record_their_window():
     assert check.norms == 68
 
 
+@pytest.mark.parametrize("d,x", [(-100003, 100), (-4, 10**6)])
+def test_product_bytes_bounds_measured_peak(d, x):
+    # the character table over |d| sets the peak at (-100003, 100), the primes at (-4, 10^6)
+    assert traced_peak(char_euler_product, d, x) <= product_bytes(d, x)
+
+
 @pytest.mark.parametrize("x", [10**4, 2 * 10**5])
 def test_scan_bytes_bounds_measured_peak(x):
     for d in (-3, -4):
         assert traced_peak(phi_bound_scan, d, x) <= scan_bytes(d, x)
         assert traced_peak(landau_liminf_check, d, x) <= scan_bytes(d, x)
+
+
+def test_scan_bytes_bounds_measured_peak_at_large_disc():
+    # the character table over |d|, not the norms, sets the peak here
+    d, x = -100003, 100
+    assert traced_peak(phi_bound_scan, d, x) <= scan_bytes(d, x)
+    assert traced_peak(landau_liminf_check, d, x) <= scan_bytes(d, x)
 
 
 def test_landau_liminf_directional_check():
@@ -193,8 +196,6 @@ def test_input_validation():
         mertens_product(1)
     with pytest.raises(ValueError):
         char_euler_product(-12, 100)
-    with pytest.raises(ValueError):
-        char_sum_S(-4, 1)
     with pytest.raises(ValueError):
         phi_bound_scan(-4, 2)
     with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ from tcm.cli import (
     serialize_json,
 )
 from tcm.feasibility import bound_records, sweep_region
-from tcm.ideal_arith import ideal_count_oracle
+
+from conftest import ideal_count_oracle
 
 
 @pytest.fixture
@@ -150,6 +151,42 @@ def test_analytics_preflight_refuses_before_allocating(runner, monkeypatch, args
     result = runner.invoke(cli, ["analytics", *args])
     assert result.exit_code == 2
     assert f"primes up to x = {10**12}" in result.stderr
+
+
+def test_product_preflight_counts_the_character_table(runner, monkeypatch):
+    # 100 primes cost 3 KB, but the table over |D| = 1000003 peaks near 3.6 MB
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 2**20)
+    monkeypatch.setattr(cli_mod, "char_euler_product", _refuse_to_run)
+    result = runner.invoke(cli, ["analytics", "product", "--disc", "-1000003", "--x", "100"])
+    assert result.exit_code == 2
+    assert "the character mod 1000003" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["phi", "--disc", "-4", "--n", str(cli_mod.FACTOR_MAX + 1)],
+        ["phi", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--n", "5"],
+        ["galois", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--n", "5"],
+    ],
+)
+def test_factoring_bound_refuses_before_factoring(runner, monkeypatch, args):
+    import tcm.ideal_arith
+    import tcm.primes
+
+    monkeypatch.setattr(tcm.primes, "factorize", _refuse_to_run)
+    monkeypatch.setattr(tcm.ideal_arith, "factorize", _refuse_to_run)
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert "over the factoring bound" in result.stderr
+    assert result.stdout == ""
+
+
+def test_factoring_bound_admits_its_limit(runner):
+    args = ["phi", "--disc", "-4", "--n", str(cli_mod.FACTOR_MAX), "--format", "csv"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[1].startswith(f"-4,{cli_mod.FACTOR_MAX},")
 
 
 @pytest.mark.parametrize(

@@ -8,19 +8,16 @@ from tcm.feasibility import (
     bound_records,
     chain_audit,
     constant_over,
-    explicit_constant,
     feasible_product_cutoff,
     product_cutoff,
     refined_table,
-    relaxed_feasible,
     relaxed_pairs,
     sweep_region,
-    torsion_bound,
 )
 from tcm.ideal_arith import phi_K_of_N
 from tcm.quad_core import class_number
 
-from conftest import oracle_bound_records, sieve_phi, traced_peak
+from conftest import oracle_bound_records, relaxed_feasible, sieve_phi, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -56,25 +53,26 @@ def test_torsion_bound_first_degrees_against_brute_force():
     assert feasible_product_cutoff(2) < 300
     for d in (1, 2):
         size, a, b = brute_force_bound(d, 30, 2500)
-        record = torsion_bound(d)
+        record = bound_records(d, d)[0]
         assert record.bound == size
         assert (record.best_shape.a, record.best_shape.b) == (a, b)
-    assert torsion_bound(1).bound == 60
-    assert torsion_bound(1).best_shape == TorsionShape(1, 60)
-    assert torsion_bound(2).bound == 210
-    assert torsion_bound(2).best_shape == TorsionShape(1, 210)
+    (one,) = bound_records(1, 1)
+    (two,) = bound_records(2, 2)
+    assert one.bound == 60 and one.best_shape == TorsionShape(1, 60)
+    assert two.bound == 210 and two.best_shape == TorsionShape(1, 210)
 
 
 def test_bound_at_least_six_everywhere():
     for d in (1, 2, 3, 10, 50):
-        assert torsion_bound(d).bound >= 6
-        assert torsion_bound(d).bound >= torsion_bound(1).bound
+        (rec,) = bound_records(d, d)
+        assert rec.bound >= 6
+        assert rec.bound >= bound_records(1, 1)[0].bound
 
 
 def test_ratio_defined_only_from_degree_three():
-    assert torsion_bound(1).ratio is None
-    assert torsion_bound(2).ratio is None
-    rec = torsion_bound(3)
+    assert bound_records(1, 1)[0].ratio is None
+    assert bound_records(2, 2)[0].ratio is None
+    rec = bound_records(3, 3)[0]
     assert rec.ratio == pytest.approx(rec.bound / (3 * math.log(math.log(3))))
 
 
@@ -84,14 +82,14 @@ def test_bound_records_monotone_and_consistent_with_single_degree():
     for i in range(len(records) - 1):
         assert records[i].bound <= records[i + 1].bound
     for d in (1, 2, 3, 17, 100, 200):
-        single = torsion_bound(d)
+        single = bound_records(d, d)[0]
         batch = records[d - 1]
         assert (single.bound, single.best_shape) == (batch.bound, batch.best_shape)
 
 
 def test_maximizer_is_feasible_and_beats_neighbors():
     for d in (1, 5, 40):
-        rec = torsion_bound(d)
+        rec = bound_records(d, d)[0]
         a, b = rec.best_shape.a, rec.best_shape.b
         assert relaxed_feasible(d, a, b)
         assert rec.bound == a * a * b
@@ -141,7 +139,7 @@ def test_bound_records_match_oracle_to_2000(oracle_to_2000):
 def test_single_degree_regions_match_oracle(oracle_to_2000):
     # each d_max has its own per-a cutoffs
     for d in (1, 2, 3, 7, 12, 60, 547, 1999, 2000):
-        rec = torsion_bound(d)
+        rec = bound_records(d, d)[0]
         assert (rec.bound, rec.best_shape.a, rec.best_shape.b) == oracle_to_2000[d - 1], d
 
 
@@ -180,18 +178,15 @@ def test_a_cutoff_boundary_sampling():
 
 
 def test_explicit_constant_scan():
-    single = explicit_constant(3, 3)
-    rec = torsion_bound(3)
-    assert single.value == pytest.approx(rec.bound / (3 * math.log(math.log(3))))
+    records = bound_records(3, 3)
+    single = constant_over(records)
+    assert single.value == pytest.approx(records[0].bound / (3 * math.log(math.log(3))))
     assert single.argmax_d == 3
 
-    small = explicit_constant(3, 50)
-    wide = explicit_constant(3, 100)
+    small = constant_over(bound_records(3, 50))
+    wide = constant_over(bound_records(3, 100))
     assert small.value <= wide.value
     assert wide.value > 0 and math.isfinite(wide.value)
-
-    with pytest.raises(ValueError):
-        explicit_constant(2, 10)
 
 
 def test_constant_over_requires_ratios():

@@ -7,8 +7,8 @@ from tcm.primes import (
     phi_sieve,
     phi_sieve_bytes,
     prime_count_bound,
+    prime_array,
     prime_list_bytes,
-    primes_up_to,
 )
 
 from conftest import sieve_phi, traced_peak, trial_factor
@@ -17,8 +17,8 @@ from conftest import sieve_phi, traced_peak, trial_factor
 def test_primes_up_to_matches_trial_division():
     for limit in (-3, 0, 1, 2, 3, 4, 97, 2000):
         expected = [n for n in range(2, limit + 1) if trial_factor(n) == [(n, 1)]]
-        assert primes_up_to(limit) == expected, limit
-    assert [len(primes_up_to(10**k)) for k in (3, 4, 5, 6)] == [168, 1229, 9592, 78498]
+        assert prime_array(limit).tolist() == expected, limit
+    assert [len(prime_array(10**k)) for k in (3, 4, 5, 6)] == [168, 1229, 9592, 78498]
 
 
 def test_phi_sieve_matches_oracle_table():
@@ -35,7 +35,7 @@ def test_phi_sieve_refuses_tables_beyond_int32():
 
 def test_prime_count_bound():
     for x in (2, 3, 10, 100, 17, 10**4, 10**6):
-        assert prime_count_bound(x) >= len(primes_up_to(x)), x
+        assert prime_count_bound(x) >= len(prime_array(x)), x
     assert prime_count_bound(1) == 0
 
 

@@ -3,24 +3,22 @@ from math import gcd
 
 import pytest
 
+from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
-    BinaryQuadraticForm,
+    _reduced_triples,
     as_discriminant,
     character_table,
     class_number,
     class_number_dirichlet,
-    field_constants,
     fundamental_discriminants,
     is_fundamental,
     kronecker,
-    order_discriminants,
-    reduced_forms,
     splitting_type,
     unit_count,
     Splitting,
 )
 
-from conftest import oracle_reduced_forms, trial_factor
+from conftest import oracle_reduced_forms, order_discriminants, trial_factor
 
 
 # ----------------------------------------------------------------------
@@ -111,27 +109,35 @@ def test_kronecker_rejects_nonpositive_n():
 # --------------------------------------------------------------- reduced forms
 
 
+def reduced_forms(d: int) -> set[tuple[int, int, int]]:
+    """The triples (a, b, c) with b >= 0 that class_number counts, each
+    expanded to (a, +-b, c) when the form with -b is reduced too."""
+    forms = set()
+    for a, b, c in _reduced_triples(d):
+        forms.add((a, b, c))
+        if 0 < b < a < c:
+            forms.add((a, -b, c))
+    return forms
+
+
 def test_reduced_forms_examples():
-    assert reduced_forms(-4) == {BinaryQuadraticForm(1, 0, 1)}
-    assert reduced_forms(-3) == {BinaryQuadraticForm(1, 1, 1)}
-    assert reduced_forms(-23) == {
-        BinaryQuadraticForm(1, 1, 6),
-        BinaryQuadraticForm(2, 1, 3),
-        BinaryQuadraticForm(2, -1, 3),
-    }
+    assert reduced_forms(-4) == {(1, 0, 1)}
+    assert reduced_forms(-3) == {(1, 1, 1)}
+    assert reduced_forms(-23) == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
 
 
 def test_reduced_forms_are_reduced_with_right_discriminant():
     for d in order_discriminants(300):
-        for form in reduced_forms(d):
-            assert form.discriminant() == d
-            assert form.is_reduced()
+        for a, b, c in reduced_forms(d):
+            assert b * b - 4 * a * c == d
+            assert 0 < a and abs(b) <= a <= c
+            assert b >= 0 or abs(b) < a < c
 
 
 def test_reduced_forms_match_a_first_scan():
     for d in order_discriminants(3000):
         expected = oracle_reduced_forms(d)
-        assert {(f.a, f.b, f.c) for f in reduced_forms(d)} == expected, d
+        assert reduced_forms(d) == expected, d
         assert class_number(d) == len(expected), d
 
 
@@ -210,10 +216,10 @@ def test_splitting_type_rejects_composite():
 
 def test_field_constants_identity():
     for d in fundamental_discriminants(100):
-        fc = field_constants(d)
-        assert fc.l1 > 0
-        assert fc.l1 == pytest.approx(2 * math.pi * fc.h / (fc.w * math.sqrt(-d)), rel=1e-15)
-        assert fc.w == (6 if d == -3 else 4 if d == -4 else 2)
+        l1, h, w = l1_from_class_number(d), class_number(d), unit_count(d)
+        assert l1 > 0
+        assert l1 == pytest.approx(2 * math.pi * h / (w * math.sqrt(-d)), rel=1e-15)
+        assert w == (6 if d == -3 else 4 if d == -4 else 2)
 
 
 def test_l1_agrees_with_truncated_euler_product():
@@ -221,9 +227,9 @@ def test_l1_agrees_with_truncated_euler_product():
     from tcm.analytics import char_euler_product
 
     for d in fundamental_discriminants(1000):
-        fc = field_constants(d)
+        l1 = l1_from_class_number(d)
         approx = 1.0 / char_euler_product(d, 10**6).value
-        assert abs(approx - fc.l1) / fc.l1 < 0.05, d
+        assert abs(approx - l1) / l1 < 0.05, d
 
 
 def test_as_discriminant_carries_fundamentality():

@@ -4,7 +4,7 @@ import pytest
 
 from tcm.ideal_arith import ideals_up_to_norm, principal_ideal, unit_ideal
 from tcm.quad_core import class_number, fundamental_discriminants
-from tcm.ray_class_bounds import degree_bounds, min_absolute_degree_with_full_N_torsion
+from tcm.ray_class_bounds import degree_bounds
 
 
 def test_degree_bounds_examples():
@@ -49,19 +49,18 @@ def test_upper_bound_monotone_under_divisibility(d):
 
 
 def test_min_degree_examples():
-    assert min_absolute_degree_with_full_N_torsion(-4, 1) == Fraction(1, 6)
-    assert min_absolute_degree_with_full_N_torsion(-4, 5) == Fraction(8, 3)
-    assert min_absolute_degree_with_full_N_torsion(-3, 2) == Fraction(1, 2)
+    # full n-torsion over FK forces [F:Q] >= h * phi_K((n)) / 6
+    examples = [(-4, 1, Fraction(1, 6)), (-4, 5, Fraction(8, 3)), (-3, 2, Fraction(1, 2))]
+    for d, n, expected in examples:
+        assert degree_bounds(d, principal_ideal(d, n)).lower_weak == expected
 
 
 @pytest.mark.parametrize("d", [-3, -4, -23])
 def test_min_degree_nondecreasing_along_divisor_chains(d):
+    floor = {n: degree_bounds(d, principal_ideal(d, n)).lower_weak for n in range(1, 61)}
     for n in range(1, 61):
-        for m in range(1, 61):
-            if m % n == 0:
-                assert min_absolute_degree_with_full_N_torsion(
-                    d, n
-                ) <= min_absolute_degree_with_full_N_torsion(d, m)
+        for m in range(n, 61, n):
+            assert floor[n] <= floor[m]
 
 
 def test_degree_bounds_rejects_mismatched_field():
