@@ -170,6 +170,20 @@ def verify_homotheties(d: int | Discriminant, n: int) -> bool:
     return all(mask[a, 0] for a in range(1, n) if gcd(a, n) == 1)
 
 
+def _capped_power(p: int, e: int, what: str) -> int:
+    """p**e for a prime p, or CapExceededError when that is over CN_CAP.
+
+    As p >= 2, p**e is over the cap once e >= CN_CAP.bit_length(); such
+    an e is refused before the power is built.
+    """
+    if e >= CN_CAP.bit_length():
+        raise CapExceededError(what, f"{p}**{e}", CN_CAP)
+    power = p**e
+    if power > CN_CAP:
+        raise CapExceededError(what, power, CN_CAP)
+    return power
+
+
 def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
     """Size of the kernel of reduction from level p^(A+B) to level p^A.
 
@@ -181,9 +195,7 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
         raise ValueError(f"{p} is not prime")
     if A < 1 or B < 1:
         raise ValueError("need A >= 1 and B >= 1")
-    big = p ** (A + B)
-    if big > CN_CAP:
-        raise CapExceededError("p**(A+B)", big, CN_CAP)
+    big = _capped_power(p, A + B, "p**(A+B)")
     small = p**A
     xs, ys = _unit_pairs(disc.value, big)
     in_kernel = (xs % small == 1) & (ys % small == 0)
@@ -217,10 +229,8 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
     disc = as_discriminant(d)
     if A < 0:
         raise ValueError("need A >= 0")
-    n = p ** (A + 1)
-    if n > CN_CAP:
-        raise CapExceededError("p**(A+1)", n, CN_CAP)
     kind = splitting_type(disc, p)
+    n = _capped_power(p, A + 1, "p**(A+1)")
 
     xs, ys = _unit_pairs(disc.value, n)
     grid = np.arange(n, dtype=np.int64)

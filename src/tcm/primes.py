@@ -122,18 +122,32 @@ def prime_list_bytes(x: int) -> int:
 def phi_sieve_bytes(limit: int) -> int:
     """Upper estimate of phi_sieve's peak memory.
 
-    The int32 table (4 B per entry), the slice temporary for p = 2 (2 B
-    per entry), the int64 array of the primes and 64 KiB for array headers.
+    The int32 table (4 B per entry), the int64 array of the primes (8 B
+    per prime), the large-prime step's int32 copy of q - 1 and its two
+    buffers (16 B per prime) and 64 KiB for array headers.  The slice
+    updates work in place, and the prime sieve's two bool tables (2 B per
+    entry) are freed before the table is allocated.
     """
-    return 6 * (limit + 1) + 8 * prime_count_bound(limit) + (1 << 16)
+    return 4 * (limit + 1) + 24 * prime_count_bound(limit) + (1 << 16)
 
 
 def phi_sieve(limit: int) -> np.ndarray:
     """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
 
-    One vectorized slice update phi[p::p] -= phi[p::p] // p per prime
-    p <= limit / 2; a prime above limit / 2 has no other multiple in the
-    table, so those are set to p - 1 in one step.  int32 holds every
+    A prime p <= r = isqrt(limit) takes one in-place slice update,
+    phi[p::p] //= p then *= p - 1; the division is exact, as the smaller
+    primes took no factor p out of these entries.  That finishes every
+    entry whose prime factors are all at most r.  Any other entry is
+    n = j q for one prime q > r (q^2 > limit) and a cofactor
+    j <= limit // (r + 1) <= r < q.  So q does not divide j and every
+    prime factor of j is at most r: after the slices phi[j] = phi(j) is
+    final and phi[j q] = q phi(j), whose totient is (q - 1) phi(j).  For
+    each cofactor j that value is written to every prime q in
+    (r, limit / j] in one scatter.  The step holds an int32 copy of
+    q - 1 and two buffers over the primes above r, int64 for the indices
+    j q and int32 for the values (q - 1) phi(j).  The buffers are
+    allocated once, not per j, so the step leaves no fragmented heap to
+    raise the peak RSS of the sweep that follows.  int32 holds every
     entry while limit < 2^31, which covers n_max(10^6) = 237,662,443;
     callers cast to int64 before squaring.
     """
@@ -141,9 +155,19 @@ def phi_sieve(limit: int) -> np.ndarray:
         raise ValueError(f"phi_sieve limit {limit} does not fit int32")
     primes = prime_array(limit)
     phi = np.arange(limit + 1, dtype=np.int32)
-    half = int(np.searchsorted(primes, limit // 2, side="right"))
-    phi[primes[half:]] -= 1
-    for p in map(int, primes[:half]):
+    root = isqrt(limit)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for p in map(int, primes[:small]):
         multiples = phi[p::p]
-        multiples -= multiples // p
+        multiples //= p
+        multiples *= p - 1
+    large = primes[small:]
+    large_less_one = (large - 1).astype(np.int32)
+    index = np.empty_like(large)
+    value = np.empty_like(large_less_one)
+    for j in range(1, limit // (root + 1) + 1):
+        count = int(np.searchsorted(large, limit // j, side="right"))
+        np.multiply(large[:count], j, out=index[:count])
+        np.multiply(large_less_one[:count], phi[j], out=value[:count])
+        phi[index[:count]] = value[:count]
     return phi

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .primes import is_prime, prime_array, squarefree
+from .primes import factorize, is_prime, squarefree
 
 
 class Splitting(enum.Enum):
@@ -111,33 +111,63 @@ def kronecker(d: int | Discriminant, n: int) -> int:
     return result if n == 1 else 0
 
 
-# bytes character_table holds per residue at its peak: the int8 table and
-# the prime sieve's two bool tables (3 B), and the int64 array of the
-# primes below |d| (8 pi(|d|) / |d| B, at most 2 B from |d| = 200 on)
+# bytes character_table holds per residue at its peak: the int8 table, one
+# Legendre table and one chunk of its int64 squares (at most 1 B per
+# residue each, 3 B in all); the rest is headroom
 CHARACTER_TABLE_BYTES_PER_RESIDUE = 5
+
+# chi over one period for the 2-part -4, 8 or -8 of an even fundamental
+# discriminant
+_TWO_PART_CHI = {
+    -4: (0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def _legendre_table(q: int) -> np.ndarray:
+    """The Legendre symbol (r / q) for r = 0 .. q-1, q an odd prime, as int8.
+
+    Marks the squares k^2 mod q for 1 <= k < q/2 as residues, in chunks
+    of q/16 int64 squares: with the next chunk built before the last one
+    is freed, the temporaries stay under 1 B per residue.
+    """
+    table = np.full(q, -1, dtype=np.int8)
+    table[0] = 0
+    half = (q + 1) // 2
+    step = max(q // 16, 1)
+    for lo in range(1, half, step):
+        squares = np.arange(lo, min(lo + step, half), dtype=np.int64)
+        squares *= squares
+        squares %= q
+        table[squares] = 1
+    return table
 
 
 def character_table(d: int | Discriminant) -> np.ndarray:
     """chi(r) for r = 0 .. |d|-1 as an int8 array (the character has period |d|).
 
-    Built by complete multiplicativity: a table of ones, chi(0) = 0, and
-    for each prime p < |d| the factor chi(p) multiplied into the
-    multiples of every power p^k < |d|, one slice per power.  That is one
-    ``kronecker`` call per prime rather than one per residue.
+    Built from the genus characters: a fundamental d is the product of
+    the prime discriminants q* = (-1)^((q-1)/2) q over the odd primes
+    q | d and a 2-part -4, 8 or -8 (for even d), and chi is the product
+    of their characters.  For q* that character is the Legendre symbol
+    mod q (quadratic reciprocity; at r = 2 too, as q* = 1 mod 4).  Each
+    factor's table is multiplied into chi in place, broadcast over the
+    rows of chi seen as a (|d| / period, period) array: no ``kronecker``
+    call and no prime sieve, and q | d is found by trial division.
     """
     disc = require_fundamental(d)
     m = -disc.value
     chi = np.ones(m, dtype=np.int8)
-    chi[0] = 0
-    for p in map(int, prime_array(m - 1)):
-        sign = kronecker(disc, p)
-        if sign == 0:
-            chi[p::p] = 0
-        elif sign == -1:
-            q = p
-            while q < m:
-                chi[q::q] *= -1
-                q *= p
+    odd = m // (m & -m)  # m & -m is the largest power of 2 dividing m
+    for q, _ in factorize(odd):
+        rows = chi.reshape(-1, q)
+        rows *= _legendre_table(q)
+    # the product of the q* is = 1 mod 4, and +-odd
+    two_part = disc.value // (odd if odd % 4 == 1 else -odd)
+    if two_part != 1:
+        rows = chi.reshape(-1, abs(two_part))
+        rows *= np.array(_TWO_PART_CHI[two_part], dtype=np.int8)
     return chi
 
 

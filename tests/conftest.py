@@ -27,6 +27,27 @@ def sieve_phi(limit: int) -> list[int]:
     return phi
 
 
+def slice_phi_sieve(limit: int):
+    """Totient table as a numpy int32 array by one slice update per prime.
+
+    phi[p::p] -= phi[p::p] // p for every prime p <= limit / 2, and p - 1
+    at the primes above limit / 2 (they have no other multiple in the
+    table).  No cofactor step, so it checks phi_sieve's large-prime step.
+    """
+    import numpy as np
+
+    from tcm.primes import prime_array
+
+    primes = prime_array(limit)
+    phi = np.arange(limit + 1, dtype=np.int32)
+    half = int(np.searchsorted(primes, limit // 2, side="right"))
+    phi[primes[half:]] -= 1
+    for p in map(int, primes[:half]):
+        multiples = phi[p::p]
+        multiples -= multiples // p
+    return phi
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes tracemalloc sees while fn(*args) runs."""
     import tracemalloc

@@ -154,7 +154,7 @@ def test_analytics_preflight_refuses_before_allocating(runner, monkeypatch, args
 
 
 def test_product_preflight_counts_the_character_table(runner, monkeypatch):
-    # 100 primes cost 3 KB, but the table over |D| = 1000003 peaks near 3.6 MB
+    # 100 primes cost 3 KB, but the table over |D| = 1000003 peaks near 3 MB
     monkeypatch.setattr(cli_mod, "memory_budget", lambda: 2**20)
     monkeypatch.setattr(cli_mod, "char_euler_product", _refuse_to_run)
     result = runner.invoke(cli, ["analytics", "product", "--disc", "-1000003", "--x", "100"])
@@ -308,6 +308,15 @@ def test_galois_group_order_mode(runner):
 
 def test_galois_cap_violation_names_the_cap(runner):
     result = runner.invoke(cli, ["galois", "--disc", "-4", "--n", "1000"])
+    assert result.exit_code == 2
+    assert "cap 200" in result.stderr
+
+
+@pytest.mark.parametrize("extra", [["--a", "30000000", "--b", "1"], ["--a", "30000000"]])
+def test_galois_refuses_a_huge_level_before_building_it(runner, extra):
+    # 3**30000001 has 14 million digits: building it, or printing it in the
+    # message, would take seconds and trip the int-to-str digit limit
+    result = runner.invoke(cli, ["galois", "--disc", "-4", "--p", "3", *extra])
     assert result.exit_code == 2
     assert "cap 200" in result.stderr
 

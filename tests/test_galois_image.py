@@ -182,6 +182,9 @@ def test_caps_are_enforced():
         max_stabilizer_order(-4, 2, 8)
     with pytest.raises(CapExceededError):
         cn_order(-4, 201)  # checked once, by cn_elements
+    with pytest.raises(CapExceededError) as refused:
+        max_stabilizer_order(-4, 3, 30_000_000)  # refused on the exponent
+    assert refused.value.requested == "3**30000001"
 
 
 def test_bad_arguments():

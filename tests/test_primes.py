@@ -11,7 +11,7 @@ from tcm.primes import (
     prime_list_bytes,
 )
 
-from conftest import sieve_phi, traced_peak, trial_factor
+from conftest import sieve_phi, slice_phi_sieve, traced_peak, trial_factor
 
 
 def test_primes_up_to_matches_trial_division():
@@ -28,6 +28,17 @@ def test_phi_sieve_matches_oracle_table():
         assert table.tolist() == sieve_phi(limit), limit
 
 
+def test_phi_sieve_matches_slice_oracle():
+    # n_max(2000) and n_max(3010); p^2 - 1, p^2, p^2 + 1, where isqrt(limit)
+    # moves onto or off a prime; r(r + 1) - 1, r(r + 1), r(r + 1) + 1, where
+    # the last cofactor limit // (isqrt(limit) + 1) steps from r - 1 to r
+    limits = [397_468, 612_546]
+    limits += [p * p + k for p in (2, 3, 7, 31, 101, 997) for k in (-1, 0, 1)]
+    limits += [r * (r + 1) + k for r in (2, 5, 30, 100, 706) for k in (-1, 0, 1)]
+    for limit in limits:
+        assert np.array_equal(phi_sieve(limit), slice_phi_sieve(limit)), limit
+
+
 def test_phi_sieve_refuses_tables_beyond_int32():
     with pytest.raises(ValueError):
         phi_sieve(2**31)
@@ -40,7 +51,7 @@ def test_prime_count_bound():
 
 
 def test_phi_sieve_bytes_bounds_measured_peak():
-    for limit in (10, 1000, 100_000, 400_000):
+    for limit in (10, 1000, 100_000, 400_000, 610_511, 2_081_501):
         assert traced_peak(phi_sieve, limit) <= phi_sieve_bytes(limit), limit
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
+    CHARACTER_TABLE_BYTES_PER_RESIDUE,
     _reduced_triples,
     as_discriminant,
     character_table,
@@ -18,7 +19,7 @@ from tcm.quad_core import (
     Splitting,
 )
 
-from conftest import oracle_reduced_forms, order_discriminants, trial_factor
+from conftest import oracle_reduced_forms, order_discriminants, traced_peak, trial_factor
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +146,13 @@ def test_character_table_matches_kronecker_per_residue():
     for d in fundamental_discriminants(2000):
         table = character_table(d)
         assert table.tolist() == [0] + [kronecker(d, r) for r in range(1, -d)], d
+
+
+def test_character_table_bytes_bound_measured_peak():
+    # a prime |D| (one Legendre table as long as chi), and 8 * odd and odd
+    # composite ones (several shorter tables)
+    for d in (-1000003, -1000024, -999995):
+        assert traced_peak(character_table, d) <= CHARACTER_TABLE_BYTES_PER_RESIDUE * -d, d
 
 
 # --------------------------------------------------------------- class numbers
