@@ -34,7 +34,6 @@ from .galois_image import (
 )
 from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K_of_N, principal_ideal
 from .primes import prime_list_bytes
-from .quad_core import is_fundamental
 
 # upper bound on the bytes one bound row holds: its BoundRecord, its row
 # dict and its share of the serialized text
@@ -205,15 +204,11 @@ def phi(disc, n, fmt):
     """Ideal Euler function of (n), with brute-force cross-check when small."""
     check_factorable(disc=disc, n=n)
     try:
-        if not is_fundamental(disc):
-            raise click.UsageError(f"{disc} is not a fundamental discriminant")
-        if n < 1:
-            raise click.UsageError(f"need n >= 1, got {n}")
+        ideal = principal_ideal(disc, n)
+        value = phi_K_of_N(disc, n)
+        brute = brute_force_phi(disc, n) if n <= BRUTE_FORCE_CAP else None
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    ideal = principal_ideal(disc, n)
-    value = phi_K_of_N(disc, n)
-    brute = brute_force_phi(disc, n) if n <= BRUTE_FORCE_CAP else None
     rows = [
         {
             "disc": disc,

@@ -161,13 +161,10 @@ def cn_order(d: int | Discriminant, n: int) -> int:
 
 def verify_homotheties(d: int | Discriminant, n: int) -> bool:
     """Check every scalar matrix with unit scalar lies in the group."""
-    disc = as_discriminant(d)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n > CN_CAP:
-        raise CapExceededError("n", n, CN_CAP)
-    mask = _unit_mask(disc.value, n)
-    return all(mask[a, 0] for a in range(1, n) if gcd(a, n) == 1)
+    group = cn_elements(d, n)
+    return all(
+        GaloisMatrix(group.disc, n, a, 0) in group for a in range(1, n) if gcd(a, n) == 1
+    )
 
 
 def _capped_power(p: int, e: int, what: str) -> int:

@@ -6,20 +6,22 @@ data) depends only on that factorization, so there is no element-level
 ideal arithmetic here.  A residue-ring brute-force count doubles as the
 oracle for the Euler-function formula.
 
-``norm_sieve`` is the one norm-indexed kernel: the minimum of phi_K over
-the ideals of each norm n <= x, as a numpy table.  ``ideals_up_to_norm``
-lists the ideals themselves and is its oracle.
+``norm_sieve`` is the one norm-indexed table: the minimum of phi_K over
+the ideals of each norm n <= x, as a numpy int32 array, built by the
+multiplicative sieve ``primes.least_phi_sieve`` from the field's
+character table.  ``ideals_up_to_norm`` lists the ideals themselves and
+is its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from .errors import CapExceededError
-from .primes import cached_primes, factorize, prime_array, prime_count_bound
+from .primes import cached_primes, factorize, least_phi_sieve, phi_sieve_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
@@ -187,85 +189,25 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
         yield ideal
 
 
-# bytes norm_sieve holds per norm (the int64 table, and the parity mask of
-# an inert 2 at x/2 entries) and per prime <= x (the int64 prime array and
-# at most five int64-sized temporaries of the step over the primes above
-# sqrt(x)); the character table is costed by quad_core
-_NORM_SIEVE_BYTES_PER_NORM = 9
-_NORM_SIEVE_BYTES_PER_PRIME = 48
-
-
 def norm_sieve_bytes(d: int | Discriminant, x: int) -> int:
     """Upper estimate of norm_sieve's peak memory, by arithmetic alone.
 
-    Per-norm, per-prime and per-residue costs, plus 64 KiB for array
-    headers.  The prime sieve's own two bool tables (2 B per norm) are
-    freed before the table is allocated.  Accepts any int d, so a caller
-    can size a request before validating it.
+    The kernel's estimate plus the character table.  Accepts any int d,
+    so a caller can size a request before validating it.
     """
-    x = max(x, 1)
-    return (
-        _NORM_SIEVE_BYTES_PER_NORM * (x + 1)
-        + _NORM_SIEVE_BYTES_PER_PRIME * prime_count_bound(x)
-        + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
-        + (1 << 16)
-    )
+    return phi_sieve_bytes(max(x, 1)) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
 
 
 def norm_sieve(d: int | Discriminant, x: int) -> np.ndarray:
-    """Minimum of phi_K over the ideals of norm n, for n = 0 .. x (int64).
+    """Minimum of phi_K over the ideals of norm n, for n = 0 .. x (int32).
 
-    An entry is 0 when no ideal has norm n (and at n = 0).  Over the
-    ideals of norm n the minimum of phi_K is multiplicative in n, with
-    local factors: split p -> p - 1, split p^e (e >= 2) -> p^(e-2)(p-1)^2
-    (both conjugates present), inert p^(2k) -> p^(2k-2)(p^2-1), inert odd
-    powers -> 0, ramified p^e -> p^(e-1)(p-1).  Each factor is at most
-    p^e, so every entry is at most n.
-
-    A prime p <= sqrt(x) takes one slice update per power p^k <= x, by a
-    gain whose running product over k is the local factor (for an inert
-    p the odd powers are zeroed afterwards).  What is left of n is 1 or
-    one prime q > sqrt(x) to the first power; for each cofactor
-    j <= x / q those are multiplied in by one gather over the primes
-    above sqrt(x), with chi(q) read from the character table.
+    ``least_phi_sieve`` with the character table of d; an entry is 0 when
+    no ideal has norm n (and at n = 0).
     """
     disc = require_fundamental(d)
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    m = -disc.value
-    chi = character_table(disc)
-    primes = prime_array(x)
-    root = isqrt(x)
-    small = int(np.searchsorted(primes, root, side="right"))
-    minphi = np.ones(x + 1, dtype=np.int64)
-    minphi[0] = 0
-    for p in map(int, primes[:small]):
-        kind = int(chi[p % m])
-        if kind == 1:
-            gains = [p - 1, p - 1]
-        elif kind == 0:
-            gains = [p - 1]
-        else:
-            gains = [1, p * p - 1]
-        q, k = p, 0
-        while q <= x:
-            minphi[q::q] *= gains[k] if k < len(gains) else p
-            q *= p
-            k += 1
-        if kind == -1:
-            # odd[i]: the exponent of p in p * (i + 1) is odd
-            odd = np.ones(x // p, dtype=bool)
-            q = p
-            while q * p <= x:
-                odd[q - 1 :: q] ^= True
-                q *= p
-            minphi[p::p][odd] = 0
-    large = primes[small:]
-    gain = np.where(chi[large % m] == -1, 0, large - 1)
-    for j in range(1, x // (root + 1) + 1):
-        count = int(np.searchsorted(large, x // j, side="right"))
-        minphi[large[:count] * j] *= gain[:count]
-    return minphi
+    return least_phi_sieve(x, character_table(disc))
 
 
 def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:

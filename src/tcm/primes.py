@@ -1,9 +1,13 @@
 """Prime generation and elementary factorization helpers.
 
 Everything here is exact integer arithmetic.  The prime sieve is a
-numpy bool table and the totient sieve a numpy int32 table built on its
-primes.  The ``*_bytes`` functions estimate peak memory by arithmetic
-alone, so a caller can refuse a request before allocating anything.
+numpy bool table.  ``least_phi_sieve`` is the one multiplicative sieve
+built on its primes: the least phi_K over the ideals of each norm, as a
+numpy int32 table, for the character table of any imaginary quadratic
+field K.  The totient table ``phi_sieve`` is its case with every prime
+ramified, and ``ideal_arith.norm_sieve`` its case for a given field.
+The ``*_bytes`` functions estimate peak memory by arithmetic alone, so
+a caller can refuse a request before allocating anything.
 """
 
 from __future__ import annotations
@@ -109,6 +113,9 @@ def prime_count_bound(x: int) -> int:
 # temporaries of the log sum); the rest is headroom
 _PRIME_LIST_BYTES = 100
 
+# the character table of period 1 that makes every prime ramified
+_ALL_RAMIFIED = np.zeros(1, dtype=np.int8)
+
 
 def prime_list_bytes(x: int) -> int:
     """Upper estimate of the peak memory of an analytic product over primes <= x.
@@ -120,54 +127,90 @@ def prime_list_bytes(x: int) -> int:
 
 
 def phi_sieve_bytes(limit: int) -> int:
-    """Upper estimate of phi_sieve's peak memory.
+    """Upper estimate of least_phi_sieve's peak memory, character table aside.
 
-    The int32 table (4 B per entry), the int64 array of the primes (8 B
-    per prime), the large-prime step's int32 copy of q - 1 and its two
-    buffers (16 B per prime) and 64 KiB for array headers.  The slice
-    updates work in place, and the prime sieve's two bool tables (2 B per
-    entry) are freed before the table is allocated.
+    So also of phi_sieve.  The int32 table (4 B per entry), the int64
+    array of the primes (8 B per prime), the large-prime step's int32
+    gains and its two buffers (16 B per prime) and 64 KiB for array
+    headers.  The slice updates work in place, and the prime sieve's two
+    bool tables (2 B per entry) are freed before the table is allocated.
     """
     return 4 * (limit + 1) + 24 * prime_count_bound(limit) + (1 << 16)
+
+
+def least_phi_sieve(limit: int, chi: np.ndarray) -> np.ndarray:
+    """Least phi_K over the ideals of norm n, for n = 0 .. limit, as int32.
+
+    chi is the character table of K, chi(p) = chi[p % len(chi)], of any
+    period.  An entry is 0 when no ideal has norm n (and at n = 0).  The
+    least phi_K is multiplicative in n, with local factors: split p -> p - 1,
+    split p^e (e >= 2) -> p^(e-2)(p-1)^2 (both conjugates present), inert
+    p^(2k) -> p^(2k-2)(p^2-1), inert odd powers -> 0, ramified p^e ->
+    p^(e-1)(p-1).  With every prime ramified (chi = [0]) that is phi(n).
+    Each factor is at most p^e, so every entry is at most n.
+
+    A prime p <= r = isqrt(limit) takes one in-place slice update per power
+    p^k <= limit, by a gain whose running product over k is the local
+    factor; for an inert p and odd k the entries with p^k || n are then
+    zeroed in place through a (-1, p) view of the same slice.  Any other
+    entry is n = j q for one prime q > r (q^2 > limit) and a cofactor
+    j <= limit // (r + 1) <= r < q.  So q does not divide j and every
+    prime factor of j is at most r: after the slices table[j] is final and
+    table[j q] = table[j] gain(q), with gain q - 1, or 0 for an inert q.
+    For each cofactor j that value is written to every prime q in
+    (r, limit / j] in one scatter.  The gains and the scatter's two
+    buffers, int64 indices j q and int32 values, are allocated once, not
+    per j, so the step leaves no fragmented heap to raise the peak RSS of
+    the work that follows.  int32 holds every entry
+    while limit < 2^31, which covers n_max(10^6) = 237,662,443; callers
+    cast to int64 before squaring.
+    """
+    if limit >= 2**31:
+        raise ValueError(f"sieve limit {limit} does not fit int32")
+    period = len(chi)
+    primes = prime_array(limit)
+    table = np.ones(limit + 1, dtype=np.int32)
+    table[0] = 0
+    root = isqrt(limit)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for p in map(int, primes[:small]):
+        kind = int(chi[p % period])
+        gains = {1: (p - 1, p - 1), 0: (p - 1,), -1: (1, p * p - 1)}[kind]
+        power, k = p, 1
+        while power <= limit:
+            multiples = table[power::power]
+            gain = gains[k - 1] if k <= len(gains) else p
+            if gain != 1:
+                multiples *= gain
+            if kind == -1 and k % 2:
+                # zero the entries with p^k || n: all columns of the (-1, p)
+                # view but the last, which holds the multiples of p^(k+1)
+                full = len(multiples) - len(multiples) % p
+                multiples[:full].reshape(-1, p)[:, :-1] = 0
+                multiples[full:] = 0
+            power *= p
+            k += 1
+    large = primes[small:]
+    # the index buffer holds q - 1 and then q % period first, so that no
+    # int64 temporary raises the peak
+    index = np.empty_like(large)
+    np.subtract(large, 1, out=index)
+    large_gain = index.astype(np.int32)
+    np.remainder(large, period, out=index)
+    large_gain[chi[index] < 0] = 0
+    value = np.empty_like(large_gain)
+    for j in range(1, limit // (root + 1) + 1):
+        count = int(np.searchsorted(large, limit // j, side="right"))
+        np.multiply(large[:count], j, out=index[:count])
+        np.multiply(large_gain[:count], table[j], out=value[:count])
+        table[index[:count]] = value[:count]
+    return table
 
 
 def phi_sieve(limit: int) -> np.ndarray:
     """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
 
-    A prime p <= r = isqrt(limit) takes one in-place slice update,
-    phi[p::p] //= p then *= p - 1; the division is exact, as the smaller
-    primes took no factor p out of these entries.  That finishes every
-    entry whose prime factors are all at most r.  Any other entry is
-    n = j q for one prime q > r (q^2 > limit) and a cofactor
-    j <= limit // (r + 1) <= r < q.  So q does not divide j and every
-    prime factor of j is at most r: after the slices phi[j] = phi(j) is
-    final and phi[j q] = q phi(j), whose totient is (q - 1) phi(j).  For
-    each cofactor j that value is written to every prime q in
-    (r, limit / j] in one scatter.  The step holds an int32 copy of
-    q - 1 and two buffers over the primes above r, int64 for the indices
-    j q and int32 for the values (q - 1) phi(j).  The buffers are
-    allocated once, not per j, so the step leaves no fragmented heap to
-    raise the peak RSS of the sweep that follows.  int32 holds every
-    entry while limit < 2^31, which covers n_max(10^6) = 237,662,443;
-    callers cast to int64 before squaring.
+    ``least_phi_sieve`` with every prime ramified: the ramified local
+    factor p^(e-1)(p-1) is phi(p^e).
     """
-    if limit >= 2**31:
-        raise ValueError(f"phi_sieve limit {limit} does not fit int32")
-    primes = prime_array(limit)
-    phi = np.arange(limit + 1, dtype=np.int32)
-    root = isqrt(limit)
-    small = int(np.searchsorted(primes, root, side="right"))
-    for p in map(int, primes[:small]):
-        multiples = phi[p::p]
-        multiples //= p
-        multiples *= p - 1
-    large = primes[small:]
-    large_less_one = (large - 1).astype(np.int32)
-    index = np.empty_like(large)
-    value = np.empty_like(large_less_one)
-    for j in range(1, limit // (root + 1) + 1):
-        count = int(np.searchsorted(large, limit // j, side="right"))
-        np.multiply(large[:count], j, out=index[:count])
-        np.multiply(large_less_one[:count], phi[j], out=value[:count])
-        phi[index[:count]] = value[:count]
-    return phi
+    return least_phi_sieve(limit, _ALL_RAMIFIED)

@@ -252,10 +252,23 @@ def test_phi_skips_brute_force_above_cap(runner):
 
 
 def test_phi_rejects_nonfundamental(runner):
-    result = runner.invoke(cli, ["phi", "--disc", "-12", "--n", "5"])
+    for disc, message in [
+        ("-12", "-12 is not a fundamental discriminant"),
+        ("-14", "discriminant must be 0 or 1 mod 4, got -14"),
+        ("5", "discriminant must be negative, got 5"),
+    ]:
+        result = runner.invoke(cli, ["phi", "--disc", disc, "--n", "5"])
+        assert result.exit_code == 2
+        assert result.stderr.rstrip().splitlines()[-1] == f"Error: {message}"
+
+
+def test_phi_rejects_n_below_one(runner):
+    result = runner.invoke(cli, ["phi", "--disc", "-4", "--n", "0"])
     assert result.exit_code == 2
-    result = runner.invoke(cli, ["phi", "--disc", "-14", "--n", "5"])
-    assert result.exit_code == 2
+    assert result.stderr.rstrip().splitlines()[-1] == "Error: need n >= 1, got 0"
+    # the discriminant is checked first
+    result = runner.invoke(cli, ["phi", "--disc", "-12", "--n", "0"])
+    assert result.stderr.rstrip().splitlines()[-1] == "Error: -12 is not a fundamental discriminant"
 
 
 # -------------------------------------------------------------------- galois

@@ -172,13 +172,17 @@ def test_ideals_stream_is_sorted_and_restartable():
     assert keys == sorted(keys)
 
 
+def _expected_min_phi(best, x):
+    return [phi_K(best[n]) if n in best else 0 for n in range(x + 1)]
+
+
 @pytest.mark.parametrize("d", [-3, -4, -7, -8, -15, -84])
 def test_norm_sieve_matches_enumeration(d):
     x = 1000
     best = oracle_min_phi(d, x)
     minphi = norm_sieve(d, x)
-    assert minphi.dtype == np.int64 and len(minphi) == x + 1
-    assert minphi.tolist() == [phi_K(best[n]) if n in best else 0 for n in range(x + 1)]
+    assert minphi.dtype == np.int32 and len(minphi) == x + 1
+    assert minphi.tolist() == _expected_min_phi(best, x)
 
 
 @pytest.mark.parametrize("d", [-3, -4, -20, -23])
@@ -186,6 +190,32 @@ def test_norm_sieve_zero_exactly_where_no_ideal(d):
     minphi = norm_sieve(d, 2000)
     for n in range(1, 2001):
         assert (minphi[n] == 0) == (ideal_count_oracle(d, n) == 0), (d, n)
+
+
+@pytest.mark.parametrize("d,p", [(-3, 2), (-4, 3)])
+def test_norm_sieve_inert_prime_power_cutoffs(d, p):
+    # x = p^k - 1, p^k, p^k + 1 for an inert p: the zeroed odd powers end
+    # on, just before or just after a full row of the (-1, p) view
+    cutoffs = [p**k + s for k in range(1, 10) if p**k <= 1000 for s in (-1, 0, 1)]
+    best = oracle_min_phi(d, max(cutoffs))
+    for x in cutoffs:
+        assert norm_sieve(d, x).tolist() == _expected_min_phi(best, x), (d, x)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7])
+def test_norm_sieve_last_cofactor_cutoffs(d):
+    # r(r + 1) - 1, r(r + 1), r(r + 1) + 1: the last cofactor steps
+    cutoffs = [r * (r + 1) + s for r in (2, 5, 12, 30) for s in (-1, 0, 1)]
+    best = oracle_min_phi(d, max(cutoffs))
+    for x in cutoffs:
+        assert norm_sieve(d, x).tolist() == _expected_min_phi(best, x), (d, x)
+
+
+@pytest.mark.parametrize("d,x", [(-67, 1000), (-248, 500), (-516, 600)])
+def test_norm_sieve_ramified_prime_above_root(d, x):
+    # 67, 31 (-248 = -8 * 31) and 43 (-516 = -4 * 3 * 43) ramify and lie
+    # above isqrt(x): the cofactor scatter reads chi = 0 and writes q - 1
+    assert norm_sieve(d, x).tolist() == _expected_min_phi(oracle_min_phi(d, x), x)
 
 
 def test_norm_sieve_tiny_cutoffs():
@@ -196,6 +226,8 @@ def test_norm_sieve_tiny_cutoffs():
         norm_sieve(-4, 0)
     with pytest.raises(ValueError):
         norm_sieve(-12, 10)
+    with pytest.raises(ValueError):
+        norm_sieve(-4, 2**31)
 
 
 @pytest.mark.parametrize(
@@ -226,8 +258,8 @@ def test_min_phi_ideal_rejects_norms_without_ideals():
         min_phi_ideal(-4, 27)
 
 
-@pytest.mark.parametrize("x", [10**4, 2 * 10**5])
+@pytest.mark.parametrize("x", [10**4, 2 * 10**5, 10**6])
 def test_norm_sieve_bytes_bounds_measured_peak(x):
-    # -3: the inert 2 makes the largest parity mask
+    # -3: an inert 2, the most zeroed slices; -4: a ramified 2
     for d in (-3, -4):
         assert traced_peak(norm_sieve, d, x) <= norm_sieve_bytes(d, x)
