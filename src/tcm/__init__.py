@@ -32,18 +32,14 @@ from .ideal_arith import (
     phi_K_of_N,
     primes_above,
     principal_ideal,
-    unit_ideal,
 )
 from .ray_class_bounds import DegreeBounds, degree_bounds
 from .galois_image import (
     GaloisImageReport,
-    GaloisMatrix,
-    UnitGroup,
     cn_elements,
     cn_order,
     kernel_size,
     max_stabilizer_order,
-    squaring_degree_bound,
     verify_homotheties,
 )
 from .feasibility import (

@@ -32,8 +32,9 @@ from .galois_image import (
     max_stabilizer_order,
     verify_homotheties,
 )
-from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K_of_N, principal_ideal
+from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K, principal_ideal
 from .primes import prime_list_bytes
+from .quad_core import as_discriminant
 
 # upper bound on the bytes one bound row holds: its BoundRecord, its row
 # dict and its share of the serialized text
@@ -204,9 +205,10 @@ def phi(disc, n, fmt):
     """Ideal Euler function of (n), with brute-force cross-check when small."""
     check_factorable(disc=disc, n=n)
     try:
-        ideal = principal_ideal(disc, n)
-        value = phi_K_of_N(disc, n)
-        brute = brute_force_phi(disc, n) if n <= BRUTE_FORCE_CAP else None
+        d = as_discriminant(disc)
+        ideal = principal_ideal(d, n)
+        value = phi_K(ideal)
+        brute = brute_force_phi(d, n) if n <= BRUTE_FORCE_CAP else None
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     rows = [
@@ -233,10 +235,13 @@ def phi(disc, n, fmt):
 def galois(disc, p, level_a, level_b, n, fmt):
     """Unit-group scans: group orders, reduction kernels, point stabilizers."""
     check_factorable(disc=disc)
+    if n is None and (p is None or level_a is None):
+        raise click.UsageError("need either --n, or --p with --a (and optionally --b)")
     try:
+        d = as_discriminant(disc)
         if n is not None:
-            order = cn_order(disc, n)
-            brute = brute_force_phi(disc, n) if n <= BRUTE_FORCE_CAP else None
+            order = cn_order(d, n)
+            brute = brute_force_phi(d, n) if n <= BRUTE_FORCE_CAP else None
             rows = [
                 {
                     "disc": disc,
@@ -244,12 +249,12 @@ def galois(disc, p, level_a, level_b, n, fmt):
                     "order": order,
                     "brute_force": brute,
                     "agree": None if brute is None else brute == order,
-                    "homotheties": verify_homotheties(disc, n),
+                    "homotheties": verify_homotheties(d, n),
                 }
             ]
             params = {"disc": disc, "n": n, "format": fmt}
         elif p is not None and level_a is not None and level_b is not None:
-            size = kernel_size(disc, p, level_a, level_b)
+            size = kernel_size(d, p, level_a, level_b)
             rows = [
                 {
                     "disc": disc,
@@ -262,8 +267,8 @@ def galois(disc, p, level_a, level_b, n, fmt):
                 }
             ]
             params = {"disc": disc, "p": p, "A": level_a, "B": level_b, "format": fmt}
-        elif p is not None and level_a is not None:
-            report = max_stabilizer_order(disc, p, level_a)
+        else:
+            report = max_stabilizer_order(d, p, level_a)
             rows = [
                 {
                     "disc": disc,
@@ -276,8 +281,6 @@ def galois(disc, p, level_a, level_b, n, fmt):
                 }
             ]
             params = {"disc": disc, "p": p, "A": level_a, "format": fmt}
-        else:
-            raise click.UsageError("need either --n, or --p with --a (and optionally --b)")
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     emit(make_envelope("galois", params, rows), fmt)

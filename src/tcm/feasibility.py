@@ -36,7 +36,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .galois_image import squaring_degree_bound
 from .ideal_arith import phi_K_of_N, principal_ideal
 from .primes import EULER_GAMMA, phi_sieve, phi_sieve_bytes
 from .quad_core import (
@@ -297,19 +296,19 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     """Evaluate each inequality of the degree chain exactly, in order.
 
     Steps: the ray-class degree forced by full a-torsion must fit in 2d;
-    after the squaring extension of degree <= b, the level-ab ray class
-    degree must fit in 2bd; finally the combined bound d >= h phi_K((ab))/(6b).
+    after the squaring extension of degree <= b (full ab-torsion from
+    torsion of shape (a, ab)), the level-ab ray class degree must fit in
+    2bd; finally the combined bound d >= h phi_K((ab))/(6b).
     """
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
     disc = require_fundamental(D)
     lower_a = 2 * degree_bounds(disc, principal_ideal(disc, a)).lower_weak
     lower_ab = 2 * degree_bounds(disc, principal_ideal(disc, a * b)).lower_weak
-    ext = squaring_degree_bound(a, b)
     steps = (
         ChainStep(label="2d >= h*phi_K(aO)/3", lhs=Fraction(2 * d), rhs=lower_a),
-        ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=Fraction(2 * ext * d), rhs=lower_ab),
-        ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=Fraction(d), rhs=lower_ab / (2 * ext)),
+        ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=Fraction(2 * b * d), rhs=lower_ab),
+        ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=Fraction(d), rhs=lower_ab / (2 * b)),
     )
     return ChainAudit(d=d, disc=disc, a=a, b=b, steps=steps)
 

@@ -1,17 +1,16 @@
-"""The unit group of O/NO realized as 2x2 matrices mod N, verified by scan.
+"""The unit group of O/NO as an array of unit pairs, verified by scan.
 
-A matrix in the group has the shape [[x, q*y], [y, x + y*D]] with
-q = (D - D^2)/4, and lies in the group iff its determinant
-x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N.  The module scans the
-full group for small N and measures, exhaustively, the facts the torsion
-bound rests on: the homotheties are present, reduction kernels have size
-p^(2B), and point stabilizers divide p - 1 / 1 / p according to the
-splitting of p.
+An element x + y w of O/NO, with w = (D + sqrt(D))/2, is carried as its
+pair (alpha, beta) = (x, y) mod N; it is a unit iff its norm
+x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N, and ``_times`` is the
+group law.  The module scans the full group for small N and measures,
+exhaustively, the facts the torsion bound rests on: the homotheties are
+present, reduction kernels have size p^(2B), and point stabilizers
+divide p - 1 / 1 / p according to the splitting of p.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from math import gcd
 
@@ -22,43 +21,6 @@ from .primes import is_prime
 from .quad_core import Discriminant, Splitting, as_discriminant, splitting_type
 
 CN_CAP = 200
-
-
-@dataclass(frozen=True)
-class GaloisMatrix:
-    """One element of the mod-N unit group, keyed by its pair (alpha, beta)."""
-
-    disc: int
-    modulus: int
-    alpha: int
-    beta: int
-
-    @property
-    def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        # top-right constant is (D - D^2)/4, the square of the second basis
-        # element; the determinant then equals the norm form, whose y^2
-        # coefficient is (D^2 - D)/4.
-        n = self.modulus
-        q = (self.disc - self.disc * self.disc) // 4
-        return (
-            (self.alpha % n, q * self.beta % n),
-            (self.beta % n, (self.alpha + self.beta * self.disc) % n),
-        )
-
-    def det(self) -> int:
-        (a, b), (c, d) = self.entries
-        return (a * d - b * c) % self.modulus
-
-    def __mul__(self, other: "GaloisMatrix") -> "GaloisMatrix":
-        if (self.disc, self.modulus) != (other.disc, other.modulus):
-            raise ValueError("matrices live in different groups")
-        n = self.modulus
-        alpha, beta = _times(self.disc, n, self.alpha, self.beta, other.alpha, other.beta)
-        return GaloisMatrix(disc=self.disc, modulus=n, alpha=alpha, beta=beta)
-
-    @classmethod
-    def identity(cls, disc: int, modulus: int) -> "GaloisMatrix":
-        return cls(disc=disc, modulus=modulus, alpha=1 % modulus, beta=0)
 
 
 @dataclass(frozen=True)
@@ -90,65 +52,21 @@ def _unit_mask(delta: int, n: int) -> np.ndarray:
     """Boolean (n, n) array: entry [x, y] is True iff the pair is a unit."""
     quad = (delta * delta - delta) // 4
     xs = np.arange(n, dtype=np.int64)
-    norm = (
-        xs[:, None] * xs[:, None]
-        + (delta % n) * xs[:, None] * xs[None, :]
-        + (quad % n) * xs[None, :] * xs[None, :]
-    ) % n
-    return np.gcd(norm, n) == 1
+    norm = (xs * xs)[:, None] + ((delta % n) * xs)[:, None] * xs + (quad % n) * xs * xs
+    return (np.gcd(xs, n) == 1)[norm % n]
 
 
-def _unit_pairs(delta: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = np.nonzero(_unit_mask(delta, n))
-    return xs.astype(np.int64), ys.astype(np.int64)
+def cn_elements(d: int | Discriminant, n: int) -> np.ndarray:
+    """The full unit group mod n, from a scan of all (alpha, beta) pairs.
 
-
-class UnitGroup(Set):
-    """The unit group mod n as a read-only set of ``GaloisMatrix``.
-
-    Holds only the (n, n) unit mask: the length is the mask count,
-    membership reads the mask, and iteration builds the matrices in
-    (alpha, beta) order.
+    An (order, 2) int64 array of the unit pairs in lexicographic order.
     """
-
-    def __init__(self, disc: int, modulus: int, mask: np.ndarray):
-        self.disc = disc
-        self.modulus = modulus
-        self._unit_mask = mask
-        self._size = int(mask.sum())
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[GaloisMatrix]:
-        xs, ys = np.nonzero(self._unit_mask)
-        for a, b in zip(xs.tolist(), ys.tolist()):
-            yield GaloisMatrix(disc=self.disc, modulus=self.modulus, alpha=a, beta=b)
-
-    def __contains__(self, item: object) -> bool:
-        n = self.modulus
-        return (
-            isinstance(item, GaloisMatrix)
-            and (item.disc, item.modulus) == (self.disc, n)
-            and 0 <= item.alpha < n
-            and 0 <= item.beta < n
-            and bool(self._unit_mask[item.alpha, item.beta])
-        )
-
-    @classmethod
-    def _from_iterable(cls, it) -> set[GaloisMatrix]:
-        # the results of &, |, - and ^ are plain sets
-        return set(it)
-
-
-def cn_elements(d: int | Discriminant, n: int) -> UnitGroup:
-    """The full unit group mod n, from a scan of all (alpha, beta) pairs."""
     disc = as_discriminant(d)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > CN_CAP:
         raise CapExceededError("n", n, CN_CAP)
-    return UnitGroup(disc.value, n, _unit_mask(disc.value, n))
+    return np.argwhere(_unit_mask(disc.value, n))
 
 
 def cn_order(d: int | Discriminant, n: int) -> int:
@@ -160,11 +78,10 @@ def cn_order(d: int | Discriminant, n: int) -> int:
 
 
 def verify_homotheties(d: int | Discriminant, n: int) -> bool:
-    """Check every scalar matrix with unit scalar lies in the group."""
-    group = cn_elements(d, n)
-    return all(
-        GaloisMatrix(group.disc, n, a, 0) in group for a in range(1, n) if gcd(a, n) == 1
-    )
+    """Check every unit scalar a mod n lies in the group, as the pair (a, 0)."""
+    pairs = cn_elements(d, n)
+    scalars = set(pairs[pairs[:, 1] == 0, 0].tolist())
+    return all(a in scalars for a in range(1, n) if gcd(a, n) == 1)
 
 
 def _capped_power(p: int, e: int, what: str) -> int:
@@ -194,7 +111,7 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
         raise ValueError("need A >= 1 and B >= 1")
     big = _capped_power(p, A + B, "p**(A+B)")
     small = p**A
-    xs, ys = _unit_pairs(disc.value, big)
+    xs, ys = cn_elements(disc, big).T
     in_kernel = (xs % small == 1) & (ys % small == 0)
     images = np.unique(xs % small * small + ys % small)
     if len(images) != cn_order(disc, small):
@@ -229,7 +146,7 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
     kind = splitting_type(disc, p)
     n = _capped_power(p, A + 1, "p**(A+1)")
 
-    xs, ys = _unit_pairs(disc.value, n)
+    xs, ys = cn_elements(disc, n).T
     grid = np.arange(n, dtype=np.int64)
     if A == 0:
         gx, gy = xs, ys
@@ -258,28 +175,12 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
     )
 
 
-def squaring_degree_bound(a: int, b: int) -> int:
-    """Degree cost of passing from torsion shape (a, ab) to full ab-torsion.
-
-    The extension needed to rationalize all ab-torsion has degree at most
-    b; this is the rule the feasibility chain consumes, kept as its own
-    operation so the chain's provenance is explicit and checkable against
-    the stabilizer scans at prime level.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("need a >= 1 and b >= 1")
-    return b
-
-
 __all__ = [
     "CN_CAP",
     "GaloisImageReport",
-    "GaloisMatrix",
-    "UnitGroup",
     "cn_elements",
     "cn_order",
     "kernel_size",
     "max_stabilizer_order",
-    "squaring_degree_bound",
     "verify_homotheties",
 ]

@@ -87,10 +87,6 @@ def primes_above(d: int | Discriminant, p: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(p=p, conjugate_index=0, splitting=kind, norm=p)]
 
 
-def unit_ideal(d: int | Discriminant) -> FactoredIdeal:
-    return FactoredIdeal(disc=require_fundamental(d), factors=())
-
-
 def principal_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
     """Factorization of the principal ideal generated by the integer n >= 1.
 
@@ -251,5 +247,4 @@ __all__ = [
     "phi_K_of_N",
     "primes_above",
     "principal_ideal",
-    "unit_ideal",
 ]

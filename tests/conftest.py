@@ -200,11 +200,12 @@ def oracle_unit_pairs(d: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
-def oracle_cn_elements(d: int, n: int) -> set:
-    """The unit group mod n as a set of GaloisMatrix, one per unit pair."""
-    from tcm.galois_image import GaloisMatrix
-
-    return {GaloisMatrix(disc=d, modulus=n, alpha=x, beta=y) for x, y in oracle_unit_pairs(d, n)}
+def oracle_matrix(d: int, n: int, x: int, y: int) -> list[list[int]]:
+    """The 2x2 matrix mod n of multiplication by x + y w, w = (d + sqrt(d))/2,
+    in the basis 1, w: [[x, q y], [y, x + d y]] with q = (d - d^2)/4 = w^2 - d w.
+    Its determinant is the norm x^2 + dxy + ((d^2 - d)/4) y^2."""
+    q = (d - d * d) // 4
+    return [[x % n, q * y % n], [y % n, (x + d * y) % n]]
 
 
 def oracle_max_stabilizer_order(d: int, p: int, A: int) -> int:

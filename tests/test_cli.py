@@ -271,6 +271,34 @@ def test_phi_rejects_n_below_one(runner):
     assert result.stderr.rstrip().splitlines()[-1] == "Error: -12 is not a fundamental discriminant"
 
 
+@pytest.mark.parametrize(
+    "args,times",
+    [
+        (["phi", "--disc", "-23", "--n", "5"], 1),
+        (["phi", "--disc", "-23", "--n", "23"], 2),  # once as |D|, once as n
+        (["galois", "--disc", "-23", "--n", "5"], 1),
+    ],
+    ids=["phi", "phi-n-equals-disc", "galois-n"],
+)
+def test_disc_is_factored_once(runner, monkeypatch, args, times):
+    import tcm.ideal_arith
+    import tcm.primes
+    import tcm.quad_core
+
+    factored = []
+    factorize = tcm.primes.factorize
+
+    def counting(n):
+        factored.append(n)
+        return factorize(n)
+
+    for module in (tcm.primes, tcm.quad_core, tcm.ideal_arith):
+        monkeypatch.setattr(module, "factorize", counting)
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0
+    assert factored.count(23) == times
+
+
 # -------------------------------------------------------------------- galois
 
 
@@ -278,18 +306,40 @@ def test_galois_kernel_mode(runner):
     result = runner.invoke(
         cli, ["galois", "--disc", "-4", "--p", "3", "--a", "1", "--b", "1", "--format", "json"]
     )
-    (row,) = json.loads(result.stdout)["rows"]
-    assert row["kernel_size"] == 9 and row["expected"] == 9 and row["surjective"]
+    assert result.exit_code == 0
+    envelope = json.loads(result.stdout)
+    assert envelope["params"] == {"disc": -4, "p": 3, "A": 1, "B": 1, "format": "json"}
+    assert envelope["rows"] == [
+        {
+            "disc": -4,
+            "p": 3,
+            "A": 1,
+            "B": 1,
+            "kernel_size": 9,
+            "expected": 9,
+            "surjective": True,
+        }
+    ]
 
 
 def test_galois_stabilizer_mode(runner):
     result = runner.invoke(
         cli, ["galois", "--disc", "-7", "--p", "5", "--a", "0", "--format", "json"]
     )
-    (row,) = json.loads(result.stdout)["rows"]
-    assert row["split_type"] == "inert"
-    assert row["max_stabilizer_order"] == 1
-    assert row["divides"]
+    assert result.exit_code == 0
+    envelope = json.loads(result.stdout)
+    assert envelope["params"] == {"disc": -7, "p": 5, "A": 0, "format": "json"}
+    assert envelope["rows"] == [
+        {
+            "disc": -7,
+            "p": 5,
+            "A": 0,
+            "split_type": "inert",
+            "max_stabilizer_order": 1,
+            "expected_divisor": 1,
+            "divides": True,
+        }
+    ]
 
 
 @pytest.mark.parametrize(
@@ -314,9 +364,19 @@ def test_galois_rejects_composite_level(runner, extra):
 
 def test_galois_group_order_mode(runner):
     result = runner.invoke(cli, ["galois", "--disc", "-4", "--n", "10", "--format", "json"])
-    (row,) = json.loads(result.stdout)["rows"]
-    assert row["order"] == row["brute_force"]
-    assert row["agree"] and row["homotheties"]
+    assert result.exit_code == 0
+    envelope = json.loads(result.stdout)
+    assert envelope["params"] == {"disc": -4, "n": 10, "format": "json"}
+    assert envelope["rows"] == [
+        {
+            "disc": -4,
+            "n": 10,
+            "order": 32,
+            "brute_force": 32,
+            "agree": True,
+            "homotheties": True,
+        }
+    ]
 
 
 def test_galois_cap_violation_names_the_cap(runner):

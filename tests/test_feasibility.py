@@ -248,6 +248,10 @@ def test_chain_audit_examples():
     assert trivial.holds
     assert trivial.first_failure is None
 
+    for a, b in [(0, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            chain_audit(1, -4, a, b)
+
 
 def test_chain_audit_final_step_matches_refined_lhs():
     for d, disc, a, b in [(1, -4, 2, 1), (2, -7, 1, 6), (3, -3, 2, 2)]:

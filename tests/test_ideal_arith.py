@@ -16,7 +16,6 @@ from tcm.ideal_arith import (
     phi_K_of_N,
     primes_above,
     principal_ideal,
-    unit_ideal,
 )
 from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
 
@@ -83,7 +82,7 @@ def test_principal_ideal_norm_is_square(d):
 
 
 def test_phi_examples():
-    assert phi_K(unit_ideal(-4)) == 1
+    assert phi_K(principal_ideal(-4, 1)) == 1
     assert phi_K(principal_ideal(-4, 5)) == 16
     assert phi_K(principal_ideal(-4, 2)) == 2
     assert phi_K_of_N(-4, 12) == 64
@@ -100,7 +99,7 @@ def test_phi_multiplicative_over_coprime_supports():
 
 def test_phi_prime_power_rule():
     for d in (-4, -7):
-        disc = unit_ideal(d).disc
+        disc = principal_ideal(d, 1).disc
         for p in (2, 3, 5):
             for P in primes_above(d, p):
                 ideal = FactoredIdeal(disc=disc, factors=((P, 3),))
@@ -109,7 +108,7 @@ def test_phi_prime_power_rule():
 
 def test_inert_prime_power_norm():
     (inert,) = primes_above(-4, 3)
-    squared = FactoredIdeal(disc=unit_ideal(-4).disc, factors=((inert, 2),))
+    squared = FactoredIdeal(disc=principal_ideal(-4, 1).disc, factors=((inert, 2),))
     assert ideal_norm(squared) == 81
 
 

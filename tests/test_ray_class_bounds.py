@@ -2,25 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from tcm.ideal_arith import ideals_up_to_norm, principal_ideal, unit_ideal
+from tcm.ideal_arith import ideals_up_to_norm, principal_ideal
 from tcm.quad_core import class_number, fundamental_discriminants
 from tcm.ray_class_bounds import degree_bounds
 
 
 def test_degree_bounds_examples():
-    b = degree_bounds(-4, unit_ideal(-4))
+    b = degree_bounds(-4, principal_ideal(-4, 1))
     assert (b.lower_weak, b.lower, b.upper) == (Fraction(1, 6), Fraction(1, 4), 1)
 
     b = degree_bounds(-4, principal_ideal(-4, 5))
     assert (b.lower_weak, b.lower, b.upper) == (Fraction(8, 3), Fraction(4), 16)
 
-    b = degree_bounds(-23, unit_ideal(-23))
+    b = degree_bounds(-23, principal_ideal(-23, 1))
     assert (b.lower_weak, b.lower, b.upper) == (Fraction(1, 2), Fraction(3, 2), 3)
 
 
 def test_hilbert_degree_sits_inside_unit_ideal_bounds():
     for d in fundamental_discriminants(100):
-        b = degree_bounds(d, unit_ideal(d))
+        b = degree_bounds(d, principal_ideal(d, 1))
         h = class_number(d)
         assert b.lower <= h <= b.upper
 
@@ -65,4 +65,4 @@ def test_min_degree_nondecreasing_along_divisor_chains(d):
 
 def test_degree_bounds_rejects_mismatched_field():
     with pytest.raises(ValueError):
-        degree_bounds(-4, unit_ideal(-3))
+        degree_bounds(-4, principal_ideal(-3, 1))
