@@ -9,6 +9,7 @@ error or a request over the memory budget, 3 serialization failure.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -140,6 +141,36 @@ _format_option = click.option(
 )
 
 
+def data_command(group: click.Group, name: str):
+    """Register a function returning (rows, meta) as a data command of group.
+
+    The command maps a library ValueError to a usage error, echoes the
+    options given as `params` (in declaration order, then `format`) and
+    emits the envelope `name` in the chosen format.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def command(fmt, **options):
+            try:
+                rows, meta = fn(**options)
+            except ValueError as exc:
+                raise click.UsageError(str(exc)) from exc
+            declared = [p.name for p in click.get_current_context().command.params]
+            params = {k: options[k] for k in declared if options.get(k) is not None}
+            emit(make_envelope(name, {**params, "format": fmt}, rows, **meta), fmt)
+
+        return group.command()(command)
+
+    return register
+
+
+def brute_check(d, n: int, value: int) -> dict:
+    """The residue-ring count of phi_K((n)) when n is small, and whether it equals value."""
+    brute = brute_force_phi(d, n) if n <= BRUTE_FORCE_CAP else None
+    return {"brute_force": brute, "agree": None if brute is None else brute == value}
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -150,11 +181,11 @@ def cli():
     exact and analytic machinery behind them."""
 
 
-@cli.command()
+@data_command(cli, "bound")
 @click.option("--d-min", type=int, required=True, help="Smallest degree.")
 @click.option("--d-max", type=int, required=True, help="Largest degree.")
 @_format_option
-def bound(d_min, d_max, fmt):
+def bound(d_min, d_max):
     """Per-degree torsion bounds B(d) with maximizing shapes."""
     if not 1 <= d_min <= d_max <= 10**6:
         raise click.UsageError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
@@ -164,10 +195,8 @@ def bound(d_min, d_max, fmt):
         region.peak_bytes + BOUND_ROW_BYTES * (d_max - d_min + 1),
     )
     records = bound_records(d_min, d_max)
-    rows = [bound_record_row(rec) for rec in records]
-    ratios = [rec for rec in records if rec.ratio is not None]
     constant = None
-    if ratios:
+    if d_max >= 3:
         est = constant_over(records)
         constant = {"value": _round12(est.value), "argmax_d": est.argmax_d}
         print(
@@ -175,16 +204,8 @@ def bound(d_min, d_max, fmt):
             f"{est.value:.12g} at d={est.argmax_d}",
             file=sys.stderr,
         )
-    envelope = make_envelope(
-        "bound",
-        {"d_min": d_min, "d_max": d_max, "format": fmt},
-        rows,
-        constant=constant,
-        n_max=region.n_max,
-        a_max=region.a_max,
-        pairs_scanned=region.pairs_scanned,
-    )
-    emit(envelope, fmt)
+    meta = {"n_max": region.n_max, "a_max": region.a_max, "pairs_scanned": region.pairs_scanned}
+    return [bound_record_row(rec) for rec in records], {"constant": constant, **meta}
 
 
 def bound_record_row(rec) -> dict:
@@ -197,93 +218,49 @@ def bound_record_row(rec) -> dict:
     }
 
 
-@cli.command()
+@data_command(cli, "phi")
 @click.option("--disc", type=int, required=True, help="Fundamental discriminant (< 0).")
 @click.option("--n", type=int, required=True, help="Generator of the principal ideal.")
 @_format_option
-def phi(disc, n, fmt):
+def phi(disc, n):
     """Ideal Euler function of (n), with brute-force cross-check when small."""
     check_factorable(disc=disc, n=n)
-    try:
-        d = as_discriminant(disc)
-        ideal = principal_ideal(d, n)
-        value = phi_K(ideal)
-        brute = brute_force_phi(d, n) if n <= BRUTE_FORCE_CAP else None
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rows = [
-        {
-            "disc": disc,
-            "n": n,
-            "phi": value,
-            "norm": ideal_norm(ideal),
-            "factorization": str(ideal),
-            "brute_force": brute,
-            "agree": None if brute is None else brute == value,
-        }
-    ]
-    emit(make_envelope("phi", {"disc": disc, "n": n, "format": fmt}, rows), fmt)
+    d = as_discriminant(disc)
+    ideal = principal_ideal(d, n)
+    value = phi_K(ideal)
+    row = {"disc": disc, "n": n, "phi": value, "norm": ideal_norm(ideal)}
+    return [{**row, "factorization": str(ideal), **brute_check(d, n, value)}], {}
 
 
-@cli.command()
+@data_command(cli, "galois")
 @click.option("--disc", type=int, required=True, help="Discriminant (< 0, 0 or 1 mod 4).")
 @click.option("--p", type=int, default=None, help="Prime level.")
-@click.option("--a", "level_a", type=int, default=None, help="Exponent A (>= 0).")
-@click.option("--b", "level_b", type=int, default=None, help="Kernel depth B (>= 1).")
+@click.option("--a", "A", type=int, default=None, help="Exponent A (>= 0).")
+@click.option("--b", "B", type=int, default=None, help="Kernel depth B (>= 1).")
 @click.option("--n", type=int, default=None, help="Composite level: group order mode.")
 @_format_option
-def galois(disc, p, level_a, level_b, n, fmt):
+def galois(disc, p, A, B, n):
     """Unit-group scans: group orders, reduction kernels, point stabilizers."""
     check_factorable(disc=disc)
-    if n is None and (p is None or level_a is None):
+    if (n is None and None in (p, A)) or (n is not None and (p, A, B) != (None, None, None)):
         raise click.UsageError("need either --n, or --p with --a (and optionally --b)")
-    try:
-        d = as_discriminant(disc)
-        if n is not None:
-            order = cn_order(d, n)
-            brute = brute_force_phi(d, n) if n <= BRUTE_FORCE_CAP else None
-            rows = [
-                {
-                    "disc": disc,
-                    "n": n,
-                    "order": order,
-                    "brute_force": brute,
-                    "agree": None if brute is None else brute == order,
-                    "homotheties": verify_homotheties(d, n),
-                }
-            ]
-            params = {"disc": disc, "n": n, "format": fmt}
-        elif p is not None and level_a is not None and level_b is not None:
-            size = kernel_size(d, p, level_a, level_b)
-            rows = [
-                {
-                    "disc": disc,
-                    "p": p,
-                    "A": level_a,
-                    "B": level_b,
-                    "kernel_size": size,
-                    "expected": p ** (2 * level_b),
-                    "surjective": True,
-                }
-            ]
-            params = {"disc": disc, "p": p, "A": level_a, "B": level_b, "format": fmt}
-        else:
-            report = max_stabilizer_order(d, p, level_a)
-            rows = [
-                {
-                    "disc": disc,
-                    "p": p,
-                    "A": level_a,
-                    "split_type": report.split_type.value,
-                    "max_stabilizer_order": report.max_stabilizer_order,
-                    "expected_divisor": report.expected_divisor,
-                    "divides": report.divides,
-                }
-            ]
-            params = {"disc": disc, "p": p, "A": level_a, "format": fmt}
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    emit(make_envelope("galois", params, rows), fmt)
+    d = as_discriminant(disc)
+    if n is not None:
+        order = cn_order(d, n)
+        row = {"disc": disc, "n": n, "order": order, **brute_check(d, n, order)}
+        return [{**row, "homotheties": verify_homotheties(d, n)}], {}
+    if B is not None:
+        size = kernel_size(d, p, A, B)
+        row = {"kernel_size": size, "expected": p ** (2 * B), "surjective": True}
+        return [{"disc": disc, "p": p, "A": A, "B": B, **row}], {}
+    report = max_stabilizer_order(d, p, A)
+    row = {
+        "split_type": report.split_type.value,
+        "max_stabilizer_order": report.max_stabilizer_order,
+        "expected_divisor": report.expected_divisor,
+        "divides": report.divides,
+    }
+    return [{"disc": disc, "p": p, "A": A, **row}], {}
 
 
 @cli.group()
@@ -291,82 +268,60 @@ def analytics():
     """Product estimates and empirical constant scans."""
 
 
-@analytics.command()
+@data_command(analytics, "analytics.mertens")
 @click.option("--x", type=int, required=True, help="Prime cutoff.")
 @_format_option
-def mertens(x, fmt):
+def mertens(x):
     """Product of (1 - 1/p) over primes p <= x."""
     preflight(f"primes up to x = {x}", prime_list_bytes(x))
-    try:
-        est = mertens_product(x)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rows = [{"x": est.x, "value": _round12(est.value), "terms": est.terms}]
-    emit(make_envelope("analytics.mertens", {"x": x, "format": fmt}, rows), fmt)
+    est = mertens_product(x)
+    return [{"x": est.x, "value": _round12(est.value), "terms": est.terms}], {}
 
 
-@analytics.command()
+@data_command(analytics, "analytics.product")
 @click.option("--disc", type=int, required=True)
 @click.option("--x", type=int, required=True, help="Prime cutoff.")
 @_format_option
-def product(disc, x, fmt):
+def product(disc, x):
     """Character Euler product of (1 - chi(p)/p) over primes p <= x."""
     preflight(f"primes up to x = {x} and the character mod {abs(disc)}", product_bytes(disc, x))
-    try:
-        est = char_euler_product(disc, x)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rows = [{"disc": disc, "x": est.x, "value": _round12(est.value), "terms": est.terms}]
-    emit(make_envelope("analytics.product", {"disc": disc, "x": x, "format": fmt}, rows), fmt)
+    est = char_euler_product(disc, x)
+    return [{"disc": disc, "x": est.x, "value": _round12(est.value), "terms": est.terms}], {}
 
 
-@analytics.command()
+@data_command(analytics, "analytics.scan")
 @click.option("--disc", type=int, required=True)
 @click.option("--x", type=int, required=True, help="Norm cutoff.")
 @_format_option
-def scan(disc, x, fmt):
+def scan(disc, x):
     """Minimum of phi_K(c) loglog|c| / |c| over ideals with 3 <= |c| <= x."""
     preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
-    try:
-        result = phi_bound_scan(disc, x)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rows = [
-        {
-            "disc": disc,
-            "x": x,
-            "min_value": _round12(result.min_value),
-            "argmin_norm": ideal_norm(result.argmin_ideal),
-            "argmin_ideal": str(result.argmin_ideal),
-        }
-    ]
-    params = {"disc": disc, "x": x, "format": fmt}
-    meta = {"window": list(result.window), "norms": result.norms}
-    emit(make_envelope("analytics.scan", params, rows, **meta), fmt)
+    result = phi_bound_scan(disc, x)
+    row = {
+        "disc": disc,
+        "x": x,
+        "min_value": _round12(result.min_value),
+        "argmin_norm": ideal_norm(result.argmin_ideal),
+        "argmin_ideal": str(result.argmin_ideal),
+    }
+    return [row], {"window": list(result.window), "norms": result.norms}
 
 
-@analytics.command()
+@data_command(analytics, "analytics.landau")
 @click.option("--disc", type=int, required=True)
 @click.option("--x", type=int, required=True, help="Norm cutoff (>= 100).")
 @_format_option
-def landau(disc, x, fmt):
+def landau(disc, x):
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi)."""
     preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
-    try:
-        result = landau_liminf_check(disc, x)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rows = [
-        {
-            "disc": disc,
-            "x": x,
-            "empirical_min_tail": _round12(result.empirical_min_tail),
-            "target": _round12(result.target),
-        }
-    ]
-    params = {"disc": disc, "x": x, "format": fmt}
-    meta = {"window": list(result.window), "norms": result.norms}
-    emit(make_envelope("analytics.landau", params, rows, **meta), fmt)
+    result = landau_liminf_check(disc, x)
+    row = {
+        "disc": disc,
+        "x": x,
+        "empirical_min_tail": _round12(result.empirical_min_tail),
+        "target": _round12(result.target),
+    }
+    return [row], {"window": list(result.window), "norms": result.norms}
 
 
 def main():

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -209,6 +210,26 @@ def test_scan_preflight_passes_small_requests(runner, monkeypatch, command):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        (["bound"], [["--d-min", "3"], ["--d-max", "40"]]),
+        (["phi"], [["--disc", "-4"], ["--n", "5"]]),
+        (["galois"], [["--disc", "-4"], ["--p", "3"], ["--a", "1"], ["--b", "1"]]),
+        (["analytics", "scan"], [["--disc", "-4"], ["--x", "100"]]),
+    ],
+    ids=["bound", "phi", "galois", "scan"],
+)
+def test_option_order_does_not_change_stdout(runner, command, options):
+    # params echo the declared order, not the order the options were typed in
+    outputs = {
+        runner.invoke(cli, [*command, *itertools.chain(*order)]).stdout
+        for order in itertools.permutations([*options, ["--format", "json"]])
+    }
+    (stdout,) = outputs
+    assert json.loads(stdout)["rows"]
+
+
 def test_serialization_failure_exits_three(runner, monkeypatch):
     def broken(envelope):
         raise TypeError("unserializable")
@@ -396,6 +417,17 @@ def test_galois_refuses_a_huge_level_before_building_it(runner, extra):
 
 def test_galois_requires_a_mode(runner):
     assert runner.invoke(cli, ["galois", "--disc", "-4"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [["--p", "3"], ["--a", "1"], ["--b", "2"], ["--p", "3", "--b", "2"]]
+)
+def test_galois_refuses_mixed_modes(runner, extra):
+    # --n runs the group-order mode, which would drop --p, --a and --b unread
+    result = runner.invoke(cli, ["galois", "--disc", "-8", "--n", "12", *extra])
+    assert result.exit_code == 2
+    assert "need either --n, or --p with --a" in result.stderr
+    assert result.stdout == ""
 
 
 # ----------------------------------------------------------------- analytics

@@ -3,6 +3,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import tcm
 
 
@@ -42,9 +44,7 @@ def test_bench_imports_resolve():
     assert imported > 0
 
 
-def test_bench_cli_boundary_names_resolve():
-    import tcm.cli
-
+def _cli_boundary() -> list[str]:
     tree = ast.parse((BENCH / "child.py").read_text())
     (boundary,) = [
         node.value
@@ -52,7 +52,49 @@ def test_bench_cli_boundary_names_resolve():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "CLI_BOUNDARY" for t in node.targets)
     ]
-    names = ast.literal_eval(boundary)
+    return list(ast.literal_eval(boundary))
+
+
+def test_bench_cli_boundary_names_resolve():
+    import tcm.cli
+
+    names = _cli_boundary()
     assert names
     for name in names:
         assert hasattr(tcm.cli, name), name
+
+
+# one command per library call the benchmark wraps; each command also calls emit
+BOUNDARY_COMMANDS = {
+    "bound_records": ["bound", "--d-min", "1", "--d-max", "3"],
+    "phi_bound_scan": ["analytics", "scan", "--disc", "-4", "--x", "100"],
+    "landau_liminf_check": ["analytics", "landau", "--disc", "-4", "--x", "100"],
+    "mertens_product": ["analytics", "mertens", "--x", "100"],
+    "char_euler_product": ["analytics", "product", "--disc", "-4", "--x", "100"],
+}
+
+
+@pytest.mark.parametrize("called", list(BOUNDARY_COMMANDS))
+def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
+    # the benchmark times these calls by setattr on tcm.cli; a command that
+    # reached them through a closure or a second reference would record no span
+    from click.testing import CliRunner
+
+    import tcm.cli
+
+    names = _cli_boundary()
+    assert set(names) == {*BOUNDARY_COMMANDS, "emit"}
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(tcm.cli, name, counting(name, getattr(tcm.cli, name)))
+    result = CliRunner().invoke(tcm.cli.cli, BOUNDARY_COMMANDS[called])
+    assert result.exit_code == 0, result.output
+    assert calls == {name: int(name in (called, "emit")) for name in names}
