@@ -172,9 +172,11 @@ def phi_bound_scan(d: int | Discriminant, x: int) -> ScanResult:
 def landau_liminf_check(d: int | Discriminant, x: int) -> LandauCheck:
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1, chi).
 
-    The tail runs over norms in [x/10, x]; the comparison is directional
-    (the limit is approached from above along norm-rich ideals), not a
-    convergence proof.
+    The tail runs over norms in [x/10, x]; the comparison is directional,
+    not a convergence proof, and the tail minimum mostly sits below the
+    target: over the 62 fundamental |D| <= 200 it is below for 61 fields
+    at x = 10^3, 60 at 10^4, 57 at 10^5 and 56 at 10^6, at 0.46 to 1.08
+    times the target.
     """
     disc = require_fundamental(d)
     if x < 100:

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ideal_arith import phi_K_of_N, principal_ideal
+from .ideal_arith import phi_K_of_N
 from .primes import EULER_GAMMA, phi_sieve, phi_sieve_bytes
 from .quad_core import (
     Discriminant,
@@ -44,7 +44,6 @@ from .quad_core import (
     fundamental_discriminants,
     require_fundamental,
 )
-from .ray_class_bounds import degree_bounds
 
 _ENV_SCALE = math.exp(EULER_GAMMA)
 
@@ -298,13 +297,16 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     Steps: the ray-class degree forced by full a-torsion must fit in 2d;
     after the squaring extension of degree <= b (full ab-torsion from
     torsion of shape (a, ab)), the level-ab ray class degree must fit in
-    2bd; finally the combined bound d >= h phi_K((ab))/(6b).
+    2bd; finally the combined bound d >= h phi_K((ab))/(6b).  Each
+    ray-class degree is bounded below by h phi_K/6, the ``lower_weak`` of
+    ``degree_bounds``, so each step's right side is h phi_K/3.
     """
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
     disc = require_fundamental(D)
-    lower_a = 2 * degree_bounds(disc, principal_ideal(disc, a)).lower_weak
-    lower_ab = 2 * degree_bounds(disc, principal_ideal(disc, a * b)).lower_weak
+    h = class_number(disc)
+    lower_a = Fraction(h * phi_K_of_N(disc, a), 3)
+    lower_ab = Fraction(h * phi_K_of_N(disc, a * b), 3)
     steps = (
         ChainStep(label="2d >= h*phi_K(aO)/3", lhs=Fraction(2 * d), rhs=lower_a),
         ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=Fraction(2 * b * d), rhs=lower_ab),

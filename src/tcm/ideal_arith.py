@@ -21,15 +21,15 @@ from math import gcd
 import numpy as np
 
 from .errors import CapExceededError
-from .primes import cached_primes, factorize, least_phi_sieve, phi_sieve_bytes
+from .primes import cached_primes, factorize, is_prime, least_phi_sieve, phi_sieve_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
     Splitting,
     as_discriminant,
     character_table,
+    kronecker,
     require_fundamental,
-    splitting_type,
 )
 
 BRUTE_FORCE_CAP = 300
@@ -73,18 +73,28 @@ class FactoredIdeal:
         return "*".join(parts)
 
 
+def _primes_over(disc: Discriminant, p: int) -> list[PrimeIdeal]:
+    """The prime ideals over p, for a p already known to be prime.
+
+    chi(p) = 1, -1, 0 means split, inert, ramified; no primality test.
+    """
+    chi = kronecker(disc, p)
+    if chi == 1:
+        return [
+            PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.SPLIT, norm=p),
+            PrimeIdeal(p=p, conjugate_index=1, splitting=Splitting.SPLIT, norm=p),
+        ]
+    if chi == -1:
+        return [PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.INERT, norm=p * p)]
+    return [PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.RAMIFIED, norm=p)]
+
+
 def primes_above(d: int | Discriminant, p: int) -> list[PrimeIdeal]:
     """The prime ideals over the rational prime p, by splitting type."""
     disc = require_fundamental(d)
-    kind = splitting_type(disc, p)  # raises ValueError unless p is prime
-    if kind == Splitting.SPLIT:
-        return [
-            PrimeIdeal(p=p, conjugate_index=0, splitting=kind, norm=p),
-            PrimeIdeal(p=p, conjugate_index=1, splitting=kind, norm=p),
-        ]
-    if kind == Splitting.INERT:
-        return [PrimeIdeal(p=p, conjugate_index=0, splitting=kind, norm=p * p)]
-    return [PrimeIdeal(p=p, conjugate_index=0, splitting=kind, norm=p)]
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _primes_over(disc, p)
 
 
 def principal_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
@@ -98,7 +108,7 @@ def principal_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
         raise ValueError(f"need n >= 1, got {n}")
     factors: list[tuple[PrimeIdeal, int]] = []
     for p, e in factorize(n):
-        for P in primes_above(disc, p):
+        for P in _primes_over(disc, p):
             factors.append((P, 2 * e if P.splitting == Splitting.RAMIFIED else e))
     return FactoredIdeal(disc=disc, factors=tuple(sorted(factors, key=_factor_key)))
 
@@ -119,8 +129,19 @@ def phi_K(a: FactoredIdeal) -> int:
 
 
 def phi_K_of_N(d: int | Discriminant, n: int) -> int:
-    """phi_K of the principal ideal (n); always an exact integer."""
-    return phi_K(principal_ideal(d, n))
+    """phi_K of the principal ideal (n), as a product of local factors.
+
+    Over p^e || n the factor is p^(2e-2) (p - 1) (p - chi(p)): (p^(e-1)(p-1))^2
+    for split p, p^(2e-2) (p^2 - 1) for inert p, and p^(2e-1) (p - 1) for
+    ramified p (chi(p) = 0).
+    """
+    disc = require_fundamental(d)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    result = 1
+    for p, e in factorize(n):
+        result *= p ** (2 * e - 2) * (p - 1) * (p - kronecker(disc, p))
+    return result
 
 
 def brute_force_phi(d: int | Discriminant, n: int) -> int:
@@ -160,7 +181,7 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     prime_ideals = sorted(
-        (P for p in cached_primes(x) for P in primes_above(disc, p) if P.norm <= x),
+        (P for p in cached_primes(x) for P in _primes_over(disc, p) if P.norm <= x),
         key=lambda P: P.norm,
     )
     found: list[tuple[int, FactoredIdeal]] = []
@@ -218,7 +239,7 @@ def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
         raise ValueError(f"need n >= 1, got {n}")
     factors: list[tuple[PrimeIdeal, int]] = []
     for p, e in factorize(n):
-        above = primes_above(disc, p)
+        above = _primes_over(disc, p)
         P = above[0]
         if P.splitting == Splitting.SPLIT:
             factors.append((P, 1))

@@ -178,6 +178,22 @@ def test_landau_liminf_directional_check():
     assert both.empirical_min_tail > 0 and both.target > 0
 
 
+def test_landau_tail_minimum_mostly_below_target():
+    # the counts the landau_liminf_check docstring states (10^6 is slow)
+    discs = fundamental_discriminants(200)
+    assert len(discs) == 62
+    expected = {
+        10**3: [-139],
+        10**4: [-52, -139],
+        10**5: [-43, -52, -127, -139, -195],
+    }
+    for x, not_below in expected.items():
+        checks = {d: landau_liminf_check(d, x) for d in discs}
+        assert [d for d, c in checks.items() if not c.empirical_min_tail < c.target] == not_below
+        ratios = [c.empirical_min_tail / c.target for c in checks.values()]
+        assert 0.46 <= min(ratios) and max(ratios) <= 1.08
+
+
 def test_split_squarefree_density():
     # squarefree products of split primes: phi/norm = prod (1 - 1/p)^2
     cases = {-4: [5, 13, 5 * 13], -7: [2, 11, 2 * 11 * 23]}

@@ -14,8 +14,9 @@ from tcm.feasibility import (
     relaxed_pairs,
     sweep_region,
 )
-from tcm.ideal_arith import phi_K_of_N
+from tcm.ideal_arith import phi_K_of_N, principal_ideal
 from tcm.quad_core import class_number
+from tcm.ray_class_bounds import degree_bounds
 
 from conftest import oracle_bound_records, relaxed_feasible, sieve_phi, traced_peak
 
@@ -259,3 +260,38 @@ def test_chain_audit_final_step_matches_refined_lhs():
         final = audit.steps[-1]
         h = class_number(disc)
         assert final.rhs == Fraction(h * phi_K_of_N(disc, a * b), 6 * b)
+
+
+def test_chain_audit_matches_degree_bounds_route():
+    # each step's right side is twice the uniform lower_weak of degree_bounds
+    d = 6
+    for row in refined_table(d, 40):
+        disc, a, b = row.disc, row.a, row.b
+        lower_a = 2 * degree_bounds(disc, principal_ideal(disc, a)).lower_weak
+        lower_ab = 2 * degree_bounds(disc, principal_ideal(disc, a * b)).lower_weak
+        expected = [
+            (Fraction(2 * d), lower_a),
+            (Fraction(2 * b * d), lower_ab),
+            (Fraction(d), lower_ab / (2 * b)),
+        ]
+        steps = chain_audit(d, disc, a, b).steps
+        assert [(s.lhs, s.rhs) for s in steps] == expected, (disc.value, a, b)
+        assert [s.holds for s in steps] == [lhs >= rhs for lhs, rhs in expected]
+
+
+def test_chain_audit_computes_class_number_once(monkeypatch):
+    import tcm.feasibility
+    import tcm.ray_class_bounds
+
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return class_number(d)
+
+    monkeypatch.setattr(tcm.feasibility, "class_number", counting)
+    monkeypatch.setattr(tcm.ray_class_bounds, "class_number", counting)
+    cases = [(1, -4, 2, 1), (2, -7, 1, 6), (3, -3, 2, 2), (6, -23, 3, 4)]
+    for d, disc, a, b in cases:
+        chain_audit(d, disc, a, b)
+    assert len(calls) == len(cases)

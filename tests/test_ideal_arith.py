@@ -131,6 +131,51 @@ def test_formula_matches_brute_force_small_grid():
             assert phi_K_of_N(d, n) == brute_force_phi(d, n), (d, n)
 
 
+def test_phi_K_of_N_matches_phi_of_principal_ideal():
+    # the grid has 2 split (-7, -15), inert (-3, -11) and ramified (-4, -8),
+    # up to 2^8, and prime powers of each kind for the odd primes too
+    assert [kronecker(d, 2) for d in (-7, -15, -3, -11, -4, -8)] == [1, 1, -1, -1, 0, 0]
+    for d in fundamental_discriminants(200):
+        for n in range(1, 401):
+            assert phi_K_of_N(d, n) == phi_K(principal_ideal(d, n)), (d, n)
+
+
+def test_phi_K_of_N_errors():
+    with pytest.raises(ValueError, match=r"^-12 is not a fundamental discriminant$"):
+        phi_K_of_N(-12, 5)
+    with pytest.raises(ValueError, match=r"^-12 is not a fundamental discriminant$"):
+        phi_K_of_N(-12, 0)
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+        phi_K_of_N(-4, 0)
+
+
+def test_proven_primes_skip_primality_test(monkeypatch):
+    # factorize and cached_primes return proven primes; only the public
+    # primes_above tests its argument
+    import tcm.ideal_arith
+    import tcm.primes
+    import tcm.quad_core
+    from tcm.primes import is_prime
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (tcm.primes, tcm.quad_core, tcm.ideal_arith):
+        monkeypatch.setattr(module, "is_prime", counting)
+    principal_ideal(-4, 2**3 * 3**2 * 5 * 7)
+    min_phi_ideal(-7, 1584)
+    for _ in ideals_up_to_norm(-3, 10**4):
+        pass
+    assert calls == []
+
+    with pytest.raises(ValueError, match=r"^6 is not prime$"):
+        primes_above(-4, 6)
+    assert calls == [6]
+
+
 @pytest.mark.parametrize("d", [-3, -4, -7])
 def test_phi_dominates_classical_phi_squared(d):
     for n in range(1, 61):
