@@ -28,7 +28,7 @@ from .analytics import (
 )
 from .feasibility import bound_records, constant_over, sweep_region
 from .galois_image import (
-    cn_order,
+    cn_elements,
     kernel_size,
     max_stabilizer_order,
     verify_homotheties,
@@ -246,7 +246,7 @@ def galois(disc, p, A, B, n):
         raise click.UsageError("need either --n, or --p with --a (and optionally --b)")
     d = as_discriminant(disc)
     if n is not None:
-        order = cn_order(d, n)
+        order = len(cn_elements(d, n))
         row = {"disc": disc, "n": n, "order": order, **brute_check(d, n, order)}
         return [{**row, "homotheties": verify_homotheties(d, n)}], {}
     if B is not None:

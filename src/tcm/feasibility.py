@@ -60,10 +60,6 @@ class TorsionShape:
     a: int
     b: int
 
-    @property
-    def size(self) -> int:
-        return self.a * self.a * self.b
-
 
 @dataclass(frozen=True)
 class BoundRecord:

@@ -27,9 +27,6 @@ CN_CAP = 200
 class GaloisImageReport:
     """Observed maximal point-stabilizer order and the divisor it must obey."""
 
-    disc: int
-    p: int
-    A: int
     split_type: Splitting
     max_stabilizer_order: int
     expected_divisor: int
@@ -69,14 +66,6 @@ def cn_elements(d: int | Discriminant, n: int) -> np.ndarray:
     return np.argwhere(_unit_mask(disc.value, n))
 
 
-def cn_order(d: int | Discriminant, n: int) -> int:
-    """Size of the unit group mod n: the length of ``cn_elements`` (1 for n = 1)."""
-    disc = as_discriminant(d)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 1 if n == 1 else len(cn_elements(disc, n))
-
-
 def verify_homotheties(d: int | Discriminant, n: int) -> bool:
     """Check every unit scalar a mod n lies in the group, as the pair (a, 0)."""
     pairs = cn_elements(d, n)
@@ -114,7 +103,7 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
     xs, ys = cn_elements(disc, big).T
     in_kernel = (xs % small == 1) & (ys % small == 0)
     images = np.unique(xs % small * small + ys % small)
-    if len(images) != cn_order(disc, small):
+    if len(images) != len(cn_elements(disc, small)):
         raise ArithmeticError(
             f"reduction mod {small} of the level-{big} group is not surjective"
         )
@@ -166,9 +155,6 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
         fx, fy = _times(disc.value, n, gx, gy, vx, vy)
         observed = max(observed, int(((fx == vx) & (fy == vy)).sum()))
     return GaloisImageReport(
-        disc=disc.value,
-        p=p,
-        A=A,
         split_type=kind,
         max_stabilizer_order=observed,
         expected_divisor=expected,
@@ -179,7 +165,6 @@ __all__ = [
     "CN_CAP",
     "GaloisImageReport",
     "cn_elements",
-    "cn_order",
     "kernel_size",
     "max_stabilizer_order",
     "verify_homotheties",

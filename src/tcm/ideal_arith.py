@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .errors import CapExceededError
-from .primes import cached_primes, factorize, is_prime, least_phi_sieve, phi_sieve_bytes
+from .primes import cached_primes, factorize, least_phi_sieve, phi_sieve_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
@@ -87,14 +87,6 @@ def _primes_over(disc: Discriminant, p: int) -> list[PrimeIdeal]:
     if chi == -1:
         return [PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.INERT, norm=p * p)]
     return [PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.RAMIFIED, norm=p)]
-
-
-def primes_above(d: int | Discriminant, p: int) -> list[PrimeIdeal]:
-    """The prime ideals over the rational prime p, by splitting type."""
-    disc = require_fundamental(d)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _primes_over(disc, p)
 
 
 def principal_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
@@ -266,6 +258,5 @@ __all__ = [
     "norm_sieve_bytes",
     "phi_K",
     "phi_K_of_N",
-    "primes_above",
     "principal_ideal",
 ]

@@ -24,9 +24,6 @@ class Splitting(enum.Enum):
     INERT = "inert"
     RAMIFIED = "ramified"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Discriminant:

@@ -400,6 +400,14 @@ def test_galois_group_order_mode(runner):
     ]
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_galois_group_order_mode_needs_n_at_least_two(runner, n):
+    result = runner.invoke(cli, ["galois", "--disc", "-4", "--n", str(n)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.rstrip().splitlines()[-1] == f"Error: need n >= 2, got {n}"
+
+
 def test_galois_cap_violation_names_the_cap(runner):
     result = runner.invoke(cli, ["galois", "--disc", "-4", "--n", "1000"])
     assert result.exit_code == 2

@@ -14,7 +14,6 @@ from tcm.ideal_arith import (
     norm_sieve_bytes,
     phi_K,
     phi_K_of_N,
-    primes_above,
     principal_ideal,
 )
 from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
@@ -23,27 +22,25 @@ from conftest import ideal_count_oracle, naive_phi, oracle_min_phi, traced_peak
 
 
 def test_primes_above_split_inert_ramified():
-    two_above_five = primes_above(-4, 5)
-    assert [P.norm for P in two_above_five] == [5, 5]
-    assert {P.conjugate_index for P in two_above_five} == {0, 1}
-    assert all(P.splitting == Splitting.SPLIT for P in two_above_five)
+    # the prime ideals above p are the factors of (p)
+    two_above_five = principal_ideal(-4, 5).factors
+    assert [(P.norm, e) for P, e in two_above_five] == [(5, 1), (5, 1)]
+    assert {P.conjugate_index for P, _ in two_above_five} == {0, 1}
+    assert all(P.splitting == Splitting.SPLIT for P, _ in two_above_five)
 
-    (inert,) = primes_above(-4, 3)
-    assert inert.norm == 9 and inert.splitting == Splitting.INERT
+    ((inert, e),) = principal_ideal(-4, 3).factors
+    assert inert.norm == 9 and inert.splitting == Splitting.INERT and e == 1
 
-    (ramified,) = primes_above(-4, 2)
-    assert ramified.norm == 2 and ramified.splitting == Splitting.RAMIFIED
+    ((ramified, e),) = principal_ideal(-4, 2).factors
+    assert ramified.norm == 2 and ramified.splitting == Splitting.RAMIFIED and e == 2
 
 
-def test_primes_above_rejects_composite_and_nonfundamental():
+def test_primes_above_rejects_nonfundamental():
     with pytest.raises(ValueError):
-        primes_above(-4, 6)
-    with pytest.raises(ValueError):
-        primes_above(-12, 5)
+        principal_ideal(-12, 5)
 
 
 def test_enumeration_tests_each_prime_once(monkeypatch):
-    import tcm.ideal_arith
     import tcm.quad_core
     from tcm.primes import is_prime, prime_array
 
@@ -54,7 +51,6 @@ def test_enumeration_tests_each_prime_once(monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(tcm.quad_core, "is_prime", counting)
-    monkeypatch.setattr(tcm.ideal_arith, "is_prime", counting, raising=False)
     x = 10**4
     for _ in ideals_up_to_norm(-3, x):
         pass
@@ -101,13 +97,13 @@ def test_phi_prime_power_rule():
     for d in (-4, -7):
         disc = principal_ideal(d, 1).disc
         for p in (2, 3, 5):
-            for P in primes_above(d, p):
+            for P, _ in principal_ideal(d, p).factors:
                 ideal = FactoredIdeal(disc=disc, factors=((P, 3),))
                 assert phi_K(ideal) == P.norm**2 * (P.norm - 1)
 
 
 def test_inert_prime_power_norm():
-    (inert,) = primes_above(-4, 3)
+    ((inert, _),) = principal_ideal(-4, 3).factors
     squared = FactoredIdeal(disc=principal_ideal(-4, 1).disc, factors=((inert, 2),))
     assert ideal_norm(squared) == 81
 
@@ -150,9 +146,7 @@ def test_phi_K_of_N_errors():
 
 
 def test_proven_primes_skip_primality_test(monkeypatch):
-    # factorize and cached_primes return proven primes; only the public
-    # primes_above tests its argument
-    import tcm.ideal_arith
+    # factorize and cached_primes return proven primes
     import tcm.primes
     import tcm.quad_core
     from tcm.primes import is_prime
@@ -163,17 +157,13 @@ def test_proven_primes_skip_primality_test(monkeypatch):
         calls.append(n)
         return is_prime(n)
 
-    for module in (tcm.primes, tcm.quad_core, tcm.ideal_arith):
+    for module in (tcm.primes, tcm.quad_core):
         monkeypatch.setattr(module, "is_prime", counting)
     principal_ideal(-4, 2**3 * 3**2 * 5 * 7)
     min_phi_ideal(-7, 1584)
     for _ in ideals_up_to_norm(-3, 10**4):
         pass
     assert calls == []
-
-    with pytest.raises(ValueError, match=r"^6 is not prime$"):
-        primes_above(-4, 6)
-    assert calls == [6]
 
 
 @pytest.mark.parametrize("d", [-3, -4, -7])

@@ -209,6 +209,7 @@ def test_unit_count_matches_norm_form_solution_count(d):
         (-4, 3, Splitting.INERT),
         (-23, 23, Splitting.RAMIFIED),
     ],
+    ids=lambda v: v.value if isinstance(v, Splitting) else None,
 )
 def test_splitting_type(d, p, expected):
     assert splitting_type(d, p) == expected
