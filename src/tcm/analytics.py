@@ -36,7 +36,6 @@ _LOG_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class ProductEstimate:
-    x: int
     value: float
     terms: int
 
@@ -45,8 +44,6 @@ class ProductEstimate:
 class ScanResult:
     """The minimum over norms in window = (lo, x); norms counts those with an ideal."""
 
-    disc: Discriminant
-    x: int
     min_value: float
     argmin_ideal: FactoredIdeal
     window: tuple[int, int]
@@ -74,7 +71,7 @@ def mertens_product(x: int) -> ProductEstimate:
         raise ValueError(f"need x >= 2, got {x}")
     ps = prime_array(x)
     value = float(np.exp(np.log1p(-1.0 / ps).sum()))
-    return ProductEstimate(x=x, value=value, terms=len(ps))
+    return ProductEstimate(value=value, terms=len(ps))
 
 
 def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
@@ -88,7 +85,7 @@ def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
     ps = prime_array(x)
     chi = character_table(disc)[ps % -disc.value].astype(np.float64)
     value = float(np.exp(np.log1p(-chi / ps).sum()))
-    return ProductEstimate(x=x, value=value, terms=len(ps))
+    return ProductEstimate(value=value, terms=len(ps))
 
 
 def product_bytes(d: int | Discriminant, x: int) -> int:
@@ -160,8 +157,6 @@ def phi_bound_scan(d: int | Discriminant, x: int) -> ScanResult:
     if best is None:
         raise ValueError(f"no ideals with norm in [3, {x}] for discriminant {disc.value}")
     return ScanResult(
-        disc=disc,
-        x=x,
         min_value=best,
         argmin_ideal=min_phi_ideal(disc, arg),
         window=(3, x),

@@ -275,7 +275,7 @@ def mertens(x):
     """Product of (1 - 1/p) over primes p <= x."""
     preflight(f"primes up to x = {x}", prime_list_bytes(x))
     est = mertens_product(x)
-    return [{"x": est.x, "value": _round12(est.value), "terms": est.terms}], {}
+    return [{"x": x, "value": _round12(est.value), "terms": est.terms}], {}
 
 
 @data_command(analytics, "analytics.product")
@@ -286,7 +286,7 @@ def product(disc, x):
     """Character Euler product of (1 - chi(p)/p) over primes p <= x."""
     preflight(f"primes up to x = {x} and the character mod {abs(disc)}", product_bytes(disc, x))
     est = char_euler_product(disc, x)
-    return [{"disc": disc, "x": est.x, "value": _round12(est.value), "terms": est.terms}], {}
+    return [{"disc": disc, "x": x, "value": _round12(est.value), "terms": est.terms}], {}
 
 
 @data_command(analytics, "analytics.scan")

@@ -3,7 +3,9 @@
 An element x + y w of O/NO, with w = (D + sqrt(D))/2, is carried as its
 pair (alpha, beta) = (x, y) mod N; it is a unit iff its norm
 x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N, and ``_times`` is the
-group law.  The module scans the full group for small N and measures,
+group law.  ``_unit_mask`` is the one scan of the residue ring: the
+group lists its unit pairs and ``ideal_arith.brute_force_phi`` counts
+them.  The module scans the full group for small N and measures,
 exhaustively, the facts the torsion bound rests on: the homotheties are
 present, reduction kernels have size p^(2B), and point stabilizers
 divide p - 1 / 1 / p according to the splitting of p.
@@ -16,7 +18,6 @@ from math import gcd
 
 import numpy as np
 
-from .errors import CapExceededError
 from .primes import is_prime
 from .quad_core import Discriminant, Splitting, as_discriminant, splitting_type
 
@@ -62,7 +63,7 @@ def cn_elements(d: int | Discriminant, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > CN_CAP:
-        raise CapExceededError("n", n, CN_CAP)
+        raise ValueError(f"n={n} exceeds cap {CN_CAP}")
     return np.argwhere(_unit_mask(disc.value, n))
 
 
@@ -74,16 +75,16 @@ def verify_homotheties(d: int | Discriminant, n: int) -> bool:
 
 
 def _capped_power(p: int, e: int, what: str) -> int:
-    """p**e for a prime p, or CapExceededError when that is over CN_CAP.
+    """p**e for a prime p, or ValueError when that is over CN_CAP.
 
     As p >= 2, p**e is over the cap once e >= CN_CAP.bit_length(); such
     an e is refused before the power is built.
     """
     if e >= CN_CAP.bit_length():
-        raise CapExceededError(what, f"{p}**{e}", CN_CAP)
+        raise ValueError(f"{what}={p}**{e} exceeds cap {CN_CAP}")
     power = p**e
     if power > CN_CAP:
-        raise CapExceededError(what, power, CN_CAP)
+        raise ValueError(f"{what}={power} exceeds cap {CN_CAP}")
     return power
 
 

@@ -3,8 +3,9 @@
 An ideal is carried as its multiset of prime-ideal factors; every
 quantity needed downstream (norm, the ideal Euler function, splitting
 data) depends only on that factorization, so there is no element-level
-ideal arithmetic here.  A residue-ring brute-force count doubles as the
-oracle for the Euler-function formula.
+ideal arithmetic here.  ``brute_force_phi`` counts the units of O/nO on
+the residue-ring scan of ``galois_image``; it shares nothing with the
+local-factor formula ``phi_K_of_N`` and so checks it.
 
 ``norm_sieve`` is the one norm-indexed table: the minimum of phi_K over
 the ideals of each norm n <= x, as a numpy int32 array, built by the
@@ -16,11 +17,10 @@ is its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from .errors import CapExceededError
+from .galois_image import _unit_mask
 from .primes import cached_primes, factorize, least_phi_sieve, phi_sieve_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
@@ -137,27 +137,18 @@ def phi_K_of_N(d: int | Discriminant, n: int) -> int:
 
 
 def brute_force_phi(d: int | Discriminant, n: int) -> int:
-    """Count invertible residues of O/nO by direct enumeration.
+    """Count invertible residues of O/nO by a scan of all n^2 pairs.
 
-    Residues are pairs (x, y) in the integral basis 1, (D + sqrt(D))/2;
-    such a pair is invertible iff its norm x^2 + D x y + ((D^2 - D)/4) y^2
-    is a unit mod n.  Accepts any valid (also non-maximal) discriminant.
+    The number of unit pairs in ``galois_image._unit_mask``: the pair
+    (x, y) in the integral basis 1, (D + sqrt(D))/2 is invertible iff its
+    norm is a unit mod n.  Accepts any valid (also non-maximal) discriminant.
     """
     disc = as_discriminant(d)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > BRUTE_FORCE_CAP:
-        raise CapExceededError("n", n, BRUTE_FORCE_CAP)
-    delta = disc.value
-    quad = (delta * delta - delta) // 4  # exact: delta = 0 or 1 mod 4
-    count = 0
-    for x in range(n):
-        xx = x * x
-        dx = delta * x
-        for y in range(n):
-            if gcd((xx + dx * y + quad * y * y) % n, n) == 1:
-                count += 1
-    return count
+        raise ValueError(f"n={n} exceeds cap {BRUTE_FORCE_CAP}")
+    return int(_unit_mask(disc.value, n).sum())
 
 
 def ideals_up_to_norm(d: int | Discriminant, x: int):

@@ -28,7 +28,7 @@ from tcm.quad_core import (
     splitting_type,
 )
 
-from conftest import GRID_DISCS, sieve_phi
+from conftest import GRID_DISCS, oracle_unit_pairs, sieve_phi
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,11 +79,11 @@ def test_criterion_3_group_order_identity():
     ok = True
     for d in fundamental_discriminants(40):
         for n in range(2, 101):
-            if len(cn_elements(d, n)) != brute_force_phi(d, n):
+            if len(cn_elements(d, n)) != len(oracle_unit_pairs(d, n)):
                 ok = False
     _report(
         3,
-        "matrix-group order equals residue count, |D| <= 40 and n <= 100",
+        "unit-group order equals the gcd-per-pair residue count, |D| <= 40 and n <= 100",
         time.time() - start,
         60,
         ok,

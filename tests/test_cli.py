@@ -267,9 +267,14 @@ def test_phi_unit_ideal(runner):
 
 
 def test_phi_skips_brute_force_above_cap(runner):
-    result = runner.invoke(cli, ["phi", "--disc", "-4", "--n", "500", "--format", "json"])
+    for n in (500, 301):
+        result = runner.invoke(cli, ["phi", "--disc", "-4", "--n", str(n), "--format", "json"])
+        (row,) = json.loads(result.stdout)["rows"]
+        assert row["brute_force"] is None and row["agree"] is None, n
+    # the cap itself is still counted
+    result = runner.invoke(cli, ["phi", "--disc", "-4", "--n", "300", "--format", "json"])
     (row,) = json.loads(result.stdout)["rows"]
-    assert row["brute_force"] is None and row["agree"] is None
+    assert row["brute_force"] == row["phi"] and row["agree"] is True
 
 
 def test_phi_rejects_nonfundamental(runner):

@@ -1,9 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from tcm.errors import CapExceededError
 from tcm.ideal_arith import (
     FactoredIdeal,
     brute_force_phi,
@@ -18,7 +18,14 @@ from tcm.ideal_arith import (
 )
 from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
 
-from conftest import ideal_count_oracle, naive_phi, oracle_min_phi, traced_peak
+from conftest import (
+    ideal_count_oracle,
+    naive_phi,
+    oracle_min_phi,
+    oracle_unit_pairs,
+    order_discriminants,
+    traced_peak,
+)
 
 
 def test_primes_above_split_inert_ramified():
@@ -112,13 +119,22 @@ def test_brute_force_phi_examples_and_cap():
     assert brute_force_phi(-4, 5) == 16
     assert brute_force_phi(-4, 1) == 1
     assert brute_force_phi(-7, 3) == 8
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ValueError, match=f"^{re.escape('n=301 exceeds cap 300')}$"):
         brute_force_phi(-4, 301)
 
 
 def test_brute_force_phi_accepts_order_discriminants():
     # the residue count sees the non-maximal ring, not its fraction field
     assert brute_force_phi(-12, 5) == 24
+
+
+def test_brute_force_phi_matches_oracle_pairs():
+    # orders too, the cap's edge, and a |D| whose products overflow int64
+    # unless D and (D^2 - D)/4 are reduced mod n first
+    cases = [(d, n) for d in order_discriminants(60) for n in range(1, 31)]
+    cases += [(-4, 299), (-4, 300)] + [(-999_999_999_999, n) for n in range(1, 31)]
+    for d, n in cases:
+        assert brute_force_phi(d, n) == len(oracle_unit_pairs(d, n)), (d, n)
 
 
 def test_formula_matches_brute_force_small_grid():
