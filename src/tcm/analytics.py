@@ -9,7 +9,7 @@ floating point; everything rigorous lives upstream in the exact modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +34,12 @@ _REDUCE_BYTES_PER_NORM = 64
 _LOG_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ProductEstimate:
+class ProductEstimate(NamedTuple):
     value: float
     terms: int
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """The minimum over norms in window = (lo, x); norms counts those with an ideal."""
 
     min_value: float
@@ -50,8 +48,7 @@ class ScanResult:
     norms: int
 
 
-@dataclass(frozen=True)
-class LandauCheck:
+class LandauCheck(NamedTuple):
     """The tail minimum over norms in window = (lo, x); norms counts those with an ideal."""
 
     empirical_min_tail: float

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,16 +54,14 @@ _CHUNK = 1 << 16
 _CHUNK_BYTES_PER_PAIR = 128
 
 
-@dataclass(frozen=True)
-class TorsionShape:
+class TorsionShape(NamedTuple):
     """Group structure Z/a x Z/ab; its size is a^2 b."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """Feasibility outcome for one degree: B(d) and a maximizing shape.
 
     ratio is B(d) / (d * log log d), defined only for d >= 3.
@@ -74,8 +73,7 @@ class BoundRecord:
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class FeasibilityRow:
+class FeasibilityRow(NamedTuple):
     """Exact left-hand side h * phi_K((ab)) / (6b) for one (field, shape)."""
 
     disc: Discriminant
@@ -85,18 +83,16 @@ class FeasibilityRow:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(NamedTuple):
     """Sup of B(d)/(d log log d) over a degree window, with its argmax."""
 
     value: float
     argmax_d: int
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     label: str
-    lhs: Fraction
+    lhs: int
     rhs: Fraction
 
     @property
@@ -104,8 +100,7 @@ class ChainStep:
         return self.lhs >= self.rhs
 
 
-@dataclass(frozen=True)
-class ChainAudit:
+class ChainAudit(NamedTuple):
     d: int
     disc: Discriminant
     a: int
@@ -152,8 +147,7 @@ def feasible_product_cutoff(d: int) -> int:
     return product_cutoff(6 * d)
 
 
-@dataclass(frozen=True)
-class SweepRegion:
+class SweepRegion(NamedTuple):
     """The proven search region of the sweep up to d_max.
 
     Pair (a, n = ab) is scanned iff a <= a_max and n is a multiple of a
@@ -186,8 +180,13 @@ class SweepRegion:
         return max(phi_sieve_bytes(self.n_max), sweep) + 16 * (self.d_max + 1)
 
 
+@lru_cache(maxsize=8)
 def sweep_region(d_max: int) -> SweepRegion:
-    """The cutoffs a <= n <= min(n_max, M(6 d_max / a)) of the sweep."""
+    """The cutoffs a <= n <= min(n_max, M(6 d_max / a)) of the sweep.
+
+    Memoized, so a caller that sizes a request before running it builds
+    the region once.
+    """
     n_max = feasible_product_cutoff(d_max)
     n_hi: list[int] = []
     for a in range(1, 12 * d_max + 1):  # phi(n)^2 >= n/2 forces a <= 12d
@@ -295,18 +294,22 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     torsion of shape (a, ab)), the level-ab ray class degree must fit in
     2bd; finally the combined bound d >= h phi_K((ab))/(6b).  Each
     ray-class degree is bounded below by h phi_K/6, the ``lower_weak`` of
-    ``degree_bounds``, so each step's right side is h phi_K/3.
+    ``degree_bounds``, so the first two right sides are h phi_K/3.
+
+    Step 3 is step 2 divided by 2b, so the two steps' ``holds`` always
+    agree.  The left sides 2d, 2bd and d are ints and each right side is
+    one Fraction of ints, so every comparison is exact and no Fraction is
+    divided.
     """
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
     disc = require_fundamental(D)
     h = class_number(disc)
-    lower_a = Fraction(h * phi_K_of_N(disc, a), 3)
-    lower_ab = Fraction(h * phi_K_of_N(disc, a * b), 3)
+    h_phi_ab = h * phi_K_of_N(disc, a * b)
     steps = (
-        ChainStep(label="2d >= h*phi_K(aO)/3", lhs=Fraction(2 * d), rhs=lower_a),
-        ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=Fraction(2 * b * d), rhs=lower_ab),
-        ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=Fraction(d), rhs=lower_ab / (2 * b)),
+        ChainStep(label="2d >= h*phi_K(aO)/3", lhs=2 * d, rhs=Fraction(h * phi_K_of_N(disc, a), 3)),
+        ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=2 * b * d, rhs=Fraction(h_phi_ab, 3)),
+        ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=d, rhs=Fraction(h_phi_ab, 6 * b)),
     )
     return ChainAudit(d=d, disc=disc, a=a, b=b, steps=steps)
 

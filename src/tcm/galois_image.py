@@ -4,17 +4,18 @@ An element x + y w of O/NO, with w = (D + sqrt(D))/2, is carried as its
 pair (alpha, beta) = (x, y) mod N; it is a unit iff its norm
 x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N, and ``_times`` is the
 group law.  ``_unit_mask`` is the one scan of the residue ring: the
-group lists its unit pairs and ``ideal_arith.brute_force_phi`` counts
-them.  The module scans the full group for small N and measures,
-exhaustively, the facts the torsion bound rests on: the homotheties are
-present, reduction kernels have size p^(2B), and point stabilizers
-divide p - 1 / 1 / p according to the splitting of p.
+group lists its unit pairs, ``ideal_arith.brute_force_phi`` counts them
+and ``kernel_size`` reads the kernel and the image of reduction off it.
+The module scans the full group for small N and measures, exhaustively,
+the facts the torsion bound rests on: the homotheties are present,
+reduction kernels have size p^(2B), and point stabilizers divide
+p - 1 / 1 / p according to the splitting of p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .quad_core import Discriminant, Splitting, as_discriminant, splitting_type
 CN_CAP = 200
 
 
-@dataclass(frozen=True)
-class GaloisImageReport:
+class GaloisImageReport(NamedTuple):
     """Observed maximal point-stabilizer order and the divisor it must obey."""
 
     split_type: Splitting
@@ -91,8 +91,10 @@ def _capped_power(p: int, e: int, what: str) -> int:
 def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
     """Size of the kernel of reduction from level p^(A+B) to level p^A.
 
-    Also asserts, by counting distinct images, that the reduction map is
-    surjective onto the level-p^A group.
+    Read off the level-p^(A+B) unit mask: the kernel is the units with
+    x = 1 and y = 0 mod p^A.  Also asserts, by counting the residue pairs
+    mod p^A hit by a unit, that the reduction map is surjective onto the
+    level-p^A group.
     """
     disc = as_discriminant(d)
     if not is_prime(p):
@@ -101,14 +103,15 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
         raise ValueError("need A >= 1 and B >= 1")
     big = _capped_power(p, A + B, "p**(A+B)")
     small = p**A
-    xs, ys = cn_elements(disc, big).T
-    in_kernel = (xs % small == 1) & (ys % small == 0)
-    images = np.unique(xs % small * small + ys % small)
-    if len(images) != len(cn_elements(disc, small)):
+    mask = _unit_mask(disc.value, big)
+    # the unit pair (x, y) = (i small + r, j small + s) reduces to (r, s)
+    m = big // small
+    images = mask.reshape(m, small, m, small).any(axis=(0, 2))
+    if images.sum() != _unit_mask(disc.value, small).sum():
         raise ArithmeticError(
             f"reduction mod {small} of the level-{big} group is not surjective"
         )
-    return int(in_kernel.sum())
+    return int(mask[1::small, ::small].sum())
 
 
 def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageReport:

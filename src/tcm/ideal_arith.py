@@ -16,7 +16,7 @@ is its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ def _factor_key(entry: "tuple[PrimeIdeal, int]") -> tuple[int, int]:
     return (entry[0].p, entry[0].conjugate_index)
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime of the maximal order, keyed by the rational prime below it.
 
     conjugate_index distinguishes the two conjugate primes above a split
@@ -53,8 +52,7 @@ class PrimeIdeal:
     norm: int
 
 
-@dataclass(frozen=True)
-class FactoredIdeal:
+class FactoredIdeal(NamedTuple):
     """A nonzero integral ideal as sorted (prime ideal, exponent) pairs."""
 
     disc: Discriminant

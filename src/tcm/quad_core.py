@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +26,25 @@ class Splitting(enum.Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class _DiscriminantFields(NamedTuple):
+    value: int
+    is_fundamental: bool
+
+
+class Discriminant(_DiscriminantFields):
     """A negative integer congruent to 0 or 1 mod 4.
 
-    Validated once, on construction, which also derives is_fundamental.
+    Validated once, on construction from the value alone, which also
+    derives is_fundamental.
     """
 
-    value: int
-    is_fundamental: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "is_fundamental", is_fundamental(self.value))
+    def __new__(cls, value: int):
+        return super().__new__(cls, value, is_fundamental(value))
+
+    def __getnewargs__(self) -> tuple[int]:
+        return (self.value,)
 
     def __int__(self) -> int:
         return self.value
@@ -187,12 +195,16 @@ def class_number(d: int | Discriminant) -> int:
     """h(d) as the count of reduced primitive forms of discriminant d.
 
     Counted without building the forms: (a, b, c) counts once when
-    b = 0, a = b or a = c, and twice (for (a, +-b, c)) otherwise.
+    b = 0, a = b or a = c, and twice (for (a, +-b, c)) otherwise.  The
+    count is memoized on the value of d (``_form_count``), so callers that
+    revisit a few fields row after row count each field's forms once.
     """
-    return sum(
-        1 if b == 0 or a == b or a == c else 2
-        for a, b, c in _reduced_triples(as_discriminant(d).value)
-    )
+    return _form_count(as_discriminant(d).value)
+
+
+@lru_cache(maxsize=1024)
+def _form_count(value: int) -> int:
+    return sum(1 if b == 0 or a == b or a == c else 2 for a, b, c in _reduced_triples(value))
 
 
 def class_number_dirichlet(d: int | Discriminant) -> int:

@@ -7,15 +7,14 @@ chooses to format them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ideal_arith import FactoredIdeal, phi_K
 from .quad_core import Discriminant, class_number, require_fundamental, unit_count
 
 
-@dataclass(frozen=True)
-class DegreeBounds:
+class DegreeBounds(NamedTuple):
     """Two-sided bounds on the degree of a ray class field over K.
 
     lower_weak is the uniform /6 variant that is independent of which

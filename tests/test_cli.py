@@ -139,6 +139,15 @@ def test_bound_preflight_passes_small_requests(runner, monkeypatch):
     assert runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "2000"]).exit_code == 0
 
 
+def test_bound_builds_the_sweep_region_once(runner):
+    # the pre-flight, the meta and bound_records share one memoized region
+    sweep_region.cache_clear()
+    assert runner.invoke(cli, ["bound", "--d-min", "3", "--d-max", "50"]).exit_code == 0
+    info = sweep_region.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize is not None
+
+
 @pytest.mark.parametrize(
     "args,fn",
     [

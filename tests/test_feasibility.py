@@ -15,7 +15,7 @@ from tcm.feasibility import (
     sweep_region,
 )
 from tcm.ideal_arith import phi_K_of_N, principal_ideal
-from tcm.quad_core import class_number
+from tcm.quad_core import class_number, fundamental_discriminants
 from tcm.ray_class_bounds import degree_bounds
 
 from conftest import oracle_bound_records, relaxed_feasible, sieve_phi, traced_peak
@@ -270,12 +270,13 @@ def test_chain_audit_matches_degree_bounds_route():
         lower_a = 2 * degree_bounds(disc, principal_ideal(disc, a)).lower_weak
         lower_ab = 2 * degree_bounds(disc, principal_ideal(disc, a * b)).lower_weak
         expected = [
-            (Fraction(2 * d), lower_a),
-            (Fraction(2 * b * d), lower_ab),
-            (Fraction(d), lower_ab / (2 * b)),
+            (2 * d, lower_a),
+            (2 * b * d, lower_ab),
+            (d, lower_ab / (2 * b)),
         ]
         steps = chain_audit(d, disc, a, b).steps
         assert [(s.lhs, s.rhs) for s in steps] == expected, (disc.value, a, b)
+        assert [type(s.lhs) for s in steps] == [int, int, int]
         assert [s.holds for s in steps] == [lhs >= rhs for lhs, rhs in expected]
 
 
@@ -295,3 +296,28 @@ def test_chain_audit_computes_class_number_once(monkeypatch):
     for d, disc, a, b in cases:
         chain_audit(d, disc, a, b)
     assert len(calls) == len(cases)
+
+
+def test_forms_are_counted_once_per_field(monkeypatch):
+    # class_number is memoized on the discriminant value: auditing every
+    # refined row and every degree sandwich counts each field's forms once
+    import tcm.quad_core as quad_core
+
+    counted = []
+    triples = quad_core._reduced_triples
+
+    def counting(value):
+        counted.append(value)
+        return triples(value)
+
+    monkeypatch.setattr(quad_core, "_reduced_triples", counting)
+    quad_core._form_count.cache_clear()
+    for row in refined_table(6, 100):
+        chain_audit(6, row.disc, row.a, row.b)
+    fields = fundamental_discriminants(100)
+    for D in fields:
+        for n in range(1, 101):
+            degree_bounds(D, principal_ideal(D, n))
+    assert len(fields) == 31
+    assert sorted(counted, reverse=True) == fields
+    assert quad_core._form_count.cache_info().maxsize is not None

@@ -1,4 +1,6 @@
 import ast
+import copy
+import enum
 import importlib
 import pkgutil
 import subprocess
@@ -101,3 +103,62 @@ def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
     result = CliRunner().invoke(tcm.cli.cli, BOUNDARY_COMMANDS[called])
     assert result.exit_code == 0, result.output
     assert calls == {name: int(name in (called, "emit")) for name in names}
+
+
+def test_import_cli_loads_no_dataclasses():
+    # records are NamedTuples: importing the CLI runs no dataclass code generation
+    probe = "import sys, tcm.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def _public_records() -> list:
+    """One instance of every public record class of the library."""
+    from tcm.analytics import landau_liminf_check, mertens_product, phi_bound_scan
+    from tcm.feasibility import bound_records, chain_audit, constant_over, refined_table, sweep_region
+    from tcm.galois_image import max_stabilizer_order
+    from tcm.ideal_arith import principal_ideal
+    from tcm.quad_core import as_discriminant
+    from tcm.ray_class_bounds import degree_bounds
+
+    record = bound_records(3, 3)[0]
+    audit = chain_audit(1, -4, 1, 1)
+    ideal = principal_ideal(-4, 5)
+    return [
+        as_discriminant(-4),
+        record,
+        record.best_shape,
+        constant_over([record]),
+        sweep_region(3),
+        refined_table(1, 4)[0],
+        audit,
+        audit.steps[0],
+        max_stabilizer_order(-4, 3, 0),
+        degree_bounds(-4, ideal),
+        ideal,
+        ideal.factors[0][0],
+        mertens_product(10),
+        phi_bound_scan(-4, 100),
+        landau_liminf_check(-4, 100),
+    ]
+
+
+def test_public_records_are_immutable():
+    records = _public_records()
+    public = set()
+    for info in pkgutil.iter_modules(tcm.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"tcm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if isinstance(obj, type) and not issubclass(obj, enum.Enum):
+                public.add(obj)
+    assert public == {type(rec) for rec in records}
+    for rec in records:
+        assert copy.copy(rec) == rec
+        fields = [name for klass in type(rec).__mro__ for name in vars(klass).get("__annotations__", {})]
+        assert fields, type(rec)
+        for name in [*fields, "unlisted"]:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name, None))

@@ -6,6 +6,7 @@ import pytest
 from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    _form_count,
     _reduced_triples,
     as_discriminant,
     character_table,
@@ -136,10 +137,16 @@ def test_reduced_forms_are_reduced_with_right_discriminant():
 
 
 def test_reduced_forms_match_a_first_scan():
+    # from an empty memo: the first call counts the forms, the second
+    # (keyed on the value, as an int or a Discriminant) reads the memo
+    _form_count.cache_clear()
     for d in order_discriminants(3000):
         expected = oracle_reduced_forms(d)
         assert reduced_forms(d) == expected, d
-        assert class_number(d) == len(expected), d
+        assert class_number(d) == len(expected) == class_number(as_discriminant(d)), d
+    info = _form_count.cache_info()
+    assert info.hits == info.misses == len(order_discriminants(3000))
+    assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 def test_character_table_matches_kronecker_per_residue():
