@@ -22,9 +22,9 @@ so a runs only while M(6d/a) >= a (M is nondecreasing in c, so the
 first failure ends the range; phi(n)^2 >= n/2 also gives a <= 12d), and
 each a scans n only up to min(n_max, M(6d/a)) with n_max = M(6 d_max).
 The region holds about 1.6 n_max pairs instead of n_max ln(12 d_max).
-One kernel, ``activations``, sweeps it over an int32 totient table:
-phi(n) <= n <= n_max(10^6) = 237,662,443 < 2^31, and each slice is cast
-to int64 before squaring.
+One kernel, ``activations``, sweeps it over the int32 blocks of the
+totient sieve, one block at a time: phi(n) <= n <= n_max(10^6) =
+237,662,443 < 2^31, and each slice is cast to int64 before squaring.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ideal_arith import phi_K_of_N
-from .primes import EULER_GAMMA, phi_sieve, phi_sieve_bytes
+from .primes import EULER_GAMMA, least_phi_sieve, sieve_block, sieve_block_bytes
 from .quad_core import (
     Discriminant,
     class_number,
@@ -48,9 +48,8 @@ from .quad_core import (
 
 _ENV_SCALE = math.exp(EULER_GAMMA)
 
-# multiples of a handled per kernel step, and an upper bound on the bytes
-# of int64 and bool temporaries one step holds per multiple
-_CHUNK = 1 << 16
+# an upper bound on the bytes of int64 and bool temporaries one kernel step
+# holds per multiple
 _CHUNK_BYTES_PER_PAIR = 128
 
 
@@ -170,14 +169,20 @@ class SweepRegion(NamedTuple):
         return sum(n // a for a, n in enumerate(self.n_hi, start=1))
 
     @property
+    def chunk(self) -> int:
+        """Multiples of a per kernel step: a 32nd of a sieve block, so one
+        step's temporaries take no more than the block's int32 table."""
+        return 4 * sieve_block(self.n_max) // _CHUNK_BYTES_PER_PAIR
+
+    @property
     def peak_bytes(self) -> int:
         """Upper estimate of the kernel's peak memory, by arithmetic only.
 
-        The larger of the sieve's peak and the int32 table plus one chunk
-        of temporaries, plus the int64 per-degree reduction array.
+        One block of the totient sieve plus one chunk of temporaries, plus
+        the int64 per-degree reduction array.
         """
-        sweep = 4 * (self.n_max + 1) + _CHUNK * _CHUNK_BYTES_PER_PAIR
-        return max(phi_sieve_bytes(self.n_max), sweep) + 16 * (self.d_max + 1)
+        sweep = sieve_block_bytes(self.n_max) + self.chunk * _CHUNK_BYTES_PER_PAIR
+        return sweep + 16 * (self.d_max + 1)
 
 
 @lru_cache(maxsize=8)
@@ -201,21 +206,30 @@ def activations(region: SweepRegion) -> Iterator[tuple[int, np.ndarray, np.ndarr
     """The feasibility kernel: yield (a, n, degree) for the region's pairs.
 
     degree[i] = ceil(a phi(n)^2 / (6 n)) is the least d at which (a, n[i])
-    is feasible; only pairs with degree <= d_max are yielded.  Pairs come
-    in increasing (a, n) order, at most _CHUNK at a time, so peak memory
-    is the int32 totient table plus one chunk of temporaries.
+    is feasible; only pairs with degree <= d_max are yielded.  The totient
+    comes in the blocks of ``least_phi_sieve``; inside a block, each a's
+    multiples come in increasing order, at most ``region.chunk`` at a time.
+    So the pairs are ordered by (block, a, n), and peak memory is one block
+    plus one chunk of temporaries.
     """
-    phi = phi_sieve(region.n_max)
-    for a, n_hi in enumerate(region.n_hi, start=1):
-        for lo in range(a, n_hi + 1, a * _CHUNK):
-            hi = min(n_hi, lo + a * (_CHUNK - 1))
-            n = np.arange(lo, hi + 1, a, dtype=np.int64)
-            f = phi[lo : hi + 1 : a].astype(np.int64)
-            six_n = 6 * n
-            # a f^2 <= n_hi * a M(6 d_max / a), about n_max^2 < 2^63
-            degree = (f * f * a + six_n - 1) // six_n
-            keep = degree <= region.d_max
-            yield a, n[keep], degree[keep]
+    chunk = region.chunk
+    for lo, phi in least_phi_sieve(region.n_max):
+        top = lo + len(phi) - 1
+        for a, n_hi in enumerate(region.n_hi, start=1):
+            if n_hi < lo or a > top:  # n_hi does not increase with a
+                break
+            last = min(n_hi, top)
+            for start in range(max(a, -(-lo // a) * a), last + 1, a * chunk):
+                stop = min(last, start + a * (chunk - 1))
+                n = np.arange(start, stop + 1, a, dtype=np.int64)
+                # a phi(n)^2 <= n_hi * a M(6 d_max / a), about n_max^2 < 2^63
+                lhs = phi[start - lo : stop - lo + 1 : a].astype(np.int64)
+                lhs *= lhs
+                lhs *= a
+                six_n = 6 * n
+                keep = lhs <= six_n * region.d_max
+                six_n = six_n[keep]
+                yield a, n[keep], (lhs[keep] + six_n - 1) // six_n
 
 
 def bound_records(d_min: int, d_max: int) -> list[BoundRecord]:
@@ -263,7 +277,7 @@ def relaxed_pairs(d: int) -> list[tuple[int, int]]:
     """Every (a, b) with phi(ab)^2 <= 6 b d, sorted, via the proven cutoffs."""
     if d < 1:
         raise ValueError("need d >= 1")
-    return [(a, n // a) for a, ns, _ in activations(sweep_region(d)) for n in ns.tolist()]
+    return sorted((a, n // a) for a, ns, _ in activations(sweep_region(d)) for n in ns.tolist())
 
 
 def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .galois_image import _unit_mask
-from .primes import cached_primes, factorize, least_phi_sieve, phi_sieve_bytes
+from .primes import cached_primes, factorize, least_phi_table, phi_sieve_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
@@ -199,13 +199,13 @@ def norm_sieve_bytes(d: int | Discriminant, x: int) -> int:
 def norm_sieve(d: int | Discriminant, x: int) -> np.ndarray:
     """Minimum of phi_K over the ideals of norm n, for n = 0 .. x (int32).
 
-    ``least_phi_sieve`` with the character table of d; an entry is 0 when
-    no ideal has norm n (and at n = 0).
+    The blocks of ``least_phi_sieve`` for the character table of d; an
+    entry is 0 when no ideal has norm n (and at n = 0).
     """
     disc = require_fundamental(d)
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    return least_phi_sieve(x, character_table(disc))
+    return least_phi_table(x, character_table(disc))
 
 
 def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:

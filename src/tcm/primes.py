@@ -2,16 +2,21 @@
 
 Everything here is exact integer arithmetic.  The prime sieve is a
 numpy bool table.  ``least_phi_sieve`` is the one multiplicative sieve
-built on its primes: the least phi_K over the ideals of each norm, as a
-numpy int32 table, for the character table of any imaginary quadratic
-field K.  The totient table ``phi_sieve`` is its case with every prime
-ramified, and ``ideal_arith.norm_sieve`` its case for a given field.
-The ``*_bytes`` functions estimate peak memory by arithmetic alone, so
-a caller can refuse a request before allocating anything.
+built on its primes: the least phi_K over the ideals of each norm, for
+the character table of any imaginary quadratic field K, yielded as
+consecutive numpy int32 blocks whose size grows with the square root of
+the limit.  Only the primes up to that root are sieved, so no array
+spans the whole range.  ``feasibility.activations`` reads the totient
+blocks (every prime ramified) one at a time; ``least_phi_table`` copies
+the blocks into one table for the totient table ``phi_sieve`` and for
+``ideal_arith.norm_sieve``.  The ``*_bytes`` functions estimate peak
+memory by arithmetic alone, so a caller can refuse a request before
+allocating anything.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import isqrt, log
 
@@ -126,91 +131,161 @@ def prime_list_bytes(x: int) -> int:
     return 2 * (x + 1) + _PRIME_LIST_BYTES * prime_count_bound(x)
 
 
+def sieve_block(limit: int) -> int:
+    """Entries per block of ``least_phi_sieve``: the power of two at or
+    above 128 isqrt(limit), and at least 2^16.
+
+    Every block makes one slice per prime power of the primes <= isqrt(limit),
+    about 2 pi(isqrt(limit)) slices, so scaling the block with the root keeps
+    their fixed cost small next to the block's element work.  At
+    n_max(3000) = 610,511 a block is 2^17 entries, at n_max(10^6) =
+    237,662,443 it is 2^21.
+    """
+    return 1 << max(16, (128 * isqrt(limit) - 1).bit_length())
+
+
+def sieve_block_bytes(limit: int) -> int:
+    """Upper estimate of ``least_phi_sieve``'s peak memory, character table aside.
+
+    One block's arrays (the int32 table, smooth part and quotient, and for
+    a character with inert primes the int8 odd-power count, two bool masks
+    and numpy's index buffer: 16 B per entry), the table of the block
+    before it, which its consumer holds until the next one is made (4 B
+    per entry), the plan of prime powers at 256 B a step, and 64 KiB for
+    array headers.  A prime p <= isqrt(limit) has two powers <= limit if
+    p^3 > limit, and at most log2(limit) otherwise.
+    """
+    block = min(sieve_block(limit), limit + 1)
+    cube = round(limit ** (1 / 3)) + 1
+    steps = 2 * prime_count_bound(isqrt(limit)) + limit.bit_length() * prime_count_bound(cube)
+    return 20 * block + 256 * steps + (1 << 16)
+
+
 def phi_sieve_bytes(limit: int) -> int:
-    """Upper estimate of least_phi_sieve's peak memory, character table aside.
+    """Upper estimate of ``least_phi_table``'s peak memory, character table aside.
 
-    So also of phi_sieve.  The int32 table (4 B per entry), the int64
-    array of the primes (8 B per prime), the large-prime step's int32
-    gains and its two buffers (16 B per prime) and 64 KiB for array
-    headers.  The slice updates work in place, and the prime sieve's two
-    bool tables (2 B per entry) are freed before the table is allocated.
+    So also of phi_sieve and the norm sieve: the full int32 table (4 B per
+    entry) that the blocks are copied into, plus one block.
     """
-    return 4 * (limit + 1) + 24 * prime_count_bound(limit) + (1 << 16)
+    return 4 * (limit + 1) + sieve_block_bytes(limit)
 
 
-def least_phi_sieve(limit: int, chi: np.ndarray) -> np.ndarray:
-    """Least phi_K over the ideals of norm n, for n = 0 .. limit, as int32.
+def _sieve_plan(limit: int, chi: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(p^k, p, gain, parity) for every power p^k <= limit of a prime
+    p <= isqrt(limit), by increasing p^k.
 
-    chi is the character table of K, chi(p) = chi[p % len(chi)], of any
-    period.  An entry is 0 when no ideal has norm n (and at n = 0).  The
-    least phi_K is multiplicative in n, with local factors: split p -> p - 1,
-    split p^e (e >= 2) -> p^(e-2)(p-1)^2 (both conjugates present), inert
-    p^(2k) -> p^(2k-2)(p^2-1), inert odd powers -> 0, ramified p^e ->
-    p^(e-1)(p-1).  With every prime ramified (chi = [0]) that is phi(n).
-    Each factor is at most p^e, so every entry is at most n.
-
-    A prime p <= r = isqrt(limit) takes one in-place slice update per power
-    p^k <= limit, by a gain whose running product over k is the local
-    factor; for an inert p and odd k the entries with p^k || n are then
-    zeroed in place through a (-1, p) view of the same slice.  Any other
-    entry is n = j q for one prime q > r (q^2 > limit) and a cofactor
-    j <= limit // (r + 1) <= r < q.  So q does not divide j and every
-    prime factor of j is at most r: after the slices table[j] is final and
-    table[j q] = table[j] gain(q), with gain q - 1, or 0 for an inert q.
-    For each cofactor j that value is written to every prime q in
-    (r, limit / j] in one scatter.  The gains and the scatter's two
-    buffers, int64 indices j q and int32 values, are allocated once, not
-    per j, so the step leaves no fragmented heap to raise the peak RSS of
-    the work that follows.  int32 holds every entry
-    while limit < 2^31, which covers n_max(10^6) = 237,662,443; callers
-    cast to int64 before squaring.
+    The running product of the gains over k is the local factor of p^k.
+    For an inert p, parity is 1 at odd k and -1 at even k, so that its
+    running sum over the powers dividing n is 1 exactly when p^k || n for
+    an odd k; for other primes it is 0.
     """
-    if limit >= 2**31:
-        raise ValueError(f"sieve limit {limit} does not fit int32")
     period = len(chi)
-    primes = prime_array(limit)
-    table = np.ones(limit + 1, dtype=np.int32)
-    table[0] = 0
-    root = isqrt(limit)
-    small = int(np.searchsorted(primes, root, side="right"))
-    for p in map(int, primes[:small]):
+    steps = []
+    for p in map(int, prime_array(isqrt(limit))):
         kind = int(chi[p % period])
         gains = {1: (p - 1, p - 1), 0: (p - 1,), -1: (1, p * p - 1)}[kind]
         power, k = p, 1
         while power <= limit:
-            multiples = table[power::power]
             gain = gains[k - 1] if k <= len(gains) else p
-            if gain != 1:
-                multiples *= gain
-            if kind == -1 and k % 2:
-                # zero the entries with p^k || n: all columns of the (-1, p)
-                # view but the last, which holds the multiples of p^(k+1)
-                full = len(multiples) - len(multiples) % p
-                multiples[:full].reshape(-1, p)[:, :-1] = 0
-                multiples[full:] = 0
+            steps.append((power, p, gain, (-1) ** (k + 1) if kind == -1 else 0))
             power *= p
             k += 1
-    large = primes[small:]
-    # the index buffer holds q - 1 and then q % period first, so that no
-    # int64 temporary raises the peak
-    index = np.empty_like(large)
-    np.subtract(large, 1, out=index)
-    large_gain = index.astype(np.int32)
-    np.remainder(large, period, out=index)
-    large_gain[chi[index] < 0] = 0
-    value = np.empty_like(large_gain)
-    for j in range(1, limit // (root + 1) + 1):
-        count = int(np.searchsorted(large, limit // j, side="right"))
-        np.multiply(large[:count], j, out=index[:count])
-        np.multiply(large_gain[:count], table[j], out=value[:count])
-        table[index[:count]] = value[:count]
+    steps.sort()
+    return steps
+
+
+def _sieve_block(lo: int, hi: int, steps: list, noninert: np.ndarray | None) -> np.ndarray:
+    """The least phi_K for n = lo .. hi - 1, by the steps of ``_sieve_plan``.
+
+    noninert[r] says chi(r) >= 0, over one period of chi; None when no
+    prime is inert.
+    """
+    table = np.ones(hi - lo, dtype=np.int32)
+    smooth = np.ones(hi - lo, dtype=np.int32)
+    # the number of inert primes p <= isqrt(limit) with an odd power p^k || n
+    odd = None if noninert is None else np.zeros(hi - lo, dtype=np.int8)
+    for power, p, gain, parity in steps:
+        if power >= hi:
+            break
+        # the multiples of p^k in the block, n = 0 aside
+        first = max(-(-lo // power), 1) * power - lo
+        if first >= len(table):
+            continue
+        if gain != 1:
+            multiples = table[first::power]
+            multiples *= gain
+        part = smooth[first::power]
+        part *= p
+        if parity:
+            marks = odd[first::power]
+            marks += parity
+    # n = smooth * q with q = 1 or one prime q > isqrt(limit)
+    q = np.arange(lo, hi, dtype=np.int32)
+    np.floor_divide(q, smooth, out=q)
+    if odd is not None:
+        keep = noninert[np.remainder(q, len(noninert), out=smooth)]
+        keep &= odd == 0
+    np.subtract(q, 1, out=q)
+    np.maximum(q, 1, out=q)  # the gain q - 1, and 1 where q = 1 (and at n = 0)
+    if odd is not None:
+        np.multiply(q, keep, out=q)  # 0 for an inert q or an odd inert power
+    table *= q
+    if lo == 0:
+        table[0] = 0
+    return table
+
+
+def _sieve_blocks(limit: int, chi: np.ndarray, block: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``least_phi_sieve`` in blocks of the given number of entries."""
+    steps = _sieve_plan(limit, chi)
+    noninert = chi >= 0 if chi.min() < 0 else None
+    for lo in range(0, limit + 1, block):
+        yield lo, _sieve_block(lo, min(limit + 1, lo + block), steps, noninert)
+
+
+def least_phi_sieve(limit: int, chi: np.ndarray = _ALL_RAMIFIED) -> Iterator[tuple[int, np.ndarray]]:
+    """Least phi_K over the ideals of norm n, for n = 0 .. limit, in blocks.
+
+    Yields (lo, block) with block[i] the value at n = lo + i, as int32, for
+    consecutive blocks of ``sieve_block(limit)`` entries.  chi is the
+    character table of K, chi(p) = chi[p % len(chi)], of any period.  An
+    entry is 0 when no ideal has norm n (and at n = 0).  The least phi_K is
+    multiplicative in n, with local factors: split p -> p - 1, split p^e
+    (e >= 2) -> p^(e-2)(p-1)^2 (both conjugates present), inert p^(2k) ->
+    p^(2k-2)(p^2-1), inert odd powers -> 0, ramified p^e -> p^(e-1)(p-1).
+    With every prime ramified (the default chi = [0]) that is phi(n).  Each
+    factor is at most p^e, so every entry is at most n.
+
+    Only the primes p <= r = isqrt(limit) are sieved.  In each block every
+    power p^k <= limit makes one in-place slice over its multiples, which
+    multiplies the table by a gain whose running product over k is the
+    local factor, and a smooth-part array by p; for an inert p it also
+    adds 1 at odd k and -1 at even k to an int8 count, which ends nonzero
+    exactly where some inert p has an odd exponent.  After the slices an
+    entry has at most one prime factor q > r left (q^2 > limit), and it is
+    n // smooth; its gain is q - 1, or 0 for an inert q, and the entries
+    with a nonzero count are 0.  int32 holds every entry while
+    limit < 2^31, which covers n_max(10^6) = 237,662,443; callers cast to
+    int64 before squaring.
+    """
+    if limit >= 2**31:
+        raise ValueError(f"sieve limit {limit} does not fit int32")
+    return _sieve_blocks(limit, chi, sieve_block(limit))
+
+
+def least_phi_table(limit: int, chi: np.ndarray) -> np.ndarray:
+    """The blocks of ``least_phi_sieve`` copied into one int32 table."""
+    blocks = least_phi_sieve(limit, chi)  # checks the limit before the table exists
+    table = np.empty(limit + 1, dtype=np.int32)
+    for lo, block in blocks:
+        table[lo : lo + len(block)] = block
     return table
 
 
 def phi_sieve(limit: int) -> np.ndarray:
     """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
 
-    ``least_phi_sieve`` with every prime ramified: the ramified local
+    ``least_phi_table`` with every prime ramified: the ramified local
     factor p^(e-1)(p-1) is phi(p^e).
     """
-    return least_phi_sieve(limit, _ALL_RAMIFIED)
+    return least_phi_table(limit, _ALL_RAMIFIED)

@@ -57,12 +57,15 @@ def _check_discriminant_shape(value: int) -> None:
         raise ValueError(f"discriminant must be 0 or 1 mod 4, got {value}")
 
 
+@lru_cache(maxsize=1024)
 def is_fundamental(value: int) -> bool:
     """Whether value is the discriminant of a maximal order.
 
     Raises ValueError if value is not a valid discriminant at all
     (nonnegative, or not 0/1 mod 4); returns False for valid
-    non-maximal order discriminants such as -12.
+    non-maximal order discriminants such as -12.  Memoized on the value,
+    since every public function that takes an int discriminant validates
+    it again, and the test factors |value|.
     """
     _check_discriminant_shape(value)
     if value % 4 == 1:

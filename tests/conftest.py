@@ -32,7 +32,7 @@ def slice_phi_sieve(limit: int):
 
     phi[p::p] -= phi[p::p] // p for every prime p <= limit / 2, and p - 1
     at the primes above limit / 2 (they have no other multiple in the
-    table).  No cofactor step, so it checks phi_sieve's large-prime step.
+    table).  No smooth part, so it checks phi_sieve's large-prime step.
     """
     import numpy as np
 
@@ -46,6 +46,45 @@ def slice_phi_sieve(limit: int):
         multiples = phi[p::p]
         multiples -= multiples // p
     return phi
+
+
+# run argv from a small interpreter and print its exit code and peak RSS
+_SPAWN = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_peak_rss(argv: list[str]) -> int:
+    """Peak RSS in bytes of one run of argv, from os.wait4 on that child.
+
+    The child is started by a small interpreter, not by the test process:
+    Linux copies the peak RSS of the process that spawns a child into the
+    child's own peak at exec, so a child of pytest would report at least
+    pytest's peak.
+    """
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-c", _SPAWN, *argv], capture_output=True, text=True, check=True)
+    code, kib = map(int, out.stdout.split())
+    assert code == 0, argv
+    return kib * 1024
+
+
+def joined_blocks(limit: int, chi, block: int):
+    """The blocks of the sieve generator at the given block size, checked to
+    be consecutive int32 blocks, in one array."""
+    import numpy as np
+
+    from tcm.primes import _sieve_blocks
+
+    starts, blocks = zip(*_sieve_blocks(limit, chi, block))
+    assert list(starts) == list(range(0, limit + 1, block))
+    assert all(b.dtype == np.int32 for b in blocks)
+    return np.concatenate(blocks)
 
 
 def traced_peak(fn, *args) -> int:

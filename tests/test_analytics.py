@@ -66,6 +66,14 @@ def test_char_product_printed_digits_match_decimal_oracle():
     assert f"{char_euler_product(-24, 436).value:.12g}" == f"{oracle:.12g}"
 
 
+# each exact value lies within 10^-16 of a 12-digit rounding boundary, on
+# the side a float log sum misses; (-47, 277) is 0.43001578824150000420...
+@pytest.mark.parametrize("d, x", [(-8, 1847), (-43, 3803), (-47, 277), (-47, 6199)])
+def test_char_product_digits_next_to_a_rounding_boundary(d, x):
+    oracle = decimal_product(lambda p: kronecker(d, p), x)
+    assert f"{char_euler_product(d, x).value:.12g}" == f"{oracle:.12g}"
+
+
 def test_char_product_examples():
     assert char_euler_product(-4, 2).value == 1.0
     est = char_euler_product(-4, 5)

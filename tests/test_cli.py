@@ -18,7 +18,7 @@ from tcm.cli import (
 )
 from tcm.feasibility import bound_records, sweep_region
 
-from conftest import ideal_count_oracle
+from conftest import child_peak_rss, ideal_count_oracle
 
 
 @pytest.fixture
@@ -108,6 +108,13 @@ def test_bound_stdout_is_deterministic():
     args = [sys.executable, "-m", "tcm", "bound", "--d-min", "3", "--d-max", "100", "--format", "json"]
     first, second = (subprocess.run(args, capture_output=True, check=True) for _ in range(2))
     assert first.stdout == second.stdout
+
+
+def test_bound_single_degree_peak_rss_is_set_by_the_block():
+    # the whole int32 totient table of n_max(10^5) = 22,561,035 would be
+    # 86 MiB alone; the sieve holds one block of 2^20 entries at a time
+    argv = [sys.executable, "-m", "tcm", "bound", "--d-min", "100000", "--d-max", "100000", "--format", "csv"]
+    assert child_peak_rss(argv) < 100 * 2**20
 
 
 def test_cli_import_loads_no_process_pool():
@@ -329,6 +336,7 @@ def test_disc_is_factored_once(runner, monkeypatch, args, times):
 
     for module in (tcm.primes, tcm.quad_core, tcm.ideal_arith):
         monkeypatch.setattr(module, "factorize", counting)
+    tcm.quad_core.is_fundamental.cache_clear()  # an earlier test may have validated -23
     result = runner.invoke(cli, args)
     assert result.exit_code == 0
     assert factored.count(23) == times

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tcm import feasibility, primes
 from tcm.feasibility import (
     TorsionShape,
     bound_records,
@@ -163,8 +165,30 @@ def test_relaxed_pairs_match_brute_force_over_old_region():
         assert relaxed_pairs(d) == expected, d
 
 
+def brute_relaxed_pairs(d: int) -> list[tuple[int, int]]:
+    """Every (a, b) with a <= 12 d, ab <= n_max(d) and phi(ab)^2 <= 6 b d, sorted."""
+    n_max = feasible_product_cutoff(d)
+    phi = np.array(sieve_phi(n_max), dtype=np.int64)
+    pairs = []
+    for a in range(1, 12 * d + 1):
+        n = np.arange(a, n_max + 1, a)
+        pairs += [(a, m // a) for m in n[phi[n] ** 2 * a <= 6 * n * d].tolist()]
+    return pairs
+
+
+def test_relaxed_pairs_sorted_across_blocks(monkeypatch):
+    # n_max(400) = 75,522 spans two blocks of 2^16 entries
+    assert relaxed_pairs(400) == brute_relaxed_pairs(400)
+    # n_max(60) = 10,373 spans eleven blocks of 1,000 entries
+    blocks = lambda limit: primes._sieve_blocks(limit, np.zeros(1, dtype=np.int8), 1000)
+    monkeypatch.setattr(feasibility, "least_phi_sieve", blocks)
+    for d in (7, 33, 60):
+        assert relaxed_pairs(d) == brute_relaxed_pairs(d), d
+
+
 def test_region_peak_bytes_bounds_measured_peak():
-    for d in (1, 50, 2000):
+    # 2000, 10^4 and 3 * 10^4 span four, eight and thirteen sieve blocks
+    for d in (1, 50, 2000, 10**4, 3 * 10**4):
         assert traced_peak(bound_records, 1, d) <= sweep_region(d).peak_bytes, d
 
 

@@ -16,10 +16,11 @@ from tcm.ideal_arith import (
     phi_K_of_N,
     principal_ideal,
 )
-from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
+from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker
 
 from conftest import (
     ideal_count_oracle,
+    joined_blocks,
     naive_phi,
     oracle_min_phi,
     oracle_unit_pairs,
@@ -253,8 +254,20 @@ def test_norm_sieve_inert_prime_power_cutoffs(d, p):
 
 
 @pytest.mark.parametrize("d", [-3, -4, -7])
+def test_norm_sieve_blocks_at_block_edges(d):
+    # 2 is inert for -3, 3 for -4 and -7, and 5 for -7 too: their zeroed odd
+    # powers straddle the edges of blocks of 45 and 64 entries
+    chi = character_table(d)
+    best = oracle_min_phi(d, 7 * 64 + 1)
+    for block in (45, 64):
+        for x in [k * block + s for k in (1, 2, 7) for s in (-1, 0, 1)]:
+            assert joined_blocks(x, chi, block).tolist() == _expected_min_phi(best, x), (d, block, x)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7])
 def test_norm_sieve_last_cofactor_cutoffs(d):
-    # r(r + 1) - 1, r(r + 1), r(r + 1) + 1: the last cofactor steps
+    # r(r + 1) - 1, r(r + 1), r(r + 1) + 1: the largest smooth part below a
+    # prime above the root, x // (isqrt(x) + 1), steps
     cutoffs = [r * (r + 1) + s for r in (2, 5, 12, 30) for s in (-1, 0, 1)]
     best = oracle_min_phi(d, max(cutoffs))
     for x in cutoffs:
@@ -264,7 +277,7 @@ def test_norm_sieve_last_cofactor_cutoffs(d):
 @pytest.mark.parametrize("d,x", [(-67, 1000), (-248, 500), (-516, 600)])
 def test_norm_sieve_ramified_prime_above_root(d, x):
     # 67, 31 (-248 = -8 * 31) and 43 (-516 = -4 * 3 * 43) ramify and lie
-    # above isqrt(x): the cofactor scatter reads chi = 0 and writes q - 1
+    # above isqrt(x): the quotient n // smooth reads chi = 0 and gains q - 1
     assert norm_sieve(d, x).tolist() == _expected_min_phi(oracle_min_phi(d, x), x)
 
 

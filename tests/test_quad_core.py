@@ -271,5 +271,8 @@ def test_as_discriminant_factors_once(monkeypatch):
     calls = []
     real = quad_core.squarefree
     monkeypatch.setattr(quad_core, "squarefree", lambda n: calls.append(n) or real(n))
+    quad_core.is_fundamental.cache_clear()  # an earlier test may have validated -4
     as_discriminant(-4)
+    assert calls == [1]
+    as_discriminant(-4)  # the fundamentality test is memoized on the value
     assert calls == [1]
