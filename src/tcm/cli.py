@@ -2,15 +2,16 @@
 
 The only module that performs I/O.  Data rows go to stdout in one of
 three formats (table, json, csv); progress and warnings go to stderr so
-the data stream stays machine-clean.  Exit codes: 0 success, 2 usage
-error or a request over the memory budget, 3 serialization failure.
+the data stream stays machine-clean.  Rows are written as they are
+formatted.  Exit codes: 0 success, 2 usage error or a request over the
+memory budget, 3 serialization failure (stdout then holds what was
+written before it).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -37,9 +38,10 @@ from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K, pr
 from .primes import prime_list_bytes
 from .quad_core import as_discriminant
 
-# upper bound on the bytes one bound row holds: its BoundRecord, its row
-# dict and its share of the serialized text
-BOUND_ROW_BYTES = 2048
+# degrees per step of BoundRows, and an upper bound on the bytes of one
+# step's five lists of Python ints and floats
+ROW_STEP = 1024
+ROW_STEP_BYTES = 5 * 48 * ROW_STEP
 
 # the largest |--disc| and --n that phi and galois factor: trial division
 # is O(sqrt(n)), 0.035 s at the prime 10^12 + 39 on a 2-core Xeon VM
@@ -79,56 +81,92 @@ def preflight(what: str, estimate: int) -> None:
 
 # ---------------------------------------------------------------- envelope
 
+# a flat row as json.dumps(indent=2) lays it out inside the envelope, less
+# its braces: the C encoder with the indented item separator
+_encode_row = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
-def make_envelope(command: str, params: dict, rows: list[dict], **meta_extra) -> dict:
+
+def make_envelope(command: str, params: dict, rows, **meta_extra) -> dict:
+    """The output document; rows is an iterable of flat dicts, which a
+    table iterates twice."""
     meta = {"version": __version__}
     meta.update(meta_extra)
     return {"command": command, "params": params, "rows": rows, "meta": meta}
 
 
-def serialize_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2)
+def serialize_json(envelope: dict, out) -> None:
+    """Write json.dumps(envelope, indent=2) and a newline, row by row.
+
+    Each row must be flat, every value a JSON scalar.
+    """
+    # the keys before and after "rows" at the envelope's own indent: head
+    # less its closing "\n}", tail less its opening "{"
+    head = json.dumps({"command": envelope["command"], "params": envelope["params"]}, indent=2)
+    tail = json.dumps({"meta": envelope["meta"]}, indent=2)
+    out.write(head[:-2] + ',\n  "rows": [')
+    comma = ""
+    for row in envelope["rows"]:
+        out.write(comma + "\n    {\n      " + _encode_row(row)[1:-1] + "\n    }")
+        comma = ","
+    out.write(("\n  ]," if comma else "],") + tail[1:] + "\n")
 
 
-def serialize_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    if not rows:
-        return ""
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(rows[0].keys())
-    writer.writerow(header)
+def serialize_csv(rows, out) -> None:
+    """Write the rows as CSV, a header from the first row's keys, None as ""."""
+    writer = csv.writer(out, lineterminator="\n")
+    header = None
     for row in rows:
+        if header is None:
+            header = list(row)
+            writer.writerow(header)
         writer.writerow(["" if row[k] is None else row[k] for k in header])
-    return buf.getvalue().rstrip("\n")
+    if header is None:
+        out.write("\n")
 
 
-def serialize_table(rows: list[dict]) -> str:
-    if not rows:
-        return "(no rows)"
-    header = list(rows[0].keys())
-    cells = [[("-" if row[k] is None else str(row[k])) for k in header] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
-    return "\n".join(lines)
+def _cells(row: dict, header: list) -> list[str]:
+    return ["-" if row[k] is None else str(row[k]) for k in header]
+
+
+def serialize_table(rows, out) -> None:
+    """Write the rows as aligned columns, None as "-".
+
+    One pass over the rows takes the column widths, a second writes them,
+    so rows must be iterable twice.
+    """
+    header = widths = None
+    for row in rows:
+        if header is None:
+            header = list(row)
+            widths = [len(h) for h in header]
+        widths = list(map(max, widths, map(len, _cells(row, header))))
+    if header is None:
+        out.write("(no rows)\n")
+        return
+    out.write("  ".join(map(str.ljust, header, widths)) + "\n")
+    out.write("  ".join("-" * w for w in widths) + "\n")
+    for row in rows:
+        out.write("  ".join(map(str.ljust, _cells(row, header), widths)) + "\n")
 
 
 def emit(envelope: dict, fmt: str) -> None:
-    """Write the envelope to stdout in the chosen format; exit 3 on failure."""
+    """Write the envelope to stdout in the chosen format; exit 3 on failure.
+
+    Rows are written as they are formatted, so a failure after the first
+    row leaves a prefix of the output on stdout.
+    """
     try:
         if fmt == "json":
-            text = serialize_json(envelope)
+            serialize_json(envelope, sys.stdout)
         elif fmt == "csv":
-            text = serialize_csv(envelope["rows"])
+            serialize_csv(envelope["rows"], sys.stdout)
         else:
-            text = serialize_table(envelope["rows"])
+            serialize_table(envelope["rows"], sys.stdout)
+    except OSError:  # a failed write to stdout, such as a closed pipe, is click's to report
+        raise
     except Exception as exc:  # pragma: no cover - exercised via injection in tests
         print(f"serialization failed: {exc}", file=sys.stderr)
         sys.exit(3)
-    click.echo(text)
 
 
 _format_option = click.option(
@@ -190,14 +228,12 @@ def bound(d_min, d_max):
     if not 1 <= d_min <= d_max <= 10**6:
         raise click.UsageError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
     region = sweep_region(d_max)
-    preflight(
-        f"bound up to d = {d_max} (n_max = {region.n_max})",
-        region.peak_bytes + BOUND_ROW_BYTES * (d_max - d_min + 1),
-    )
-    records = bound_records(d_min, d_max)
+    estimate = region.bound_bytes(d_min) + ROW_STEP_BYTES
+    preflight(f"bound up to d = {d_max} (n_max = {region.n_max})", estimate)
+    columns = bound_records(d_min, d_max)
     constant = None
     if d_max >= 3:
-        est = constant_over(records)
+        est = constant_over(columns)
         constant = {"value": _round12(est.value), "argmax_d": est.argmax_d}
         print(
             f"running constant over d in [{max(d_min, 3)}, {d_max}]: "
@@ -205,17 +241,21 @@ def bound(d_min, d_max):
             file=sys.stderr,
         )
     meta = {"n_max": region.n_max, "a_max": region.a_max, "pairs_scanned": region.pairs_scanned}
-    return [bound_record_row(rec) for rec in records], {"constant": constant, **meta}
+    return BoundRows(columns), {"constant": constant, **meta}
 
 
-def bound_record_row(rec) -> dict:
-    return {
-        "d": rec.d,
-        "a": rec.best_shape.a,
-        "b": rec.best_shape.b,
-        "bound": rec.bound,
-        "ratio": None if rec.ratio is None else _round12(rec.ratio),
-    }
+class BoundRows:
+    """The rows of ``tcm bound``, formatted from the columns on each pass,
+    ROW_STEP degrees of Python values at a time."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __iter__(self):
+        for lo in range(0, len(self.columns.d), ROW_STEP):
+            step = [column[lo : lo + ROW_STEP].tolist() for column in self.columns]
+            for d, a, b, size, ratio in zip(*step):
+                yield {"d": d, "a": a, "b": b, "bound": size, "ratio": None if d < 3 else _round12(ratio)}
 
 
 @data_command(cli, "phi")

@@ -33,16 +33,18 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .ideal_arith import phi_K_of_N
-from .primes import EULER_GAMMA, least_phi_sieve, sieve_block, sieve_block_bytes
+from .ideal_arith import _phi_K_local, phi_K_of_N
+from .primes import EULER_GAMMA, factorize, least_phi_sieve, sieve_block, sieve_block_bytes
 from .quad_core import (
     Discriminant,
     class_number,
     fundamental_discriminants,
+    kronecker,
     require_fundamental,
 )
 
@@ -52,24 +54,23 @@ _ENV_SCALE = math.exp(EULER_GAMMA)
 # holds per multiple
 _CHUNK_BYTES_PER_PAIR = 128
 
-
-class TorsionShape(NamedTuple):
-    """Group structure Z/a x Z/ab; its size is a^2 b."""
-
-    a: int
-    b: int
+# bytes per degree of BoundColumns: four int64 columns and the float64 ratio
+_COLUMN_BYTES = 40
 
 
-class BoundRecord(NamedTuple):
-    """Feasibility outcome for one degree: B(d) and a maximizing shape.
+class BoundColumns(NamedTuple):
+    """B(d) for consecutive ascending degrees, one array per quantity.
 
-    ratio is B(d) / (d * log log d), defined only for d >= 3.
+    Entry i is degree d[i]: bound[i] = B(d) = a^2 b for the maximizing
+    shape Z/a x Z/ab with the smallest a, and ratio[i] = B(d) / (d log log d),
+    NaN for d < 3.  d, a, b and bound are int64, ratio is float64.
     """
 
-    d: int
-    best_shape: TorsionShape
-    bound: int
-    ratio: float | None
+    d: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    bound: np.ndarray
+    ratio: np.ndarray
 
 
 class FeasibilityRow(NamedTuple):
@@ -178,11 +179,21 @@ class SweepRegion(NamedTuple):
     def peak_bytes(self) -> int:
         """Upper estimate of the kernel's peak memory, by arithmetic only.
 
-        One block of the totient sieve plus one chunk of temporaries, plus
-        the int64 per-degree reduction array.
+        One block of the totient sieve (no prime is inert) plus one chunk of
+        temporaries, plus the int64 per-degree reduction array.
         """
-        sweep = sieve_block_bytes(self.n_max) + self.chunk * _CHUNK_BYTES_PER_PAIR
+        sweep = sieve_block_bytes(self.n_max, inert=False) + self.chunk * _CHUNK_BYTES_PER_PAIR
         return sweep + 16 * (self.d_max + 1)
+
+    def bound_bytes(self, d_min: int) -> int:
+        """Upper estimate of the peak memory of bound_records(d_min, d_max).
+
+        The sweep's peak, or after it the columns, whichever is larger: the
+        bound and a columns are cut from the int64 reduction array while it
+        is still live.
+        """
+        columns = 8 * (self.d_max + 1) + _COLUMN_BYTES * (self.d_max - d_min + 1)
+        return max(self.peak_bytes, columns)
 
 
 @lru_cache(maxsize=8)
@@ -232,45 +243,47 @@ def activations(region: SweepRegion) -> Iterator[tuple[int, np.ndarray, np.ndarr
                 yield a, n[keep], (lhs[keep] + six_n - 1) // six_n
 
 
-def bound_records(d_min: int, d_max: int) -> list[BoundRecord]:
-    """BoundRecords for every degree in [d_min, d_max], in one sweep.
+def bound_records(d_min: int, d_max: int) -> BoundColumns:
+    """B(d) for every degree in [d_min, d_max], in one sweep, as columns.
 
     Each feasible pair (a, n = ab) is reduced into its activation degree,
     keyed by (size a n, then smallest a); a running maximum over the
-    degrees then yields B(d) for all d at once.
+    degrees then yields B(d) for all d at once.  Each ratio takes log log d
+    from ``math.log``, degree by degree, so it is the same float as
+    B(d) / (d * math.log(math.log(d))).
     """
     if not 1 <= d_min <= d_max:
         raise ValueError(f"need 1 <= d_min <= d_max, got [{d_min}, {d_max}]")
     region = sweep_region(d_max)
-    shift = 1 << region.a_max.bit_length()  # key = size * shift + (shift - a), a < shift
+    bits = region.a_max.bit_length()
+    shift = 1 << bits  # key = size * shift + (shift - a), a < shift
     best = np.zeros(d_max + 1, dtype=np.int64)
     for a, n, degree in activations(region):
         np.maximum.at(best, degree, a * n * shift + (shift - a))
-    best = np.maximum.accumulate(best)  # (a, b) = (1, 1) activates at d = 1
-    records: list[BoundRecord] = []
-    for d, key in enumerate(best[d_min:].tolist(), start=d_min):
-        size, rest = divmod(key, shift)
-        a = shift - rest
-        ratio = size / (d * math.log(math.log(d))) if d >= 3 else None
-        records.append(
-            BoundRecord(d=d, best_shape=TorsionShape(a=a, b=size // (a * a)), bound=size, ratio=ratio)
-        )
-    return records
+    np.maximum.accumulate(best, out=best)  # (a, b) = (1, 1) activates at d = 1
+    bound = best[d_min:] >> bits
+    a = shift - (best[d_min:] & (shift - 1))
+    del best
+    b = bound // (a * a)
+    d = np.arange(d_min, d_max + 1, dtype=np.int64)
+    lo = max(d_min, 3)
+    loglog = map(math.log, map(math.log, range(lo, d_max + 1)))
+    ratio = np.fromiter(chain(repeat(math.nan, lo - d_min), loglog), np.float64, len(d))
+    np.multiply(ratio, d, out=ratio)
+    np.divide(bound, ratio, out=ratio)
+    return BoundColumns(d=d, a=a, b=b, bound=bound, ratio=ratio)
 
 
-def constant_over(records: list[BoundRecord]) -> ConstantEstimate:
-    """Sup of the ratio field over records with d >= 3 (smallest argmax wins)."""
-    best_value = None
-    best_d = None
-    for rec in records:
-        if rec.ratio is None:
-            continue
-        if best_value is None or rec.ratio > best_value:
-            best_value = rec.ratio
-            best_d = rec.d
-    if best_value is None:
-        raise ValueError("no degrees >= 3 in the record list")
-    return ConstantEstimate(value=best_value, argmax_d=best_d)
+def constant_over(columns: BoundColumns) -> ConstantEstimate:
+    """Sup of the ratio column over the degrees d >= 3, by argmax.
+
+    The first maximum, the smallest such d, wins.
+    """
+    first = int(np.searchsorted(columns.d, 3))  # d ascends
+    if first == len(columns.d):
+        raise ValueError("no degrees >= 3 in the columns")
+    i = first + int(np.argmax(columns.ratio[first:]))
+    return ConstantEstimate(value=float(columns.ratio[i]), argmax_d=int(columns.d[i]))
 
 
 def relaxed_pairs(d: int) -> list[tuple[int, int]]:
@@ -289,14 +302,23 @@ def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
     if D_cap < 3:
         raise ValueError("need D_cap >= 3")
     pairs = relaxed_pairs(d)
+    # each n = ab factored once, and chi read once per field at its primes
+    factors = {n: factorize(n) for n in {a * b for a, b in pairs}}
+    primes = {p for f in factors.values() for p, _ in f}
     rows: list[FeasibilityRow] = []
     for value in fundamental_discriminants(D_cap):
         disc = require_fundamental(value)
         h = class_number(disc)
+        chi = {p: kronecker(disc, p) for p in primes}
+        phi = {n: _phi_K_local(f, chi.__getitem__) for n, f in factors.items()}
         for a, b in pairs:
-            lhs = Fraction(h * phi_K_of_N(disc, a * b), 6 * b)
+            lhs = Fraction(h * phi[a * b], 6 * b)
             rows.append(FeasibilityRow(disc=disc, a=a, b=b, lhs=lhs, feasible=lhs <= d))
-    rows.sort(key=lambda r: (-r.a * r.a * r.b, -r.disc.value, r.a, r.b))
+    # by (-a^2 b, |D|, a, b) as stable sorts from the last key to the first:
+    # one int key per row at a time, not a 4-tuple and two ints per row,
+    # whose 1.4 MB at d = 6, |D| <= 100 set the peak memory of the table
+    for key in (lambda r: r.b, lambda r: r.a, lambda r: -r.disc.value, lambda r: -r.a * r.a * r.b):
+        rows.sort(key=key)
     return rows
 
 
@@ -329,13 +351,12 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
 
 
 __all__ = [
-    "BoundRecord",
+    "BoundColumns",
     "ChainAudit",
     "ChainStep",
     "ConstantEstimate",
     "FeasibilityRow",
     "SweepRegion",
-    "TorsionShape",
     "activations",
     "bound_records",
     "chain_audit",

@@ -128,9 +128,15 @@ def phi_K_of_N(d: int | Discriminant, n: int) -> int:
     disc = require_fundamental(d)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    return _phi_K_local(factorize(n), lambda p: kronecker(disc, p))
+
+
+def _phi_K_local(factors: list[tuple[int, int]], chi) -> int:
+    """phi_K((n)) from the factorization of n and chi(p) at its primes:
+    the product of p^(2e-2) (p - 1) (p - chi(p)) over p^e || n."""
     result = 1
-    for p, e in factorize(n):
-        result *= p ** (2 * e - 2) * (p - 1) * (p - kronecker(disc, p))
+    for p, e in factors:
+        result *= p ** (2 * e - 2) * (p - 1) * (p - chi(p))
     return result
 
 

@@ -144,21 +144,21 @@ def sieve_block(limit: int) -> int:
     return 1 << max(16, (128 * isqrt(limit) - 1).bit_length())
 
 
-def sieve_block_bytes(limit: int) -> int:
+def sieve_block_bytes(limit: int, inert: bool = True) -> int:
     """Upper estimate of ``least_phi_sieve``'s peak memory, character table aside.
 
-    One block's arrays (the int32 table, smooth part and quotient, and for
-    a character with inert primes the int8 odd-power count, two bool masks
-    and numpy's index buffer: 16 B per entry), the table of the block
-    before it, which its consumer holds until the next one is made (4 B
-    per entry), the plan of prime powers at 256 B a step, and 64 KiB for
-    array headers.  A prime p <= isqrt(limit) has two powers <= limit if
-    p^3 > limit, and at most log2(limit) otherwise.
+    One block's arrays (the int32 table, smooth part and quotient: 12 B per
+    entry; 16 B when the character has inert primes, which add the int8
+    odd-power count, two bool masks and numpy's index buffer), the table of
+    the block before it, which its consumer holds until the next one is
+    made (4 B per entry), the plan of prime powers at 256 B a step, and
+    64 KiB for array headers.  A prime p <= isqrt(limit) has two powers
+    <= limit if p^3 > limit, and at most log2(limit) otherwise.
     """
     block = min(sieve_block(limit), limit + 1)
     cube = round(limit ** (1 / 3)) + 1
     steps = 2 * prime_count_bound(isqrt(limit)) + limit.bit_length() * prime_count_bound(cube)
-    return 20 * block + 256 * steps + (1 << 16)
+    return (20 if inert else 16) * block + 256 * steps + (1 << 16)
 
 
 def phi_sieve_bytes(limit: int) -> int:

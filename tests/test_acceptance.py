@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from tcm.analytics import char_euler_product, l1_from_class_number, mertens_product, phi_bound_scan
-from tcm.cli import bound_record_row
+from tcm.cli import BoundRows
 from tcm.feasibility import bound_records, constant_over
 from tcm.galois_image import cn_elements, kernel_size, max_stabilizer_order
 from tcm.ideal_arith import brute_force_phi, phi_K_of_N
@@ -160,11 +160,9 @@ def test_criterion_6_bound_engine(records_to_2000):
                     best = max(best, a * a * b)
         expected[d] = best
     ok = expected == {1: 60, 2: 210}
-    ok = ok and bound_records(1, 1)[0].bound == 60 and bound_records(2, 2)[0].bound == 210
-    ok = ok and all(
-        records_to_2000[i].bound <= records_to_2000[i + 1].bound
-        for i in range(len(records_to_2000) - 1)
-    )
+    ok = ok and bound_records(1, 1).bound[0] == 60 and bound_records(2, 2).bound[0] == 210
+    bounds = records_to_2000.bound.tolist()
+    ok = ok and len(bounds) == 2000 and all(bounds[i] <= bounds[i + 1] for i in range(len(bounds) - 1))
     _report(
         6,
         "B(1) = 60 and B(2) = 210 confirmed by brute force; B nondecreasing to 2000",
@@ -177,13 +175,13 @@ def test_criterion_6_bound_engine(records_to_2000):
 def test_criterion_7_explicit_constant_golden(records_to_2000):
     start = time.time()
     golden = json.loads((GOLDEN / "explicit_constant.json").read_text())
-    estimate = constant_over([r for r in records_to_2000 if r.d >= 3])
+    estimate = constant_over(records_to_2000)  # over the degrees d >= 3
     ok = math.isfinite(estimate.value)
     ok = ok and f"{estimate.value:.12g}" == f"{golden['value']:.12g}"
     ok = ok and estimate.argmax_d == golden["argmax_d"]
     # stabilization of the running sup, recorded only
-    half = [r for r in records_to_2000 if r.d >= 1000 and r.ratio is not None]
-    new_argmax_late = any(r.ratio > estimate.value for r in half)
+    half = records_to_2000.ratio[records_to_2000.d >= 1000]
+    new_argmax_late = bool((half > estimate.value).any())
     print(f"  running sup ends at d={estimate.argmax_d}; new argmax in last half: {new_argmax_late}")
     _report(
         7,
@@ -256,7 +254,7 @@ def test_criterion_11_cli_end_to_end():
     ok = proc.returncode == 0
     envelope = json.loads(proc.stdout) if ok else {}
     ok = ok and json.loads(json.dumps(envelope)) == envelope
-    expected_rows = [bound_record_row(rec) for rec in bound_records(3, 100)]
+    expected_rows = list(BoundRows(bound_records(3, 100)))
     ok = ok and envelope.get("rows") == expected_rows
     _report(
         11,

@@ -2,19 +2,22 @@ import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 from tcm import cli as cli_mod
 from tcm.cli import (
-    bound_record_row,
+    BoundRows,
     cli,
     make_envelope,
     serialize_csv,
     serialize_json,
+    serialize_table,
 )
 from tcm.feasibility import bound_records, sweep_region
 
@@ -29,25 +32,101 @@ def runner():
 # ------------------------------------------------------------- serialization
 
 
+def written(serialize, *args) -> str:
+    out = io.StringIO()
+    serialize(*args, out)
+    return out.getvalue()
+
+
+def reference_csv(rows: list[dict]) -> str:
+    """The whole-text CSV writer the streaming one replaced, and echo's newline."""
+    buf = io.StringIO()
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        header = list(rows[0].keys())
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if row[k] is None else row[k] for k in header])
+    return buf.getvalue().rstrip("\n") + "\n"
+
+
+def reference_table(rows: list[dict]) -> str:
+    """The whole-text table writer the streaming one replaced, and echo's newline."""
+    if not rows:
+        return "(no rows)\n"
+    header = list(rows[0].keys())
+    cells = [[("-" if row[k] is None else str(row[k])) for k in header] for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(header, widths)),
+        "  ".join("-" * w for w in widths),
+    ]
+    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
+    return "\n".join(lines) + "\n"
+
+
+ROW_SETS = {
+    "zero": [],
+    "one": [{"d": 1, "ratio": None}],
+    "many": [
+        {"name": None, "n": 3, "value": 0.1, "ok": True, "note": 'say "hi", then\nleave \\ \u00e9'},
+        {"name": "P2^2", "n": None, "value": 850.631024951, "ok": False, "note": "tab\there"},
+        {"name": "", "n": -7, "value": 1e-300, "ok": None, "note": "a,b"},
+        {"name": "x", "n": 2**63, "value": None, "ok": True, "note": None},
+    ],
+}
+
+
 def test_envelope_json_round_trip():
     rows = [
         {"d": 1, "a": 1, "b": 60, "bound": 60, "ratio": None},
         {"d": 3, "a": 1, "b": 240, "bound": 240, "ratio": 850.631024951},
     ]
     envelope = make_envelope("bound", {"d_min": 1, "d_max": 3, "format": "json"}, rows)
-    assert json.loads(serialize_json(envelope)) == envelope
+    assert json.loads(written(serialize_json, envelope)) == envelope
+
+
+@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+def test_json_writer_equals_json_dumps(rows):
+    envelope = make_envelope("bound", {"d_min": 1, "name": 'a"b', "format": "json"}, rows, window=[3, 10], x=None)
+    assert written(serialize_json, envelope) == json.dumps(envelope, indent=2) + "\n"
+    assert json.loads(written(serialize_json, envelope)) == envelope
+    streamed = make_envelope("bound", {}, iter(rows), constant={"value": 0.5, "argmax_d": 3})
+    assert written(serialize_json, streamed) == json.dumps({**streamed, "rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+def test_csv_and_table_writers_equal_the_whole_text_writers(rows):
+    assert written(serialize_csv, rows) == reference_csv(rows)
+    assert written(serialize_csv, iter(rows)) == reference_csv(rows)
+    assert written(serialize_table, rows) == reference_table(rows)
 
 
 def test_csv_none_becomes_empty_cell():
-    text = serialize_csv([{"d": 1, "ratio": None}])
-    assert text == "d,ratio\n1,"
+    assert written(serialize_csv, [{"d": 1, "ratio": None}]) == "d,ratio\n1,\n"
+
+
+def test_bound_rows_stream_in_steps(monkeypatch):
+    # rows across several steps, and a pass that can be repeated (table widths)
+    monkeypatch.setattr(cli_mod, "ROW_STEP", 7)
+    columns = bound_records(1, 30)
+    rows = BoundRows(columns)
+    assert list(rows) == list(rows)
+    assert [row["d"] for row in rows] == list(range(1, 31))
+    for row, bound, ratio in zip(rows, columns.bound.tolist(), columns.ratio.tolist()):
+        assert row["bound"] == bound and type(row["bound"]) is int
+        assert row["ratio"] == (None if row["d"] < 3 else float(f"{ratio:.12g}"))
 
 
 def test_bound_json_rows_match_library(runner):
     result = runner.invoke(cli, ["bound", "--d-min", "3", "--d-max", "40", "--format", "json"])
     assert result.exit_code == 0
     envelope = json.loads(result.stdout)
-    expected = [bound_record_row(rec) for rec in bound_records(3, 40)]
+    columns = bound_records(3, 40)
+    expected = [
+        {"d": d, "a": a, "b": b, "bound": bound, "ratio": float(f"{ratio:.12g}")}
+        for d, a, b, bound, ratio in zip(*(column.tolist() for column in columns))
+    ]
     assert envelope["rows"] == expected
     assert envelope["command"] == "bound"
     assert envelope["params"] == {"d_min": 3, "d_max": 40, "format": "json"}
@@ -110,6 +189,13 @@ def test_bound_stdout_is_deterministic():
     assert first.stdout == second.stdout
 
 
+def test_bound_range_json_peak_rss_is_not_set_by_the_rows():
+    # 10^5 rows held as records, row dicts and one JSON string took 179 MB;
+    # streamed from the columns, the sieve block sets the peak again
+    argv = [sys.executable, "-m", "tcm", "bound", "--d-min", "3", "--d-max", "100000", "--format", "json"]
+    assert child_peak_rss(argv) < 100 * 2**20
+
+
 def test_bound_single_degree_peak_rss_is_set_by_the_block():
     # the whole int32 totient table of n_max(10^5) = 22,561,035 would be
     # 86 MiB alone; the sieve holds one block of 2^20 entries at a time
@@ -132,18 +218,44 @@ def _refuse_to_run(*args, **kwargs):
 
 
 def test_bound_preflight_refuses_before_allocating(runner, monkeypatch):
-    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
+    # the full range is charged about 58 MB: its sieve block, or its columns
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 32 * 2**20)
     monkeypatch.setattr(cli_mod, "bound_records", _refuse_to_run)
     result = runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "1000000"])
     assert result.exit_code == 2
     assert "n_max = 237662443" in result.stderr
-    assert "MiB" in result.stderr and "budget of 64 MiB" in result.stderr
+    assert "MiB" in result.stderr and "budget of 32 MiB" in result.stderr
     assert result.stdout == ""
 
 
 def test_bound_preflight_passes_small_requests(runner, monkeypatch):
     monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
     assert runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "2000"]).exit_code == 0
+
+
+def traced_command_peak(args: list[str]) -> int:
+    """Peak bytes tracemalloc sees while one command runs, its stdout to /dev/null."""
+    with open(os.devnull, "w") as sink:
+        stdout, sys.stdout = sys.stdout, sink
+        tracemalloc.start()
+        try:
+            cli.main(args, standalone_mode=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.stdout = stdout
+
+
+@pytest.mark.parametrize(
+    "d_max,fmt", [(2000, "json"), (10**4, "csv"), (10**4, "table"), (3 * 10**4, "json")]
+)
+def test_bound_preflight_bounds_measured_peak(monkeypatch, d_max, fmt):
+    # the estimate covers the sweep, then the columns and the rows being written
+    charged = []
+    monkeypatch.setattr(cli_mod, "preflight", lambda what, estimate: charged.append(estimate))
+    peak = traced_command_peak(["bound", "--d-min", "3", "--d-max", str(d_max), "--format", fmt])
+    (estimate,) = charged
+    assert peak <= estimate <= 1.5 * peak
 
 
 def test_bound_builds_the_sweep_region_once(runner):
@@ -247,7 +359,7 @@ def test_option_order_does_not_change_stdout(runner, command, options):
 
 
 def test_serialization_failure_exits_three(runner, monkeypatch):
-    def broken(envelope):
+    def broken(*args):
         raise TypeError("unserializable")
 
     monkeypatch.setattr(cli_mod, "serialize_json", broken)
@@ -256,6 +368,31 @@ def test_serialization_failure_exits_three(runner, monkeypatch):
     )
     assert result.exit_code == 3
     assert "serialization failed" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_serialization_failure_after_the_first_row_exits_three(runner, monkeypatch, fmt):
+    # rows are written as they are formatted: stdout keeps what came before the failure
+    class FailingRows(BoundRows):
+        def __iter__(self):
+            rows = super().__iter__()
+            yield next(rows)
+            raise TypeError("unserializable")
+
+    args = ["bound", "--d-min", "1", "--d-max", "3", "--format", fmt]
+    full = runner.invoke(cli, args).stdout
+    monkeypatch.setattr(cli_mod, "BoundRows", FailingRows)
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 3
+    assert "serialization failed: unserializable" in result.stderr
+    assert full.startswith(result.stdout)
+    if fmt == "json":
+        assert '"rows": [\n    {\n      "d": 1,' in result.stdout
+        assert '"d": 2' not in result.stdout
+    elif fmt == "csv":
+        assert result.stdout == "d,a,b,bound,ratio\n1,1,60,60,\n"
+    else:  # the first pass, for the column widths, fails before any line is written
+        assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------- phi

@@ -6,7 +6,7 @@ import pytest
 
 from tcm import feasibility, primes
 from tcm.feasibility import (
-    TorsionShape,
+    BoundColumns,
     bound_records,
     chain_audit,
     constant_over,
@@ -26,6 +26,11 @@ from conftest import oracle_bound_records, relaxed_feasible, sieve_phi, traced_p
 @pytest.fixture(scope="module")
 def oracle_to_2000():
     return oracle_bound_records(2000)
+
+
+def entry(columns, i: int = 0) -> tuple[int, int, int]:
+    """(bound, a, b) of entry i of the columns."""
+    return int(columns.bound[i]), int(columns.a[i]), int(columns.b[i])
 
 
 def brute_force_bound(d: int, a_max: int, b_max: int) -> tuple[int, int, int]:
@@ -56,51 +61,64 @@ def test_torsion_bound_first_degrees_against_brute_force():
     assert feasible_product_cutoff(2) < 300
     for d in (1, 2):
         size, a, b = brute_force_bound(d, 30, 2500)
-        record = bound_records(d, d)[0]
-        assert record.bound == size
-        assert (record.best_shape.a, record.best_shape.b) == (a, b)
-    (one,) = bound_records(1, 1)
-    (two,) = bound_records(2, 2)
-    assert one.bound == 60 and one.best_shape == TorsionShape(1, 60)
-    assert two.bound == 210 and two.best_shape == TorsionShape(1, 210)
+        columns = bound_records(d, d)
+        assert columns.bound[0] == size
+        assert (columns.a[0], columns.b[0]) == (a, b)
+    one = bound_records(1, 1)
+    two = bound_records(2, 2)
+    assert len(one.d) == len(two.d) == 1
+    assert entry(one) == (60, 1, 60)
+    assert entry(two) == (210, 1, 210)
 
 
 def test_bound_at_least_six_everywhere():
     for d in (1, 2, 3, 10, 50):
-        (rec,) = bound_records(d, d)
-        assert rec.bound >= 6
-        assert rec.bound >= bound_records(1, 1)[0].bound
+        (bound,) = bound_records(d, d).bound
+        assert bound >= 6
+        assert bound >= bound_records(1, 1).bound[0]
 
 
 def test_ratio_defined_only_from_degree_three():
-    assert bound_records(1, 1)[0].ratio is None
-    assert bound_records(2, 2)[0].ratio is None
-    rec = bound_records(3, 3)[0]
-    assert rec.ratio == pytest.approx(rec.bound / (3 * math.log(math.log(3))))
+    assert math.isnan(bound_records(1, 1).ratio[0])
+    assert math.isnan(bound_records(2, 2).ratio[0])
+    columns = bound_records(3, 3)
+    assert columns.ratio[0] == pytest.approx(columns.bound[0] / (3 * math.log(math.log(3))))
+
+
+def test_columns_types_and_exact_ratios():
+    # each ratio is the float B(d) / (d * math.log(math.log(d))) computes
+    columns = bound_records(1, 2000)
+    for name in ("d", "a", "b", "bound"):
+        assert getattr(columns, name).dtype == np.int64, name
+    assert columns.ratio.dtype == np.float64
+    assert columns.d.tolist() == list(range(1, 2001))
+    assert columns.bound.tolist() == (columns.a * columns.a * columns.b).tolist()
+    ratios = columns.ratio.tolist()
+    assert all(math.isnan(r) for r in ratios[:2])
+    for d, size, ratio in zip(range(3, 2001), columns.bound.tolist()[2:], ratios[2:]):
+        assert ratio == size / (d * math.log(math.log(d))), d
 
 
 def test_bound_records_monotone_and_consistent_with_single_degree():
-    records = bound_records(1, 200)
-    assert [r.d for r in records] == list(range(1, 201))
-    for i in range(len(records) - 1):
-        assert records[i].bound <= records[i + 1].bound
+    columns = bound_records(1, 200)
+    assert columns.d.tolist() == list(range(1, 201))
+    bounds = columns.bound.tolist()
+    for i in range(len(bounds) - 1):
+        assert bounds[i] <= bounds[i + 1]
     for d in (1, 2, 3, 17, 100, 200):
-        single = bound_records(d, d)[0]
-        batch = records[d - 1]
-        assert (single.bound, single.best_shape) == (batch.bound, batch.best_shape)
+        assert entry(bound_records(d, d)) == entry(columns, d - 1)
 
 
 def test_maximizer_is_feasible_and_beats_neighbors():
     for d in (1, 5, 40):
-        rec = bound_records(d, d)[0]
-        a, b = rec.best_shape.a, rec.best_shape.b
+        bound, a, b = entry(bound_records(d, d))
         assert relaxed_feasible(d, a, b)
-        assert rec.bound == a * a * b
+        assert bound == a * a * b
         # no sampled feasible pair does better
         for aa in range(1, 13):
             for bb in range(1, 300):
                 if relaxed_feasible(d, aa, bb):
-                    assert aa * aa * bb <= rec.bound
+                    assert aa * aa * bb <= bound
 
 
 def test_product_cutoff_excludes_everything_beyond():
@@ -135,15 +153,14 @@ def test_sweep_region_cutoffs():
 
 
 def test_bound_records_match_oracle_to_2000(oracle_to_2000):
-    records = bound_records(1, 2000)
-    assert [(r.bound, r.best_shape.a, r.best_shape.b) for r in records] == oracle_to_2000
+    columns = bound_records(1, 2000)
+    assert [entry(columns, i) for i in range(2000)] == oracle_to_2000
 
 
 def test_single_degree_regions_match_oracle(oracle_to_2000):
     # each d_max has its own per-a cutoffs
     for d in (1, 2, 3, 7, 12, 60, 547, 1999, 2000):
-        rec = bound_records(d, d)[0]
-        assert (rec.bound, rec.best_shape.a, rec.best_shape.b) == oracle_to_2000[d - 1], d
+        assert entry(bound_records(d, d)) == oracle_to_2000[d - 1], d
 
 
 def test_relaxed_pairs_match_brute_force_over_old_region():
@@ -203,9 +220,9 @@ def test_a_cutoff_boundary_sampling():
 
 
 def test_explicit_constant_scan():
-    records = bound_records(3, 3)
-    single = constant_over(records)
-    assert single.value == pytest.approx(records[0].bound / (3 * math.log(math.log(3))))
+    columns = bound_records(3, 3)
+    single = constant_over(columns)
+    assert single.value == pytest.approx(columns.bound[0] / (3 * math.log(math.log(3))))
     assert single.argmax_d == 3
 
     small = constant_over(bound_records(3, 50))
@@ -217,6 +234,18 @@ def test_explicit_constant_scan():
 def test_constant_over_requires_ratios():
     with pytest.raises(ValueError):
         constant_over(bound_records(1, 2))
+
+
+def test_constant_over_takes_the_first_maximum():
+    # degrees 1 and 2 carry NaN and are skipped; of the tied maxima the smallest d wins
+    ratio = np.array([np.nan, np.nan, 2.0, 5.0, 1.0, 5.0])
+    ints = np.arange(1, 7, dtype=np.int64)
+    columns = BoundColumns(d=ints, a=ints, b=ints, bound=ints, ratio=ratio)
+    assert constant_over(columns) == (5.0, 4)
+    wide = bound_records(1, 2000)
+    ratios = wide.ratio.tolist()
+    value = max(ratios[2:])
+    assert constant_over(wide) == (value, ratios.index(value) + 1)
 
 
 def test_relaxed_pairs_cover_examples():
@@ -245,6 +274,38 @@ def test_refined_table_sorted_by_size_descending():
     rows = refined_table(1, 8)
     sizes = [r.a * r.a * r.b for r in rows]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_refined_table_matches_one_phi_call_per_row(monkeypatch):
+    # each n = ab factored once per table and chi read once per field, with
+    # the rows and their order of one phi_K_of_N call per (field, pair)
+    d = 6
+    pairs = relaxed_pairs(d)
+    expected = []
+    for value in fundamental_discriminants(100):
+        h = class_number(value)
+        for a, b in pairs:
+            lhs = Fraction(h * phi_K_of_N(value, a * b), 6 * b)
+            expected.append((value, a, b, lhs, lhs <= d))
+    expected.sort(key=lambda r: (-r[1] * r[1] * r[2], -r[0], r[1], r[2]))
+    calls = {"factorize": 0, "kronecker": 0}
+
+    def counting(name):
+        fn = getattr(feasibility, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(feasibility, name, counting(name))
+    rows = refined_table(d, 100)
+    assert [(r.disc.value, r.a, r.b, r.lhs, r.feasible) for r in rows] == expected
+    ns = {a * b for a, b in pairs}
+    ps = {p for n in ns for p, _ in primes.factorize(n)}
+    assert calls == {"factorize": len(ns), "kronecker": len(fundamental_discriminants(100)) * len(ps)}
 
 
 def test_refined_feasibility_implies_relaxed():

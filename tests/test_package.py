@@ -105,6 +105,33 @@ def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
     assert calls == {name: int(name in (called, "emit")) for name in names}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_bench_spans_see_one_sweep_and_one_streamed_emit(monkeypatch, fmt):
+    # rows are formatted inside emit, in steps; the benchmark's spans still
+    # time one bound_records call and one emit call per tcm bound
+    from click.testing import CliRunner
+
+    import tcm.cli
+
+    wrapped = [name for name in _cli_boundary() if name in ("bound_records", "emit")]
+    assert sorted(wrapped) == ["bound_records", "emit"]
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in wrapped:
+        monkeypatch.setattr(tcm.cli, name, counting(name, getattr(tcm.cli, name)))
+    args = ["bound", "--d-min", "3", "--d-max", str(2 * tcm.cli.ROW_STEP + 500), "--format", fmt]
+    result = CliRunner().invoke(tcm.cli.cli, args)
+    assert result.exit_code == 0, result.output
+    assert calls == ["bound_records", "emit"]
+
+
 def test_import_cli_loads_no_dataclasses():
     # records are NamedTuples: importing the CLI runs no dataclass code generation
     probe = "import sys, tcm.cli; print('dataclasses' in sys.modules)"
@@ -121,14 +148,13 @@ def _public_records() -> list:
     from tcm.quad_core import as_discriminant
     from tcm.ray_class_bounds import degree_bounds
 
-    record = bound_records(3, 3)[0]
+    columns = bound_records(3, 3)
     audit = chain_audit(1, -4, 1, 1)
     ideal = principal_ideal(-4, 5)
     return [
         as_discriminant(-4),
-        record,
-        record.best_shape,
-        constant_over([record]),
+        columns,
+        constant_over(columns),
         sweep_region(3),
         refined_table(1, 4)[0],
         audit,
