@@ -9,13 +9,14 @@ floating point; everything rigorous lives upstream in the exact modules.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
 
-from .ideal_arith import FactoredIdeal, min_phi_ideal, norm_sieve, norm_sieve_bytes
-from .primes import EULER_GAMMA, prime_array, prime_list_bytes
+from .ideal_arith import FactoredIdeal, min_phi_ideal
+from .primes import EULER_GAMMA, least_phi_sieve, prime_array, prime_list_bytes, sieve_block_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
@@ -147,37 +148,46 @@ def l1_from_class_number(d: int | Discriminant) -> float:
 def scan_bytes(d: int | Discriminant, x: int) -> int:
     """Upper estimate of the peak memory of phi_bound_scan or landau_liminf_check.
 
-    The norm sieve up to x plus one reduction step's temporaries.
+    One block of the norm sieve up to x, the character table over |d| and
+    one reduction step's temporaries; no array spans the norms up to x.
+    Accepts any int d, so a caller can size a request before validating it.
     """
-    return norm_sieve_bytes(d, x) + _REDUCE_BYTES_PER_NORM * _REDUCE_CHUNK
+    return (
+        sieve_block_bytes(max(x, 1))
+        + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
+        + _REDUCE_BYTES_PER_NORM * _REDUCE_CHUNK
+    )
 
 
-def _window_min(minphi: np.ndarray, lo: int) -> tuple[float | None, int, int]:
-    """(value, n, norms): the least minphi[n] * loglog n / n over norms
-    lo <= n < len(minphi) that have an ideal, the smallest such n, and the
-    number of norms in the window that have an ideal.
+def _window_min(blocks: Iterable[tuple[int, np.ndarray]], lo: int) -> tuple[float | None, int, int]:
+    """(value, n, norms): the least minphi(n) * loglog n / n over norms
+    n >= lo that have an ideal, the smallest such n, and the number of norms
+    in the window that have an ideal.
 
-    The value is computed as float(minphi[n]) * math.log(math.log(n)) / n,
-    the order the ideal-by-ideal scan uses, so it is bit-identical to it.
+    blocks are the consecutive (start, block) pairs of ``least_phi_sieve``,
+    block[i] = minphi(start + i), read one at a time as they come.  The value
+    is computed as float(minphi(n)) * math.log(math.log(n)) / n, the order
+    the ideal-by-ideal scan uses, so it is bit-identical to it.
     """
     best: float | None = None
     arg = 0
     norms = 0
-    for start in range(lo, len(minphi), _REDUCE_CHUNK):
-        phi = minphi[start : start + _REDUCE_CHUNK]
-        has = phi > 0
-        found = int(np.count_nonzero(has))
-        if not found:
-            continue
-        norms += found
-        n = np.arange(start, start + len(phi), dtype=np.float64)
-        approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
-        cut = approx.min() * (1 + _LOG_SLACK)
-        for i in np.flatnonzero(approx <= cut).tolist():
-            k = start + i
-            value = float(minphi[k]) * math.log(math.log(k)) / k
-            if best is None or value < best:
-                best, arg = value, k
+    for first, block in blocks:
+        for start in range(max(lo, first), first + len(block), _REDUCE_CHUNK):
+            phi = block[start - first : start - first + _REDUCE_CHUNK]
+            has = phi > 0
+            found = int(np.count_nonzero(has))
+            if not found:
+                continue
+            norms += found
+            n = np.arange(start, start + len(phi), dtype=np.float64)
+            approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
+            cut = approx.min() * (1 + _LOG_SLACK)
+            for i in np.flatnonzero(approx <= cut).tolist():
+                k = start + i
+                value = float(phi[i]) * math.log(math.log(k)) / k
+                if best is None or value < best:
+                    best, arg = value, k
     return best, arg, norms
 
 
@@ -186,13 +196,14 @@ def phi_bound_scan(d: int | Discriminant, x: int) -> ScanResult:
 
     Multiplied by the class number this is the observed constant in the
     uniform lower bound phi_K(c) >= (C/h) |c| / loglog|c|.  A reduction
-    over ``norm_sieve``; ties go to the smallest norm, and within it to
-    the ideal ``min_phi_ideal`` names.
+    over the blocks of ``least_phi_sieve`` for the field's character, one
+    block at a time; ties go to the smallest norm, and within it to the
+    ideal ``min_phi_ideal`` names.
     """
     disc = require_fundamental(d)
     if x < 3:
         raise ValueError(f"need x >= 3, got {x}")
-    best, arg, norms = _window_min(norm_sieve(disc, x), 3)
+    best, arg, norms = _window_min(least_phi_sieve(x, character_table(disc)), 3)
     if best is None:
         raise ValueError(f"no ideals with norm in [3, {x}] for discriminant {disc.value}")
     return ScanResult(
@@ -216,7 +227,7 @@ def landau_liminf_check(d: int | Discriminant, x: int) -> LandauCheck:
     if x < 100:
         raise ValueError(f"need x >= 100, got {x}")
     lo = x // 10
-    best, _, norms = _window_min(norm_sieve(disc, x), lo)
+    best, _, norms = _window_min(least_phi_sieve(x, character_table(disc)), lo)
     target = math.exp(-EULER_GAMMA) / l1_from_class_number(disc)
     return LandauCheck(empirical_min_tail=best, target=target, window=(lo, x), norms=norms)
 

@@ -7,30 +7,20 @@ ideal arithmetic here.  ``brute_force_phi`` counts the units of O/nO on
 the residue-ring scan of ``galois_image``; it shares nothing with the
 local-factor formula ``phi_K_of_N`` and so checks it.
 
-``norm_sieve`` is the one norm-indexed table: the minimum of phi_K over
-the ideals of each norm n <= x, as a numpy int32 array, built by the
-multiplicative sieve ``primes.least_phi_sieve`` from the field's
-character table.  ``ideals_up_to_norm`` lists the ideals themselves and
-is its oracle.
+The least phi_K over the ideals of each norm comes from the one
+norm-indexed kernel, ``primes.least_phi_sieve`` over the field's
+character table, block by block; ``min_phi_ideal`` names the ideal that
+attains it at one norm.  ``ideals_up_to_norm`` lists the ideals
+themselves and is that kernel's oracle.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .galois_image import _unit_mask
-from .primes import cached_primes, factorize, least_phi_table, phi_sieve_bytes
-from .quad_core import (
-    CHARACTER_TABLE_BYTES_PER_RESIDUE,
-    Discriminant,
-    Splitting,
-    as_discriminant,
-    character_table,
-    kronecker,
-    require_fundamental,
-)
+from .primes import cached_primes, factorize
+from .quad_core import Discriminant, Splitting, as_discriminant, kronecker, require_fundamental
 
 BRUTE_FORCE_CAP = 300
 
@@ -193,27 +183,6 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
         yield ideal
 
 
-def norm_sieve_bytes(d: int | Discriminant, x: int) -> int:
-    """Upper estimate of norm_sieve's peak memory, by arithmetic alone.
-
-    The kernel's estimate plus the character table.  Accepts any int d,
-    so a caller can size a request before validating it.
-    """
-    return phi_sieve_bytes(max(x, 1)) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
-
-
-def norm_sieve(d: int | Discriminant, x: int) -> np.ndarray:
-    """Minimum of phi_K over the ideals of norm n, for n = 0 .. x (int32).
-
-    The blocks of ``least_phi_sieve`` for the character table of d; an
-    entry is 0 when no ideal has norm n (and at n = 0).
-    """
-    disc = require_fundamental(d)
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    return least_phi_table(x, character_table(disc))
-
-
 def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
     """The ideal of norm n with the least phi_K, ties to the smallest sort_key.
 
@@ -249,8 +218,6 @@ __all__ = [
     "ideal_norm",
     "ideals_up_to_norm",
     "min_phi_ideal",
-    "norm_sieve",
-    "norm_sieve_bytes",
     "phi_K",
     "phi_K_of_N",
     "principal_ideal",

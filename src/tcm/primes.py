@@ -6,12 +6,12 @@ built on its primes: the least phi_K over the ideals of each norm, for
 the character table of any imaginary quadratic field K, yielded as
 consecutive numpy int32 blocks whose size grows with the square root of
 the limit.  Only the primes up to that root are sieved, so no array
-spans the whole range.  ``feasibility.activations`` reads the totient
-blocks (every prime ramified) one at a time; ``least_phi_table`` copies
-the blocks into one table for the totient table ``phi_sieve`` and for
-``ideal_arith.norm_sieve``.  The ``*_bytes`` functions estimate peak
-memory by arithmetic alone, so a caller can refuse a request before
-allocating anything.
+spans the whole range.  Its consumers read the blocks one at a time:
+``feasibility.activations`` the totient blocks (every prime ramified),
+``analytics.phi_bound_scan`` and ``landau_liminf_check`` the blocks of a
+field.  ``phi_sieve`` copies the totient blocks into one table.  The
+``*_bytes`` functions estimate peak memory by arithmetic alone, so a
+caller can refuse a request before allocating anything.
 """
 
 from __future__ import annotations
@@ -161,15 +161,6 @@ def sieve_block_bytes(limit: int, inert: bool = True) -> int:
     return (20 if inert else 16) * block + 256 * steps + (1 << 16)
 
 
-def phi_sieve_bytes(limit: int) -> int:
-    """Upper estimate of ``least_phi_table``'s peak memory, character table aside.
-
-    So also of phi_sieve and the norm sieve: the full int32 table (4 B per
-    entry) that the blocks are copied into, plus one block.
-    """
-    return 4 * (limit + 1) + sieve_block_bytes(limit)
-
-
 def _sieve_plan(limit: int, chi: np.ndarray) -> list[tuple[int, int, int, int]]:
     """(p^k, p, gain, parity) for every power p^k <= limit of a prime
     p <= isqrt(limit), by increasing p^k.
@@ -273,19 +264,14 @@ def least_phi_sieve(limit: int, chi: np.ndarray = _ALL_RAMIFIED) -> Iterator[tup
     return _sieve_blocks(limit, chi, sieve_block(limit))
 
 
-def least_phi_table(limit: int, chi: np.ndarray) -> np.ndarray:
-    """The blocks of ``least_phi_sieve`` copied into one int32 table."""
-    blocks = least_phi_sieve(limit, chi)  # checks the limit before the table exists
+def phi_sieve(limit: int) -> np.ndarray:
+    """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
+
+    The blocks of ``least_phi_sieve`` with every prime ramified, copied into
+    one table: the ramified local factor p^(e-1)(p-1) is phi(p^e).
+    """
+    blocks = least_phi_sieve(limit)  # checks the limit before the table exists
     table = np.empty(limit + 1, dtype=np.int32)
     for lo, block in blocks:
         table[lo : lo + len(block)] = block
     return table
-
-
-def phi_sieve(limit: int) -> np.ndarray:
-    """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
-
-    ``least_phi_table`` with every prime ramified: the ramified local
-    factor p^(e-1)(p-1) is phi(p^e).
-    """
-    return least_phi_table(limit, _ALL_RAMIFIED)

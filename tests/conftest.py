@@ -32,7 +32,9 @@ def slice_phi_sieve(limit: int):
 
     phi[p::p] -= phi[p::p] // p for every prime p <= limit / 2, and p - 1
     at the primes above limit / 2 (they have no other multiple in the
-    table).  No smooth part, so it checks phi_sieve's large-prime step.
+    table).  No smooth part and no blocks, so it checks the quotient
+    n // smooth that gives phi_sieve the prime above isqrt(limit), and the
+    block edges.
     """
     import numpy as np
 
@@ -77,11 +79,25 @@ def child_peak_rss(argv: list[str]) -> int:
 def joined_blocks(limit: int, chi, block: int):
     """The blocks of the sieve generator at the given block size, checked to
     be consecutive int32 blocks, in one array."""
-    import numpy as np
-
     from tcm.primes import _sieve_blocks
 
-    starts, blocks = zip(*_sieve_blocks(limit, chi, block))
+    return _join(_sieve_blocks(limit, chi, block), limit, block)
+
+
+def least_phi_by_norm(d: int, x: int):
+    """The least phi_K over the ideals of each norm 0 .. x of the field of
+    discriminant d: the blocks of least_phi_sieve(x, character_table(d)),
+    checked to be consecutive int32 blocks, in one array."""
+    from tcm.primes import least_phi_sieve, sieve_block
+    from tcm.quad_core import character_table
+
+    return _join(least_phi_sieve(x, character_table(d)), x, sieve_block(x))
+
+
+def _join(blocks, limit: int, block: int):
+    import numpy as np
+
+    starts, blocks = zip(*blocks)
     assert list(starts) == list(range(0, limit + 1, block))
     assert all(b.dtype == np.int32 for b in blocks)
     return np.concatenate(blocks)

@@ -2,8 +2,10 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tcm import analytics
 from tcm.analytics import (
     char_euler_product,
     l1_from_class_number,
@@ -14,10 +16,10 @@ from tcm.analytics import (
     scan_bytes,
 )
 from tcm.ideal_arith import ideal_norm, phi_K, principal_ideal
-from tcm.primes import EULER_GAMMA, factorize, prime_array
+from tcm.primes import EULER_GAMMA, _sieve_blocks, factorize, prime_array
 from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker
 
-from conftest import oracle_scan, traced_peak
+from conftest import joined_blocks, oracle_scan, traced_peak
 
 
 def test_mertens_single_factor():
@@ -142,6 +144,30 @@ def test_scans_match_ideal_by_ideal_oracle(d, x):
     assert landau_liminf_check(d, x).empirical_min_tail.hex() == tail.hex()
 
 
+@pytest.mark.parametrize("chunk", [20, analytics._REDUCE_CHUNK])
+@pytest.mark.parametrize("block", [45, 64])
+@pytest.mark.parametrize("d", [-3, -4, -7])
+def test_streamed_window_min_matches_one_table(monkeypatch, d, block, chunk):
+    # lo = 3, and lo = x // 10 on, just before and just after a block edge;
+    # neither block is a multiple of either chunk of the reduction
+    monkeypatch.setattr(analytics, "_REDUCE_CHUNK", chunk)
+    chi = character_table(d)
+    cases = [(k * block + s, 3) for k in (2, 7) for s in (-1, 0, 1)]
+    cases += [(10 * (k * block + s), k * block + s) for k in (2, 7) for s in (-1, 0, 1)]
+    for x, lo in cases:
+        table = joined_blocks(x, chi, block)
+        streamed = analytics._window_min(_sieve_blocks(x, chi, block), lo)
+        assert streamed == analytics._window_min([(0, table)], lo), (x, lo)
+        # the first of the least values, and the norms with an ideal
+        values = [
+            float(table[n]) * math.log(math.log(n)) / n if table[n] else math.inf
+            for n in range(lo, x + 1)
+        ]
+        best = min(values)
+        norms = int(np.count_nonzero(table[lo:]))
+        assert streamed == (best, lo + values.index(best), norms), (x, lo)
+
+
 def test_scans_record_their_window():
     result = phi_bound_scan(-4, 100)
     assert result.window == (3, 100)
@@ -158,8 +184,9 @@ def test_product_bytes_bounds_measured_peak(d, x):
     assert traced_peak(char_euler_product, d, x) <= product_bytes(d, x)
 
 
-@pytest.mark.parametrize("x", [10**4, 2 * 10**5])
+@pytest.mark.parametrize("x", [10**4, 2 * 10**5, 10**6])
 def test_scan_bytes_bounds_measured_peak(x):
+    # -3: an inert 2, the most zeroed slices; -4: a ramified 2
     for d in (-3, -4):
         assert traced_peak(phi_bound_scan, d, x) <= scan_bytes(d, x)
         assert traced_peak(landau_liminf_check, d, x) <= scan_bytes(d, x)
@@ -222,5 +249,11 @@ def test_input_validation():
         char_euler_product(-12, 100)
     with pytest.raises(ValueError):
         phi_bound_scan(-4, 2)
+    with pytest.raises(ValueError):
+        phi_bound_scan(-4, 0)
+    with pytest.raises(ValueError):
+        phi_bound_scan(-12, 10)
+    with pytest.raises(ValueError):
+        phi_bound_scan(-4, 2**31)
     with pytest.raises(ValueError):
         landau_liminf_check(-4, 99)

@@ -203,6 +203,13 @@ def test_bound_single_degree_peak_rss_is_set_by_the_block():
     assert child_peak_rss(argv) < 100 * 2**20
 
 
+def test_scan_peak_rss_is_set_by_the_block():
+    # the whole int32 table of the norms up to 10^7 would be 38 MiB alone;
+    # the reduction reads one sieve block of 2^19 entries at a time
+    argv = [sys.executable, "-m", "tcm", "analytics", "scan", "--disc", "-4", "--x", "10000000", "--format", "csv"]
+    assert child_peak_rss(argv) < 60 * 2**20
+
+
 def test_cli_import_loads_no_process_pool():
     # every command starts a fresh interpreter, so tcm.cli's imports are paid per run
     code = (
@@ -324,9 +331,10 @@ def test_factoring_bound_admits_its_limit(runner):
 def test_scan_preflight_refuses_before_allocating(runner, monkeypatch, command, fn):
     monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
     monkeypatch.setattr(cli_mod, fn, _refuse_to_run)
-    result = runner.invoke(cli, ["analytics", command, "--disc", "-4", "--x", str(10**8)])
+    # one sieve block is charged, not the norms up to x: 45 MiB at 10^8, 87 MiB at 10^9
+    result = runner.invoke(cli, ["analytics", command, "--disc", "-4", "--x", str(10**9)])
     assert result.exit_code == 2
-    assert f"norm sieve up to x = {10**8}" in result.stderr
+    assert f"norm sieve up to x = {10**9}" in result.stderr
     assert "budget of 64 MiB" in result.stderr
     assert result.stdout == ""
 

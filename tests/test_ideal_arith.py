@@ -10,17 +10,23 @@ from tcm.ideal_arith import (
     ideal_norm,
     ideals_up_to_norm,
     min_phi_ideal,
-    norm_sieve,
-    norm_sieve_bytes,
     phi_K,
     phi_K_of_N,
     principal_ideal,
 )
-from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker
+from tcm.primes import least_phi_sieve, sieve_block_bytes
+from tcm.quad_core import (
+    CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    Splitting,
+    character_table,
+    fundamental_discriminants,
+    kronecker,
+)
 
 from conftest import (
     ideal_count_oracle,
     joined_blocks,
+    least_phi_by_norm,
     naive_phi,
     oracle_min_phi,
     oracle_unit_pairs,
@@ -231,26 +237,27 @@ def _expected_min_phi(best, x):
 def test_norm_sieve_matches_enumeration(d):
     x = 1000
     best = oracle_min_phi(d, x)
-    minphi = norm_sieve(d, x)
+    minphi = least_phi_by_norm(d, x)
     assert minphi.dtype == np.int32 and len(minphi) == x + 1
     assert minphi.tolist() == _expected_min_phi(best, x)
 
 
 @pytest.mark.parametrize("d", [-3, -4, -20, -23])
 def test_norm_sieve_zero_exactly_where_no_ideal(d):
-    minphi = norm_sieve(d, 2000)
+    minphi = least_phi_by_norm(d, 2000)
     for n in range(1, 2001):
         assert (minphi[n] == 0) == (ideal_count_oracle(d, n) == 0), (d, n)
 
 
 @pytest.mark.parametrize("d,p", [(-3, 2), (-4, 3)])
 def test_norm_sieve_inert_prime_power_cutoffs(d, p):
-    # x = p^k - 1, p^k, p^k + 1 for an inert p: the zeroed odd powers end
-    # on, just before or just after a full row of the (-1, p) view
+    # x = p^k - 1, p^k, p^k + 1 for an inert p: the plan takes the step of
+    # p^k from x = p^k on, and its parity step zeroes (k odd) or restores
+    # (k even) the table's last entry or the one before it
     cutoffs = [p**k + s for k in range(1, 10) if p**k <= 1000 for s in (-1, 0, 1)]
     best = oracle_min_phi(d, max(cutoffs))
     for x in cutoffs:
-        assert norm_sieve(d, x).tolist() == _expected_min_phi(best, x), (d, x)
+        assert least_phi_by_norm(d, x).tolist() == _expected_min_phi(best, x), (d, x)
 
 
 @pytest.mark.parametrize("d", [-3, -4, -7])
@@ -271,26 +278,20 @@ def test_norm_sieve_last_cofactor_cutoffs(d):
     cutoffs = [r * (r + 1) + s for r in (2, 5, 12, 30) for s in (-1, 0, 1)]
     best = oracle_min_phi(d, max(cutoffs))
     for x in cutoffs:
-        assert norm_sieve(d, x).tolist() == _expected_min_phi(best, x), (d, x)
+        assert least_phi_by_norm(d, x).tolist() == _expected_min_phi(best, x), (d, x)
 
 
 @pytest.mark.parametrize("d,x", [(-67, 1000), (-248, 500), (-516, 600)])
 def test_norm_sieve_ramified_prime_above_root(d, x):
     # 67, 31 (-248 = -8 * 31) and 43 (-516 = -4 * 3 * 43) ramify and lie
     # above isqrt(x): the quotient n // smooth reads chi = 0 and gains q - 1
-    assert norm_sieve(d, x).tolist() == _expected_min_phi(oracle_min_phi(d, x), x)
+    assert least_phi_by_norm(d, x).tolist() == _expected_min_phi(oracle_min_phi(d, x), x)
 
 
 def test_norm_sieve_tiny_cutoffs():
-    assert norm_sieve(-4, 1).tolist() == [0, 1]
-    assert norm_sieve(-4, 2).tolist() == [0, 1, 1]
-    assert norm_sieve(-3, 4).tolist() == [0, 1, 0, 2, 3]
-    with pytest.raises(ValueError):
-        norm_sieve(-4, 0)
-    with pytest.raises(ValueError):
-        norm_sieve(-12, 10)
-    with pytest.raises(ValueError):
-        norm_sieve(-4, 2**31)
+    assert least_phi_by_norm(-4, 1).tolist() == [0, 1]
+    assert least_phi_by_norm(-4, 2).tolist() == [0, 1, 1]
+    assert least_phi_by_norm(-3, 4).tolist() == [0, 1, 0, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -311,7 +312,7 @@ def test_min_phi_ideal_tie_break_matches_stream(d, n, expected):
     ideal = min_phi_ideal(d, n)
     assert str(ideal) == expected
     assert ideal == oracle_min_phi(d, n)[n]
-    assert phi_K(ideal) == norm_sieve(d, n)[n]
+    assert phi_K(ideal) == least_phi_by_norm(d, n)[n]
 
 
 def test_min_phi_ideal_rejects_norms_without_ideals():
@@ -321,8 +322,15 @@ def test_min_phi_ideal_rejects_norms_without_ideals():
         min_phi_ideal(-4, 27)
 
 
+def _drain_norm_sieve(d, x):
+    for _ in least_phi_sieve(x, character_table(d)):
+        pass
+
+
 @pytest.mark.parametrize("x", [10**4, 2 * 10**5, 10**6])
 def test_norm_sieve_bytes_bounds_measured_peak(x):
-    # -3: an inert 2, the most zeroed slices; -4: a ramified 2
+    # -3: an inert 2, the most zeroed slices; -4: a ramified 2.  The sieve
+    # read block by block holds one block, never a table of x + 1 entries.
     for d in (-3, -4):
-        assert traced_peak(norm_sieve, d, x) <= norm_sieve_bytes(d, x)
+        estimate = sieve_block_bytes(x) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(d)
+        assert traced_peak(_drain_norm_sieve, d, x) <= estimate

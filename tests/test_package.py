@@ -32,6 +32,51 @@ def test_every_all_entry_resolves():
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(tcm.__file__).resolve().parent
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names node loads (as a name or an attribute) or imports by name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return {(alias.asname or alias.name).split(".")[0] for alias in stmt.names}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_all_entry_has_a_reader():
+    # a public name is read by another module of the package, by its own
+    # module outside its definition, or by the benchmark; tests do not count
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    bench = set().union(*(_read_names(ast.parse(p.read_text())) for p in BENCH.glob("*.py")))
+    checked = 0
+    for name, tree in trees.items():
+        public = [
+            entry
+            for stmt in tree.body
+            if "__all__" in _defined_names(stmt)
+            for entry in ast.literal_eval(stmt.value)
+        ]
+        elsewhere = bench.union(*(_read_names(t) for other, t in trees.items() if other != name))
+        for entry in public:
+            own = set().union(*(_read_names(s) for s in tree.body if entry not in _defined_names(s)))
+            assert entry in elsewhere or entry in own, f"{name}.{entry} has no reader"
+            checked += 1
+    assert checked > 0
 
 
 def test_bench_imports_resolve():

@@ -8,12 +8,13 @@ from tcm.primes import (
     cached_primes,
     least_phi_sieve,
     phi_sieve,
-    phi_sieve_bytes,
     prime_count_bound,
     prime_array,
     prime_list_bytes,
     sieve_block,
 )
+
+from tcm.quad_core import character_table
 
 from conftest import joined_blocks, sieve_phi, slice_phi_sieve, traced_peak, trial_factor
 
@@ -65,17 +66,15 @@ def test_sieve_block_scales_with_the_root():
 def test_phi_sieve_refuses_tables_beyond_int32():
     with pytest.raises(ValueError):
         phi_sieve(2**31)
+    # the limit is checked when the sieve is called, before any block is made
+    with pytest.raises(ValueError):
+        least_phi_sieve(2**31, character_table(-4))
 
 
 def test_prime_count_bound():
     for x in (2, 3, 10, 100, 17, 10**4, 10**6):
         assert prime_count_bound(x) >= len(prime_array(x)), x
     assert prime_count_bound(1) == 0
-
-
-def test_phi_sieve_bytes_bounds_measured_peak():
-    for limit in (10, 1000, 100_000, 400_000, 610_511, 2_081_501):
-        assert traced_peak(phi_sieve, limit) <= phi_sieve_bytes(limit), limit
 
 
 def test_prime_list_bytes_bounds_measured_peak():
