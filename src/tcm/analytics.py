@@ -128,13 +128,13 @@ def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
     return ProductEstimate(value=_certified_product(ps, chi), terms=len(ps))
 
 
-def product_bytes(d: int | Discriminant, x: int) -> int:
+def product_bytes(d: int, x: int) -> int:
     """Upper estimate of char_euler_product's peak memory, by arithmetic alone.
 
     The primes up to x and the character table over |d|.  Accepts any
     int d, so a caller can size a request before validating it.
     """
-    return prime_list_bytes(x) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
+    return prime_list_bytes(x) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(d)
 
 
 def l1_from_class_number(d: int | Discriminant) -> float:
@@ -145,7 +145,7 @@ def l1_from_class_number(d: int | Discriminant) -> float:
     return 2.0 * math.pi * h / (w * math.sqrt(-disc.value))
 
 
-def scan_bytes(d: int | Discriminant, x: int) -> int:
+def scan_bytes(d: int, x: int) -> int:
     """Upper estimate of the peak memory of phi_bound_scan or landau_liminf_check.
 
     One block of the norm sieve up to x, the character table over |d| and
@@ -154,7 +154,7 @@ def scan_bytes(d: int | Discriminant, x: int) -> int:
     """
     return (
         sieve_block_bytes(max(x, 1))
-        + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(int(d))
+        + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(d)
         + _REDUCE_BYTES_PER_NORM * _REDUCE_CHUNK
     )
 

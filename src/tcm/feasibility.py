@@ -33,7 +33,8 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -101,22 +102,7 @@ class ChainStep(NamedTuple):
 
 
 class ChainAudit(NamedTuple):
-    d: int
-    disc: Discriminant
-    a: int
-    b: int
     steps: tuple[ChainStep, ...]
-
-    @property
-    def first_failure(self) -> str | None:
-        for step in self.steps:
-            if not step.holds:
-                return step.label
-        return None
-
-    @property
-    def holds(self) -> bool:
-        return self.first_failure is None
 
 
 def _totient_envelope(n: float) -> float:
@@ -301,24 +287,25 @@ def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
     """
     if D_cap < 3:
         raise ValueError("need D_cap >= 3")
-    pairs = relaxed_pairs(d)
+    # rows by (-a^2 b, |D|, a, b) as built: the pairs sorted once by
+    # (-a^2 b, a, b), then each size's pairs field by field, |D| ascending
+    by_size = sorted((-a * a * b, a, b) for a, b in relaxed_pairs(d))
     # each n = ab factored once, and chi read once per field at its primes
-    factors = {n: factorize(n) for n in {a * b for a, b in pairs}}
+    factors = {n: factorize(n) for n in {a * b for _, a, b in by_size}}
     primes = {p for f in factors.values() for p, _ in f}
-    rows: list[FeasibilityRow] = []
+    fields = []
     for value in fundamental_discriminants(D_cap):
         disc = require_fundamental(value)
-        h = class_number(disc)
         chi = {p: kronecker(disc, p) for p in primes}
         phi = {n: _phi_K_local(f, chi.__getitem__) for n, f in factors.items()}
-        for a, b in pairs:
-            lhs = Fraction(h * phi[a * b], 6 * b)
-            rows.append(FeasibilityRow(disc=disc, a=a, b=b, lhs=lhs, feasible=lhs <= d))
-    # by (-a^2 b, |D|, a, b) as stable sorts from the last key to the first:
-    # one int key per row at a time, not a 4-tuple and two ints per row,
-    # whose 1.4 MB at d = 6, |D| <= 100 set the peak memory of the table
-    for key in (lambda r: r.b, lambda r: r.a, lambda r: -r.disc.value, lambda r: -r.a * r.a * r.b):
-        rows.sort(key=key)
+        fields.append((disc, class_number(disc), phi))
+    rows: list[FeasibilityRow] = []
+    for _, group in groupby(by_size, key=itemgetter(0)):
+        group = list(group)
+        for disc, h, phi in fields:
+            for _, a, b in group:
+                lhs = Fraction(h * phi[a * b], 6 * b)
+                rows.append(FeasibilityRow(disc=disc, a=a, b=b, lhs=lhs, feasible=lhs <= d))
     return rows
 
 
@@ -347,7 +334,7 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
         ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=2 * b * d, rhs=Fraction(h_phi_ab, 3)),
         ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=d, rhs=Fraction(h_phi_ab, 6 * b)),
     )
-    return ChainAudit(d=d, disc=disc, a=a, b=b, steps=steps)
+    return ChainAudit(steps=steps)
 
 
 __all__ = [

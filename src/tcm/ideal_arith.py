@@ -25,15 +25,12 @@ from .quad_core import Discriminant, Splitting, as_discriminant, kronecker, requ
 BRUTE_FORCE_CAP = 300
 
 
-def _factor_key(entry: "tuple[PrimeIdeal, int]") -> tuple[int, int]:
-    return (entry[0].p, entry[0].conjugate_index)
-
-
 class PrimeIdeal(NamedTuple):
     """A prime of the maximal order, keyed by the rational prime below it.
 
     conjugate_index distinguishes the two conjugate primes above a split
-    rational prime; it is 0 for inert and ramified primes.
+    rational prime; it is 0 for inert and ramified primes.  No two primes
+    of a field share both, so the tuple order is (p, conjugate_index).
     """
 
     p: int
@@ -43,13 +40,10 @@ class PrimeIdeal(NamedTuple):
 
 
 class FactoredIdeal(NamedTuple):
-    """A nonzero integral ideal as sorted (prime ideal, exponent) pairs."""
+    """A nonzero integral ideal as (prime ideal, exponent) pairs in tuple order."""
 
     disc: Discriminant
     factors: tuple[tuple[PrimeIdeal, int], ...]
-
-    def sort_key(self) -> tuple:
-        return tuple((P.p, P.conjugate_index, e) for P, e in self.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -62,26 +56,19 @@ class FactoredIdeal(NamedTuple):
 
 
 def _primes_over(disc: Discriminant, p: int) -> list[PrimeIdeal]:
-    """The prime ideals over p, for a p already known to be prime.
-
-    chi(p) = 1, -1, 0 means split, inert, ramified; no primality test.
-    """
-    chi = kronecker(disc, p)
-    if chi == 1:
-        return [
-            PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.SPLIT, norm=p),
-            PrimeIdeal(p=p, conjugate_index=1, splitting=Splitting.SPLIT, norm=p),
-        ]
-    if chi == -1:
-        return [PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.INERT, norm=p * p)]
-    return [PrimeIdeal(p=p, conjugate_index=0, splitting=Splitting.RAMIFIED, norm=p)]
+    """The prime ideals over a p known to be prime (no primality test), by conjugate_index."""
+    kind = Splitting.of(kronecker(disc, p))
+    if kind is Splitting.SPLIT:
+        return [PrimeIdeal(p, 0, kind, p), PrimeIdeal(p, 1, kind, p)]
+    return [PrimeIdeal(p, 0, kind, p * p if kind is Splitting.INERT else p)]
 
 
 def principal_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
     """Factorization of the principal ideal generated by the integer n >= 1.
 
     A split p^e contributes both conjugates with exponent e; a ramified
-    p^e contributes the unique prime with exponent 2e.
+    p^e contributes the unique prime with exponent 2e.  The factors come
+    in order as built: ``factorize`` yields p ascending.
     """
     disc = require_fundamental(d)
     if n < 1:
@@ -89,8 +76,8 @@ def principal_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
     factors: list[tuple[PrimeIdeal, int]] = []
     for p, e in factorize(n):
         for P in _primes_over(disc, p):
-            factors.append((P, 2 * e if P.splitting == Splitting.RAMIFIED else e))
-    return FactoredIdeal(disc=disc, factors=tuple(sorted(factors, key=_factor_key)))
+            factors.append((P, 2 * e if P.splitting is Splitting.RAMIFIED else e))
+    return FactoredIdeal(disc=disc, factors=tuple(factors))
 
 
 def ideal_norm(a: FactoredIdeal) -> int:
@@ -161,13 +148,12 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
         (P for p in cached_primes(x) for P in _primes_over(disc, p) if P.norm <= x),
         key=lambda P: P.norm,
     )
-    found: list[tuple[int, FactoredIdeal]] = []
+    found = []  # (norm, factors), sorted as tuples: no prime ideal repeats in one list
     # (norm, index of the first prime ideal it may still take, factor list)
     stack: list[tuple[int, int, tuple[tuple[PrimeIdeal, int], ...]]] = [(1, 0, ())]
     while stack:
         norm, start, factors = stack.pop()
-        ideal = FactoredIdeal(disc=disc, factors=tuple(sorted(factors, key=_factor_key)))
-        found.append((norm, ideal))
+        found.append((norm, tuple(sorted(factors))))
         for i in range(start, len(prime_ideals)):
             P = prime_ideals[i]
             grown = norm * P.norm
@@ -178,13 +164,13 @@ def ideals_up_to_norm(d: int | Discriminant, x: int):
                 stack.append((grown, i + 1, factors + ((P, e),)))
                 e += 1
                 grown *= P.norm
-    found.sort(key=lambda entry: (entry[0], entry[1].sort_key()))
-    for _, ideal in found:
-        yield ideal
+    found.sort()
+    for _, factors in found:
+        yield FactoredIdeal(disc=disc, factors=factors)
 
 
 def min_phi_ideal(d: int | Discriminant, n: int) -> FactoredIdeal:
-    """The ideal of norm n with the least phi_K, ties to the smallest sort_key.
+    """The ideal of norm n with the least phi_K, ties to the smallest factor tuple.
 
     Per rational prime p^e || n: split e = 1 -> P.0, split e >= 2 ->
     P.0 * P.1^(e-1), inert -> P^(e/2), ramified -> P^e.  Raises

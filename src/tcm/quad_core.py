@@ -25,6 +25,15 @@ class Splitting(enum.Enum):
     INERT = "inert"
     RAMIFIED = "ramified"
 
+    @staticmethod
+    def of(chi: int) -> "Splitting":
+        """How p splits from chi(p) = 1, -1 or 0: split, inert or ramified."""
+        return _SPLITTING_BY_CHI[chi]
+
+
+# indexed by chi(p): 0 ramified, 1 split, -1 (the last entry) inert
+_SPLITTING_BY_CHI = (Splitting.RAMIFIED, Splitting.SPLIT, Splitting.INERT)
+
 
 class _DiscriminantFields(NamedTuple):
     value: int
@@ -45,9 +54,6 @@ class Discriminant(_DiscriminantFields):
 
     def __getnewargs__(self) -> tuple[int]:
         return (self.value,)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def _check_discriminant_shape(value: int) -> None:
@@ -242,12 +248,7 @@ def splitting_type(d: int | Discriminant, p: int) -> Splitting:
     """Behavior of the rational prime p: split, inert, or ramified."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    chi = kronecker(d, p)
-    if chi == 1:
-        return Splitting.SPLIT
-    if chi == -1:
-        return Splitting.INERT
-    return Splitting.RAMIFIED
+    return Splitting.of(kronecker(d, p))
 
 
 def fundamental_discriminants(bound: int) -> list[int]:

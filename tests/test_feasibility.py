@@ -276,13 +276,16 @@ def test_refined_table_sorted_by_size_descending():
     assert sizes == sorted(sizes, reverse=True)
 
 
-def test_refined_table_matches_one_phi_call_per_row(monkeypatch):
+@pytest.mark.parametrize("d,D_cap", [(1, 8), (3, 40), (6, 100)])
+def test_refined_table_matches_one_phi_call_per_row(monkeypatch, d, D_cap):
     # each n = ab factored once per table and chi read once per field, with
     # the rows and their order of one phi_K_of_N call per (field, pair)
-    d = 6
     pairs = relaxed_pairs(d)
+    # some pairs share a size a^2 b ((1, 4) and (2, 1) at d = 1), so the rows
+    # of one size are grouped across fields
+    assert len({a * a * b for a, b in pairs}) < len(pairs)
     expected = []
-    for value in fundamental_discriminants(100):
+    for value in fundamental_discriminants(D_cap):
         h = class_number(value)
         for a, b in pairs:
             lhs = Fraction(h * phi_K_of_N(value, a * b), 6 * b)
@@ -301,11 +304,11 @@ def test_refined_table_matches_one_phi_call_per_row(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(feasibility, name, counting(name))
-    rows = refined_table(d, 100)
+    rows = refined_table(d, D_cap)
     assert [(r.disc.value, r.a, r.b, r.lhs, r.feasible) for r in rows] == expected
     ns = {a * b for a, b in pairs}
     ps = {p for n in ns for p, _ in primes.factorize(n)}
-    assert calls == {"factorize": len(ns), "kronecker": len(fundamental_discriminants(100)) * len(ps)}
+    assert calls == {"factorize": len(ns), "kronecker": len(fundamental_discriminants(D_cap)) * len(ps)}
 
 
 def test_refined_feasibility_implies_relaxed():
@@ -322,17 +325,16 @@ def test_refined_feasibility_implies_relaxed():
 
 def test_chain_audit_examples():
     audit = chain_audit(3, -4, 5, 1)
-    assert audit.holds
+    assert all(step.holds for step in audit.steps)
     assert audit.steps[0].lhs == 6
     assert audit.steps[0].rhs == Fraction(16, 3)
 
     failing = chain_audit(1, -4, 5, 1)
-    assert not failing.holds
-    assert failing.first_failure == audit.steps[0].label
+    assert not failing.steps[0].holds  # so steps[0] is the first step that fails
+    assert failing.steps[0].label == audit.steps[0].label
 
     trivial = chain_audit(1, -4, 1, 1)
-    assert trivial.holds
-    assert trivial.first_failure is None
+    assert all(step.holds for step in trivial.steps)
 
     for a, b in [(0, 1), (1, 0)]:
         with pytest.raises(ValueError):

@@ -225,8 +225,25 @@ def test_ideals_stream_is_sorted_and_restartable():
     first = list(ideals_up_to_norm(-7, 200))
     second = list(ideals_up_to_norm(-7, 200))
     assert first == second
-    keys = [(ideal_norm(i), i.sort_key()) for i in first]
+    keys = [(ideal_norm(i), tuple((P.p, P.conjugate_index, e) for P, e in i.factors)) for i in first]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -15])
+def test_factors_are_ordered_by_construction(d):
+    # no sort: factorize yields p ascending and the conjugates come 0 then 1
+    def increasing(ideal):
+        keys = [(P.p, P.conjugate_index) for P, _ in ideal.factors]
+        return all(x < y for x, y in zip(keys, keys[1:]))
+
+    has_norm = set(least_phi_by_norm(d, 2000).nonzero()[0].tolist())
+    for n in range(1, 2001):
+        assert increasing(principal_ideal(d, n)), (d, n)
+        if n in has_norm:
+            assert increasing(min_phi_ideal(d, n)), (d, n)
+        else:
+            with pytest.raises(ValueError, match="has norm"):
+                min_phi_ideal(d, n)
 
 
 def _expected_min_phi(best, x):

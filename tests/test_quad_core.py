@@ -223,8 +223,22 @@ def test_splitting_type(d, p, expected):
 
 
 def test_splitting_type_rejects_composite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^6 is not prime$"):
         splitting_type(-4, 6)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -15])
+def test_splitting_of_chi_is_the_three_way_rule(d):
+    def three_way(chi):
+        if chi == 1:
+            return Splitting.SPLIT
+        if chi == -1:
+            return Splitting.INERT
+        return Splitting.RAMIFIED
+
+    for p in (q for q in range(2, 1001) if trial_factor(q) == [(q, 1)]):
+        chi = kronecker(d, p)
+        assert Splitting.of(chi) is three_way(chi) is splitting_type(d, p), (d, p)
 
 
 # ------------------------------------------------------------ field constants
