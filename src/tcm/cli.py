@@ -19,29 +19,16 @@ import sys
 import click
 
 from . import __version__
-from .analytics import (
-    char_euler_product,
-    landau_liminf_check,
-    mertens_product,
-    phi_bound_scan,
-    product_bytes,
-    scan_bytes,
-)
-from .feasibility import bound_records, constant_over, sweep_region
-from .galois_image import (
-    cn_elements,
-    kernel_size,
-    max_stabilizer_order,
-    verify_homotheties,
-)
-from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi, ideal_norm, phi_K, principal_ideal
+from .feasibility import bound_ratio, bound_records, constant_over, sweep_region
 from .primes import prime_list_bytes
-from .quad_core import as_discriminant
 
-# degrees per step of BoundRows, and an upper bound on the bytes of one
-# step's five lists of Python ints and floats
-ROW_STEP = 1024
-ROW_STEP_BYTES = 5 * 48 * ROW_STEP
+# the peak memory of tcm bound is the larger of its two phases: the region's
+# per-a cutoffs (a list of ints, then their tuple: up to 48 B per a) with the
+# search's working set beside them, then the writing, where csv's record
+# buffer alone is 128 KiB, beside the runs (262 at most up to d = 10^6)
+REGION_BYTES_PER_A = 48
+SEARCH_BYTES = 64 << 10
+WRITE_BYTES = 256 << 10
 
 # the largest |--disc| and --n that phi and galois factor: trial division
 # is O(sqrt(n)), 0.035 s at the prime 10^12 + 39 on a 2-core Xeon VM
@@ -205,8 +192,33 @@ def data_command(group: click.Group, name: str):
 
 def brute_check(d, n: int, value: int) -> dict:
     """The residue-ring count of phi_K((n)) when n is small, and whether it equals value."""
+    from .ideal_arith import BRUTE_FORCE_CAP, brute_force_phi
+
     brute = brute_force_phi(d, n) if n <= BRUTE_FORCE_CAP else None
     return {"brute_force": brute, "agree": None if brute is None else brute == value}
+
+
+def _analytics(name: str):
+    """analytics.<name>, imported at its first call.
+
+    The analytic modules load numpy, which ``tcm bound`` and ``tcm
+    --version`` do without.  The commands call these through the module's
+    globals, so a caller can wrap each one by setattr on this module.
+    """
+
+    def call(*args):
+        from . import analytics
+
+        return getattr(analytics, name)(*args)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+mertens_product = _analytics("mertens_product")
+char_euler_product = _analytics("char_euler_product")
+phi_bound_scan = _analytics("phi_bound_scan")
+landau_liminf_check = _analytics("landau_liminf_check")
 
 
 # ---------------------------------------------------------------- commands
@@ -228,12 +240,12 @@ def bound(d_min, d_max):
     if not 1 <= d_min <= d_max <= 10**6:
         raise click.UsageError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
     region = sweep_region(d_max)
-    estimate = region.bound_bytes(d_min) + ROW_STEP_BYTES
+    estimate = max(REGION_BYTES_PER_A * region.a_max + SEARCH_BYTES, WRITE_BYTES)
     preflight(f"bound up to d = {d_max} (n_max = {region.n_max})", estimate)
-    columns = bound_records(d_min, d_max)
+    runs = bound_records(d_min, d_max)
     constant = None
     if d_max >= 3:
-        est = constant_over(columns)
+        est = constant_over(runs)
         constant = {"value": _round12(est.value), "argmax_d": est.argmax_d}
         print(
             f"running constant over d in [{max(d_min, 3)}, {d_max}]: "
@@ -241,21 +253,20 @@ def bound(d_min, d_max):
             file=sys.stderr,
         )
     meta = {"n_max": region.n_max, "a_max": region.a_max, "pairs_scanned": region.pairs_scanned}
-    return BoundRows(columns), {"constant": constant, **meta}
+    return BoundRows(runs), {"constant": constant, **meta}
 
 
 class BoundRows:
-    """The rows of ``tcm bound``, formatted from the columns on each pass,
-    ROW_STEP degrees of Python values at a time."""
+    """The rows of ``tcm bound``, expanded from the runs on each pass."""
 
-    def __init__(self, columns):
-        self.columns = columns
+    def __init__(self, runs):
+        self.runs = runs
 
     def __iter__(self):
-        for lo in range(0, len(self.columns.d), ROW_STEP):
-            step = [column[lo : lo + ROW_STEP].tolist() for column in self.columns]
-            for d, a, b, size, ratio in zip(*step):
-                yield {"d": d, "a": a, "b": b, "bound": size, "ratio": None if d < 3 else _round12(ratio)}
+        for run in self.runs:
+            for d in range(run.d_lo, run.d_hi + 1):
+                ratio = None if d < 3 else _round12(bound_ratio(d, run.bound))
+                yield {"d": d, "a": 1, "b": run.bound, "bound": run.bound, "ratio": ratio}
 
 
 @data_command(cli, "phi")
@@ -264,6 +275,9 @@ class BoundRows:
 @_format_option
 def phi(disc, n):
     """Ideal Euler function of (n), with brute-force cross-check when small."""
+    from .ideal_arith import ideal_norm, phi_K, principal_ideal
+    from .quad_core import as_discriminant
+
     check_factorable(disc=disc, n=n)
     d = as_discriminant(disc)
     ideal = principal_ideal(d, n)
@@ -281,6 +295,9 @@ def phi(disc, n):
 @_format_option
 def galois(disc, p, A, B, n):
     """Unit-group scans: group orders, reduction kernels, point stabilizers."""
+    from .galois_image import cn_elements, kernel_size, max_stabilizer_order, verify_homotheties
+    from .quad_core import as_discriminant
+
     check_factorable(disc=disc)
     if (n is None and None in (p, A)) or (n is not None and (p, A, B) != (None, None, None)):
         raise click.UsageError("need either --n, or --p with --a (and optionally --b)")
@@ -324,6 +341,8 @@ def mertens(x):
 @_format_option
 def product(disc, x):
     """Character Euler product of (1 - chi(p)/p) over primes p <= x."""
+    from .analytics import product_bytes
+
     preflight(f"primes up to x = {x} and the character mod {abs(disc)}", product_bytes(disc, x))
     est = char_euler_product(disc, x)
     return [{"disc": disc, "x": x, "value": _round12(est.value), "terms": est.terms}], {}
@@ -335,6 +354,9 @@ def product(disc, x):
 @_format_option
 def scan(disc, x):
     """Minimum of phi_K(c) loglog|c| / |c| over ideals with 3 <= |c| <= x."""
+    from .analytics import scan_bytes
+    from .ideal_arith import ideal_norm
+
     preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
     result = phi_bound_scan(disc, x)
     row = {
@@ -353,6 +375,8 @@ def scan(disc, x):
 @_format_option
 def landau(disc, x):
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi)."""
+    from .analytics import scan_bytes
+
     preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
     result = landau_liminf_check(disc, x)
     row = {

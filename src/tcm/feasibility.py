@@ -6,72 +6,91 @@ minimum phi_K((n)) >= phi(n)^2 leaves the field-independent test
 phi(ab)^2 <= 6 b d, whose maximal surviving size a^2 b is the rigorous
 bound B(d).  All feasibility comparisons are exact integer arithmetic.
 
-The search region is finite by a proven totient lower bound.  With
-n = ab the test reads phi(n)^2 <= c n for c = 6d/a.  Rosser and
-Schoenfeld (Illinois J. Math. 6, 1962) prove
-n / phi(n) < e^gamma loglog n + 2.50637 / loglog n for n >= 3.  With
-E(n) = e^gamma loglog n + 3 / loglog n (3 in place of 2.50637: slack
-that also absorbs float rounding), a feasible n obeys n < c E(n)^2.
-``product_cutoff(c)`` turns that into an integer M(c) >= 63 with
-phi(n)^2 <= c n  =>  n <= M(c): n / E(n)^2 increases for n >= 64, and
-below 64 nothing is claimed.  Hence every feasible pair satisfies
+Lemma 1 (the size decides).  Put n = ab and m = a^2 b = a n.  Every prime
+of a divides n, so m and n have the same prime divisors and
+phi(m)/m = phi(n)/n.  Hence phi(m)^2 / m = a phi(n)^2 / n = phi(ab)^2 / b,
+and the shape passes the test iff phi(m)^2 <= 6 d m.  The test sees a
+shape only through its size m, and (1, m) is a shape of every size, so
 
-    a <= n <= M(6d/a),
+    B(d) = max{m : phi(m)^2 <= 6 d m},
 
-so a runs only while M(6d/a) >= a (M is nondecreasing in c, so the
-first failure ends the range; phi(n)^2 >= n/2 also gives a <= 12d), and
-each a scans n only up to min(n_max, M(6d/a)) with n_max = M(6 d_max).
-The region holds about 1.6 n_max pairs instead of n_max ln(12 d_max).
-One kernel, ``activations``, sweeps it over the int32 blocks of the
-totient sieve, one block at a time: phi(n) <= n <= n_max(10^6) =
-237,662,443 < 2^31, and each slice is cast to int64 before squaring.
+its smallest-a shape is (1, B(d)), and the shapes that pass at d are the
+(a, m / a^2) with a^2 | m for the sizes m that pass.
+
+The sizes are searched by their prime sets.  For a set S of primes let
+r(S) be their product and G(S) the product of p^2 / (p - 1)^2 over S.
+An m whose prime divisors are exactly S has phi(m) = m / sqrt(G(S)), so
+it passes iff m <= X_S = floor(6 d G(S)): the passing sizes with prime
+set S are the r(S) k for the S-smooth k <= X_S / r(S), and there is one
+iff r(S) <= X_S, that is r(S) <= 6 d G(S) (S is admissible).  The
+search walks the admissible sets depth first, each set extended by
+primes above its largest.  Extending S by q multiplies r(S) / (6 d G(S))
+by (q - 1)^2 / q, which grows with q and is at least 4/3 for q >= 3; so
+an inadmissible set has no admissible extension, and the children
+S + {q} of a set are admissible for q up to the first failure only.
+
+Lemma 2 (pruning).  Let S be admissible, q_1 < q_2 < ... the primes above
+its largest, and J the largest j with
+r(S) q_1 ... q_j <= 6 d G(S) G(q_1, ..., q_j).  Then every admissible
+S + T, with T a set of primes above those of S, has all its passing sizes
+at most 6 d G(S) G(q_1, ..., q_J).  Proof: with j = |T|, the product of T
+is at least q_1 ... q_j and G(T) is at most G(q_1, ..., q_j), termwise,
+so admissibility of S + T forces the inequality at j.  For S nonempty
+every q_i >= 3, and each step multiplies the left side over the right by
+(q - 1)^2 / q > 1, so the inequality holds exactly for j <= J; and
+G(q_1, ..., q_j) grows with j.  So a subtree whose bound is below
+best + 1 holds no size above the best one found, and it is skipped.  The
+bound of S + {q} falls as q grows (its greedy primes are termwise larger
+and fewer), so the first child skipped ends the loop over children.
+Both tests compare integers: num / den = G, r den <= c num for
+admissibility and c num < (best + 1) den for the bound.
+
+``bound_records`` answers a degree range by a staircase: m = B(d_max)
+passes from its activation degree ceil(phi(m)^2 / (6 m)) on, so B = m on
+[activation, d_max], and the next query is one degree below it.  So it
+makes one query per distinct value of B: 262 over [1, 10^6].
+
+``sweep_region`` is the proven (a, n) region of every feasible pair,
+which the ``bound`` meta records and the tests' sweep oracle scans.
+With n = ab the test reads phi(n)^2 <= c n for c = 6d/a.  Rosser and
+Schoenfeld (Illinois J. Math. 6, 1962) prove n / phi(n) < e^gamma
+loglog n + 2.50637 / loglog n for n >= 3.  With E(n) = e^gamma loglog n
++ 3 / loglog n (3 in place of 2.50637: slack that also absorbs float
+rounding), a feasible n obeys n < c E(n)^2.  ``product_cutoff(c)``
+turns that into an integer M(c) >= 63 with phi(n)^2 <= c n  =>
+n <= M(c): n / E(n)^2 increases for n >= 64, and below 64 nothing is
+claimed.  Hence every feasible pair satisfies a <= n <= M(6d/a), so a
+runs only while M(6d/a) >= a (M is nondecreasing in c, so the first
+failure ends the range; phi(n)^2 >= n/2 also gives a <= 12d), and each
+a reaches n only up to min(n_max, M(6d/a)) with n_max = M(6 d_max).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, groupby, repeat
+from collections.abc import Callable, Iterable, Iterator
+from functools import cache
+from itertools import count, groupby
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .primes import EULER_GAMMA, factorize, is_prime
 
-from .ideal_arith import _phi_K_local, phi_K_of_N
-from .primes import EULER_GAMMA, factorize, least_phi_sieve, sieve_block, sieve_block_bytes
-from .quad_core import (
-    Discriminant,
-    class_number,
-    fundamental_discriminants,
-    kronecker,
-    require_fundamental,
-)
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .quad_core import Discriminant
 
 _ENV_SCALE = math.exp(EULER_GAMMA)
 
-# an upper bound on the bytes of int64 and bool temporaries one kernel step
-# holds per multiple
-_CHUNK_BYTES_PER_PAIR = 128
 
-# bytes per degree of BoundColumns: four int64 columns and the float64 ratio
-_COLUMN_BYTES = 40
+class BoundRun(NamedTuple):
+    """B(d) = bound for every degree d_lo <= d <= d_hi; its smallest-a
+    shape Z/a x Z/ab is (a, b) = (1, bound) (Lemma 1)."""
 
-
-class BoundColumns(NamedTuple):
-    """B(d) for consecutive ascending degrees, one array per quantity.
-
-    Entry i is degree d[i]: bound[i] = B(d) = a^2 b for the maximizing
-    shape Z/a x Z/ab with the smallest a, and ratio[i] = B(d) / (d log log d),
-    NaN for d < 3.  d, a, b and bound are int64, ratio is float64.
-    """
-
-    d: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    bound: np.ndarray
-    ratio: np.ndarray
+    d_lo: int
+    d_hi: int
+    bound: int
 
 
 class FeasibilityRow(NamedTuple):
@@ -105,6 +124,144 @@ class ChainAudit(NamedTuple):
     steps: tuple[ChainStep, ...]
 
 
+# ---------------------------------------------------------------- the search
+
+# the primes from 2 on, extended as the search reaches them
+_PRIMES = [2, 3]
+
+
+def _prime(i: int) -> int:
+    """The i-th prime, 2 being the 0th."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] + 2
+        while not is_prime(q):
+            q += 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def _greedy_gain(c: int, i: int, num: int, den: int, rad: int) -> tuple[int, int]:
+    """num / den times p^2 / (p - 1)^2 for the primes p from the i-th on,
+    taken in order while each keeps the set admissible: Lemma 2's bound
+    on the gain of any admissible extension, as an exact fraction."""
+    while True:
+        p = _prime(i)
+        num_p, den_p, rad_p = num * p * p, den * (p - 1) ** 2, rad * p
+        if rad_p * den_p > c * num_p:
+            return num, den
+        num, den, rad = num_p, den_p, rad_p
+        i += 1
+
+
+def _prime_sets(c: int, best: Callable[[], int]) -> Iterator[tuple[list[int], int, int]]:
+    """(S, r(S), X_S) for the admissible prime sets S, depth first with
+    the primes of S ascending, X_S = floor(c G(S)), c = 6d.
+
+    A subtree is skipped when Lemma 2 bounds its sizes by best(), read
+    afresh at each test, so a caller that raises it as it consumes the
+    sets prunes the walk.  With best() = 0 nothing admissible is skipped.
+    """
+
+    def walk(S: list[int], start: int, num: int, den: int, rad: int):
+        yield S, rad, c * num // den
+        for i in count(start):
+            q = _prime(i)
+            num_q, den_q, rad_q = num * q * q, den * (q - 1) ** 2, rad * q
+            if rad_q * den_q > c * num_q:
+                return  # S + {q} is inadmissible, and so is S + {q'} for q' > q
+            top_num, top_den = _greedy_gain(c, i + 1, num_q, den_q, rad_q)
+            if c * top_num < (best() + 1) * top_den:
+                return  # nothing above best under S + {q}, nor under S + {q'}
+            yield from walk(S + [q], i + 1, num_q, den_q, rad_q)
+
+    return walk([], 0, 1, 1, 1)
+
+
+def _smooth(limit: int, S: list[int]) -> list[int]:
+    """Every k <= limit whose prime divisors all lie in S, 1 included."""
+    out = [1]
+    for p in S:
+        for k in out[:]:
+            k *= p
+            while k <= limit:
+                out.append(k)
+                k *= p
+    return out
+
+
+def _largest_size(d: int) -> tuple[int, int]:
+    """(B(d), phi(B(d))): the largest m with phi(m)^2 <= 6 d m."""
+    best, best_set = 1, []
+    for S, rad, top in _prime_sets(6 * d, lambda: best):
+        m = rad * max(_smooth(top // rad, S))
+        if m > best:
+            best, best_set = m, S
+    phi = best
+    for p in best_set:
+        phi = phi // p * (p - 1)
+    return best, phi
+
+
+def bound_records(d_min: int, d_max: int) -> list[BoundRun]:
+    """B(d) for every degree in [d_min, d_max], as ascending runs of one value.
+
+    The runs cover the range exactly, one run per distinct value of B,
+    each found by one search (the staircase of the module docstring).
+    """
+    if not 1 <= d_min <= d_max:
+        raise ValueError(f"need 1 <= d_min <= d_max, got [{d_min}, {d_max}]")
+    runs = []
+    d = d_max
+    while d >= d_min:
+        size, phi = _largest_size(d)
+        first = -(-phi * phi // (6 * size))  # the least degree size passes at
+        runs.append(BoundRun(d_lo=max(first, d_min), d_hi=d, bound=size))
+        d = first - 1
+    runs.reverse()
+    return runs
+
+
+def bound_ratio(d: int, bound: int) -> float:
+    """B(d) / (d log log d), for d >= 3, as the rows print it."""
+    return bound / (d * math.log(math.log(d)))
+
+
+def constant_over(runs: Iterable[BoundRun]) -> ConstantEstimate:
+    """Sup of B(d) / (d log log d) over the degrees d >= 3 of the runs, by argmax.
+
+    Within a run B is constant and d log log d increases, so a run's
+    largest ratio is at its first degree >= 3.  The first maximum, the
+    smallest such d, wins.
+    """
+    best = None
+    for run in runs:
+        if run.d_hi >= 3:
+            d = max(run.d_lo, 3)
+            value = bound_ratio(d, run.bound)
+            if best is None or value > best.value:
+                best = ConstantEstimate(value=value, argmax_d=d)
+    if best is None:
+        raise ValueError("no degrees >= 3 in the runs")
+    return best
+
+
+def relaxed_pairs(d: int) -> list[tuple[int, int]]:
+    """Every (a, b) with phi(ab)^2 <= 6 b d, sorted: the (a, m / a^2) with
+    a^2 | m for every size m that passes (Lemma 1)."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    pairs = []
+    for S, rad, top in _prime_sets(6 * d, lambda: 0):
+        for k in _smooth(top // rad, S):
+            m = rad * k
+            pairs += [(a, m // (a * a)) for a in range(1, math.isqrt(m) + 1) if m % (a * a) == 0]
+    pairs.sort()
+    return pairs
+
+
+# ---------------------------------------------------------- the meta cutoffs
+
+
 def _totient_envelope(n: float) -> float:
     # n / phi(n) < e^gamma loglog n + 3/loglog n for all n >= 3
     ll = math.log(math.log(n))
@@ -134,10 +291,10 @@ def feasible_product_cutoff(d: int) -> int:
 
 
 class SweepRegion(NamedTuple):
-    """The proven search region of the sweep up to d_max.
+    """The proven (a, n = ab) region of every feasible pair up to d_max.
 
-    Pair (a, n = ab) is scanned iff a <= a_max and n is a multiple of a
-    with n <= n_hi[a - 1] = min(n_max, M(6 d_max / a)).
+    Pair (a, n) lies in it iff a <= a_max and n is a multiple of a with
+    n <= n_hi[a - 1] = min(n_max, M(6 d_max / a)).
     """
 
     d_max: int
@@ -155,40 +312,9 @@ class SweepRegion(NamedTuple):
     def pairs_scanned(self) -> int:
         return sum(n // a for a, n in enumerate(self.n_hi, start=1))
 
-    @property
-    def chunk(self) -> int:
-        """Multiples of a per kernel step: a 32nd of a sieve block, so one
-        step's temporaries take no more than the block's int32 table."""
-        return 4 * sieve_block(self.n_max) // _CHUNK_BYTES_PER_PAIR
 
-    @property
-    def peak_bytes(self) -> int:
-        """Upper estimate of the kernel's peak memory, by arithmetic only.
-
-        One block of the totient sieve (no prime is inert) plus one chunk of
-        temporaries, plus the int64 per-degree reduction array.
-        """
-        sweep = sieve_block_bytes(self.n_max, inert=False) + self.chunk * _CHUNK_BYTES_PER_PAIR
-        return sweep + 16 * (self.d_max + 1)
-
-    def bound_bytes(self, d_min: int) -> int:
-        """Upper estimate of the peak memory of bound_records(d_min, d_max).
-
-        The sweep's peak, or after it the columns, whichever is larger: the
-        bound and a columns are cut from the int64 reduction array while it
-        is still live.
-        """
-        columns = 8 * (self.d_max + 1) + _COLUMN_BYTES * (self.d_max - d_min + 1)
-        return max(self.peak_bytes, columns)
-
-
-@lru_cache(maxsize=8)
 def sweep_region(d_max: int) -> SweepRegion:
-    """The cutoffs a <= n <= min(n_max, M(6 d_max / a)) of the sweep.
-
-    Memoized, so a caller that sizes a request before running it builds
-    the region once.
-    """
+    """The cutoffs a <= n <= min(n_max, M(6 d_max / a)) of the region."""
     n_max = feasible_product_cutoff(d_max)
     n_hi: list[int] = []
     for a in range(1, 12 * d_max + 1):  # phi(n)^2 >= n/2 forces a <= 12d
@@ -199,84 +325,20 @@ def sweep_region(d_max: int) -> SweepRegion:
     return SweepRegion(d_max=d_max, n_hi=tuple(n_hi))
 
 
-def activations(region: SweepRegion) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The feasibility kernel: yield (a, n, degree) for the region's pairs.
-
-    degree[i] = ceil(a phi(n)^2 / (6 n)) is the least d at which (a, n[i])
-    is feasible; only pairs with degree <= d_max are yielded.  The totient
-    comes in the blocks of ``least_phi_sieve``; inside a block, each a's
-    multiples come in increasing order, at most ``region.chunk`` at a time.
-    So the pairs are ordered by (block, a, n), and peak memory is one block
-    plus one chunk of temporaries.
-    """
-    chunk = region.chunk
-    for lo, phi in least_phi_sieve(region.n_max):
-        top = lo + len(phi) - 1
-        for a, n_hi in enumerate(region.n_hi, start=1):
-            if n_hi < lo or a > top:  # n_hi does not increase with a
-                break
-            last = min(n_hi, top)
-            for start in range(max(a, -(-lo // a) * a), last + 1, a * chunk):
-                stop = min(last, start + a * (chunk - 1))
-                n = np.arange(start, stop + 1, a, dtype=np.int64)
-                # a phi(n)^2 <= n_hi * a M(6 d_max / a), about n_max^2 < 2^63
-                lhs = phi[start - lo : stop - lo + 1 : a].astype(np.int64)
-                lhs *= lhs
-                lhs *= a
-                six_n = 6 * n
-                keep = lhs <= six_n * region.d_max
-                six_n = six_n[keep]
-                yield a, n[keep], (lhs[keep] + six_n - 1) // six_n
+# ----------------------------------------------------------- the field side
 
 
-def bound_records(d_min: int, d_max: int) -> BoundColumns:
-    """B(d) for every degree in [d_min, d_max], in one sweep, as columns.
+@cache
+def _field_side():
+    """Fraction, ideal_arith and quad_core, imported at the first call: the
+    two modules load numpy, which tcm bound does without.  The cached call
+    costs chain_audit, run once per refined row, a tenth of what three
+    import statements would."""
+    from fractions import Fraction
 
-    Each feasible pair (a, n = ab) is reduced into its activation degree,
-    keyed by (size a n, then smallest a); a running maximum over the
-    degrees then yields B(d) for all d at once.  Each ratio takes log log d
-    from ``math.log``, degree by degree, so it is the same float as
-    B(d) / (d * math.log(math.log(d))).
-    """
-    if not 1 <= d_min <= d_max:
-        raise ValueError(f"need 1 <= d_min <= d_max, got [{d_min}, {d_max}]")
-    region = sweep_region(d_max)
-    bits = region.a_max.bit_length()
-    shift = 1 << bits  # key = size * shift + (shift - a), a < shift
-    best = np.zeros(d_max + 1, dtype=np.int64)
-    for a, n, degree in activations(region):
-        np.maximum.at(best, degree, a * n * shift + (shift - a))
-    np.maximum.accumulate(best, out=best)  # (a, b) = (1, 1) activates at d = 1
-    bound = best[d_min:] >> bits
-    a = shift - (best[d_min:] & (shift - 1))
-    del best
-    b = bound // (a * a)
-    d = np.arange(d_min, d_max + 1, dtype=np.int64)
-    lo = max(d_min, 3)
-    loglog = map(math.log, map(math.log, range(lo, d_max + 1)))
-    ratio = np.fromiter(chain(repeat(math.nan, lo - d_min), loglog), np.float64, len(d))
-    np.multiply(ratio, d, out=ratio)
-    np.divide(bound, ratio, out=ratio)
-    return BoundColumns(d=d, a=a, b=b, bound=bound, ratio=ratio)
+    from . import ideal_arith, quad_core
 
-
-def constant_over(columns: BoundColumns) -> ConstantEstimate:
-    """Sup of the ratio column over the degrees d >= 3, by argmax.
-
-    The first maximum, the smallest such d, wins.
-    """
-    first = int(np.searchsorted(columns.d, 3))  # d ascends
-    if first == len(columns.d):
-        raise ValueError("no degrees >= 3 in the columns")
-    i = first + int(np.argmax(columns.ratio[first:]))
-    return ConstantEstimate(value=float(columns.ratio[i]), argmax_d=int(columns.d[i]))
-
-
-def relaxed_pairs(d: int) -> list[tuple[int, int]]:
-    """Every (a, b) with phi(ab)^2 <= 6 b d, sorted, via the proven cutoffs."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    return sorted((a, n // a) for a, ns, _ in activations(sweep_region(d)) for n in ns.tolist())
+    return Fraction, ideal_arith, quad_core
 
 
 def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
@@ -285,6 +347,7 @@ def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
     Diagnostic only: restricting the fields to |D| <= D_cap does not by
     itself certify an upper bound over all fields.
     """
+    Fraction, ideal_arith, quad_core = _field_side()
     if D_cap < 3:
         raise ValueError("need D_cap >= 3")
     # rows by (-a^2 b, |D|, a, b) as built: the pairs sorted once by
@@ -294,11 +357,11 @@ def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
     factors = {n: factorize(n) for n in {a * b for _, a, b in by_size}}
     primes = {p for f in factors.values() for p, _ in f}
     fields = []
-    for value in fundamental_discriminants(D_cap):
-        disc = require_fundamental(value)
-        chi = {p: kronecker(disc, p) for p in primes}
-        phi = {n: _phi_K_local(f, chi.__getitem__) for n, f in factors.items()}
-        fields.append((disc, class_number(disc), phi))
+    for value in quad_core.fundamental_discriminants(D_cap):
+        disc = quad_core.require_fundamental(value)
+        chi = {p: quad_core.kronecker(disc, p) for p in primes}
+        phi = {n: ideal_arith._phi_K_local(f, chi.__getitem__) for n, f in factors.items()}
+        fields.append((disc, quad_core.class_number(disc), phi))
     rows: list[FeasibilityRow] = []
     for _, group in groupby(by_size, key=itemgetter(0)):
         group = list(group)
@@ -324,13 +387,14 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     one Fraction of ints, so every comparison is exact and no Fraction is
     divided.
     """
+    Fraction, ideal_arith, quad_core = _field_side()
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
-    disc = require_fundamental(D)
-    h = class_number(disc)
-    h_phi_ab = h * phi_K_of_N(disc, a * b)
+    disc = quad_core.require_fundamental(D)
+    h = quad_core.class_number(disc)
+    h_phi_ab = h * ideal_arith.phi_K_of_N(disc, a * b)
     steps = (
-        ChainStep(label="2d >= h*phi_K(aO)/3", lhs=2 * d, rhs=Fraction(h * phi_K_of_N(disc, a), 3)),
+        ChainStep(label="2d >= h*phi_K(aO)/3", lhs=2 * d, rhs=Fraction(h * ideal_arith.phi_K_of_N(disc, a), 3)),
         ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=2 * b * d, rhs=Fraction(h_phi_ab, 3)),
         ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=d, rhs=Fraction(h_phi_ab, 6 * b)),
     )
@@ -338,13 +402,13 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
 
 
 __all__ = [
-    "BoundColumns",
+    "BoundRun",
     "ChainAudit",
     "ChainStep",
     "ConstantEstimate",
     "FeasibilityRow",
     "SweepRegion",
-    "activations",
+    "bound_ratio",
     "bound_records",
     "chain_audit",
     "constant_over",

@@ -6,12 +6,15 @@ built on its primes: the least phi_K over the ideals of each norm, for
 the character table of any imaginary quadratic field K, yielded as
 consecutive numpy int32 blocks whose size grows with the square root of
 the limit.  Only the primes up to that root are sieved, so no array
-spans the whole range.  Its consumers read the blocks one at a time:
-``feasibility.activations`` the totient blocks (every prime ramified),
-``analytics.phi_bound_scan`` and ``landau_liminf_check`` the blocks of a
-field.  ``phi_sieve`` copies the totient blocks into one table.  The
-``*_bytes`` functions estimate peak memory by arithmetic alone, so a
-caller can refuse a request before allocating anything.
+spans the whole range.  Its consumers, ``analytics.phi_bound_scan`` and
+``landau_liminf_check``, read the blocks of a field one at a time.
+``phi_sieve`` copies the totient blocks (every prime ramified) into one
+table.  The ``*_bytes`` functions estimate peak memory by arithmetic
+alone, so a caller can refuse a request before allocating anything.
+
+numpy is imported by the sieves when they run, not with the module, so
+``is_prime``, ``factorize``, the constants and the estimates load
+without it: ``tcm bound`` reads them and loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 from math import isqrt, log
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -29,6 +34,8 @@ EULER_GAMMA = 0.5772156649015329
 
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array, by the sieve of Eratosthenes."""
+    import numpy as np
+
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     composite = np.zeros(limit + 1, dtype=bool)
@@ -118,9 +125,6 @@ def prime_count_bound(x: int) -> int:
 # temporaries of the log sum); the rest is headroom
 _PRIME_LIST_BYTES = 100
 
-# the character table of period 1 that makes every prime ramified
-_ALL_RAMIFIED = np.zeros(1, dtype=np.int8)
-
 
 def prime_list_bytes(x: int) -> int:
     """Upper estimate of the peak memory of an analytic product over primes <= x.
@@ -191,6 +195,8 @@ def _sieve_block(lo: int, hi: int, steps: list, noninert: np.ndarray | None) -> 
     noninert[r] says chi(r) >= 0, over one period of chi; None when no
     prime is inert.
     """
+    import numpy as np
+
     table = np.ones(hi - lo, dtype=np.int32)
     smooth = np.ones(hi - lo, dtype=np.int32)
     # the number of inert primes p <= isqrt(limit) with an odd power p^k || n
@@ -234,7 +240,7 @@ def _sieve_blocks(limit: int, chi: np.ndarray, block: int) -> Iterator[tuple[int
         yield lo, _sieve_block(lo, min(limit + 1, lo + block), steps, noninert)
 
 
-def least_phi_sieve(limit: int, chi: np.ndarray = _ALL_RAMIFIED) -> Iterator[tuple[int, np.ndarray]]:
+def least_phi_sieve(limit: int, chi: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Least phi_K over the ideals of norm n, for n = 0 .. limit, in blocks.
 
     Yields (lo, block) with block[i] the value at n = lo + i, as int32, for
@@ -244,7 +250,7 @@ def least_phi_sieve(limit: int, chi: np.ndarray = _ALL_RAMIFIED) -> Iterator[tup
     multiplicative in n, with local factors: split p -> p - 1, split p^e
     (e >= 2) -> p^(e-2)(p-1)^2 (both conjugates present), inert p^(2k) ->
     p^(2k-2)(p^2-1), inert odd powers -> 0, ramified p^e -> p^(e-1)(p-1).
-    With every prime ramified (the default chi = [0]) that is phi(n).  Each
+    With every prime ramified (chi = [0], the default None) that is phi(n).  Each
     factor is at most p^e, so every entry is at most n.
 
     Only the primes p <= r = isqrt(limit) are sieved.  In each block every
@@ -261,6 +267,10 @@ def least_phi_sieve(limit: int, chi: np.ndarray = _ALL_RAMIFIED) -> Iterator[tup
     """
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} does not fit int32")
+    if chi is None:
+        import numpy as np
+
+        chi = np.zeros(1, dtype=np.int8)
     return _sieve_blocks(limit, chi, sieve_block(limit))
 
 
@@ -270,6 +280,8 @@ def phi_sieve(limit: int) -> np.ndarray:
     The blocks of ``least_phi_sieve`` with every prime ramified, copied into
     one table: the ramified local factor p^(e-1)(p-1) is phi(p^e).
     """
+    import numpy as np
+
     blocks = least_phi_sieve(limit)  # checks the limit before the table exists
     table = np.empty(limit + 1, dtype=np.int32)
     for lo, block in blocks:

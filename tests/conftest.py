@@ -189,6 +189,69 @@ def oracle_bound_records(d_max: int) -> list[tuple[int, int, int]]:
     return records
 
 
+def sweep_activations(d_max: int):
+    """Yield (a, n, degree) for every pair (a, n = ab) of the proven region
+    of d_max that passes by degree d_max: a numpy sweep over the totient
+    sieve, a route to B(d) that shares nothing with the prime-set search.
+
+    degree[i] = ceil(a phi(n)^2 / (6 n)) is the least d at which (a, n[i])
+    passes.  The totient comes in the blocks of ``least_phi_sieve``; inside
+    a block, each a's multiples come in steps of at most a 32nd of a block.
+    phi(n) <= n_max(10^6) < 2^31, and a phi(n)^2 <= n_hi a M(6 d_max / a),
+    about n_max^2 < 2^63.
+    """
+    import numpy as np
+
+    from tcm.feasibility import sweep_region
+    from tcm.primes import least_phi_sieve, sieve_block
+
+    region = sweep_region(d_max)
+    chunk = sieve_block(region.n_max) // 32
+    for lo, phi in least_phi_sieve(region.n_max):
+        top = lo + len(phi) - 1
+        for a, n_hi in enumerate(region.n_hi, start=1):
+            if n_hi < lo or a > top:  # n_hi does not increase with a
+                break
+            last = min(n_hi, top)
+            for start in range(max(a, -(-lo // a) * a), last + 1, a * chunk):
+                stop = min(last, start + a * (chunk - 1))
+                n = np.arange(start, stop + 1, a, dtype=np.int64)
+                lhs = phi[start - lo : stop - lo + 1 : a].astype(np.int64)
+                lhs *= lhs
+                lhs *= a
+                six_n = 6 * n
+                keep = lhs <= six_n * d_max
+                six_n = six_n[keep]
+                yield a, n[keep], (lhs[keep] + six_n - 1) // six_n
+
+
+def sweep_bound_records(d_max: int) -> list[tuple[int, int, int]]:
+    """(bound, a, b) of B(d) for d = 1 .. d_max, from the sweep's pairs.
+
+    Each pair is reduced into its activation degree, keyed by (size a n,
+    then smallest a), and a running maximum over the degrees gives every
+    B(d) at once.
+    """
+    import numpy as np
+
+    from tcm.feasibility import sweep_region
+
+    bits = sweep_region(d_max).a_max.bit_length()
+    shift = 1 << bits  # key = size * shift + (shift - a), a < shift
+    best = np.zeros(d_max + 1, dtype=np.int64)
+    for a, n, degree in sweep_activations(d_max):
+        np.maximum.at(best, degree, a * n * shift + (shift - a))
+    np.maximum.accumulate(best, out=best)  # (a, b) = (1, 1) activates at d = 1
+    size = (best[1:] >> bits).tolist()
+    a = (shift - (best[1:] & (shift - 1))).tolist()
+    return [(m, k, m // (k * k)) for m, k in zip(size, a)]
+
+
+def expand_runs(runs) -> list[tuple[int, int, int]]:
+    """(bound, a, b) per degree of the runs of bound_records: (B, 1, B)."""
+    return [(run.bound, 1, run.bound) for run in runs for _ in range(run.d_lo, run.d_hi + 1)]
+
+
 def oracle_min_phi(d: int, x: int) -> dict[int, object]:
     """For each norm n <= x that has an ideal, the first ideal of norm n in
     the enumeration stream with the least phi_K, by listing every ideal."""

@@ -16,7 +16,7 @@ import pytest
 
 from tcm.analytics import char_euler_product, l1_from_class_number, mertens_product, phi_bound_scan
 from tcm.cli import BoundRows
-from tcm.feasibility import bound_records, constant_over
+from tcm.feasibility import bound_ratio, bound_records, constant_over
 from tcm.galois_image import cn_elements, kernel_size, max_stabilizer_order
 from tcm.ideal_arith import brute_force_phi, phi_K_of_N
 from tcm.primes import EULER_GAMMA
@@ -28,7 +28,7 @@ from tcm.quad_core import (
     splitting_type,
 )
 
-from conftest import GRID_DISCS, oracle_unit_pairs, sieve_phi
+from conftest import GRID_DISCS, expand_runs, oracle_unit_pairs, sieve_phi
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,8 +160,8 @@ def test_criterion_6_bound_engine(records_to_2000):
                     best = max(best, a * a * b)
         expected[d] = best
     ok = expected == {1: 60, 2: 210}
-    ok = ok and bound_records(1, 1).bound[0] == 60 and bound_records(2, 2).bound[0] == 210
-    bounds = records_to_2000.bound.tolist()
+    ok = ok and bound_records(1, 1)[0].bound == 60 and bound_records(2, 2)[0].bound == 210
+    bounds = [bound for bound, _, _ in expand_runs(records_to_2000)]
     ok = ok and len(bounds) == 2000 and all(bounds[i] <= bounds[i + 1] for i in range(len(bounds) - 1))
     _report(
         6,
@@ -180,8 +180,8 @@ def test_criterion_7_explicit_constant_golden(records_to_2000):
     ok = ok and f"{estimate.value:.12g}" == f"{golden['value']:.12g}"
     ok = ok and estimate.argmax_d == golden["argmax_d"]
     # stabilization of the running sup, recorded only
-    half = records_to_2000.ratio[records_to_2000.d >= 1000]
-    new_argmax_late = bool((half > estimate.value).any())
+    late = [run for run in records_to_2000 if run.d_hi >= 1000]
+    new_argmax_late = any(bound_ratio(max(run.d_lo, 1000), run.bound) > estimate.value for run in late)
     print(f"  running sup ends at d={estimate.argmax_d}; new argmax in last half: {new_argmax_late}")
     _report(
         7,

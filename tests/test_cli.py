@@ -19,9 +19,10 @@ from tcm.cli import (
     serialize_json,
     serialize_table,
 )
-from tcm.feasibility import bound_records, sweep_region
+from tcm import feasibility
+from tcm.feasibility import bound_ratio, bound_records, sweep_region
 
-from conftest import child_peak_rss, ideal_count_oracle
+from conftest import child_peak_rss, expand_runs, ideal_count_oracle
 
 
 @pytest.fixture
@@ -106,26 +107,26 @@ def test_csv_none_becomes_empty_cell():
     assert written(serialize_csv, [{"d": 1, "ratio": None}]) == "d,ratio\n1,\n"
 
 
-def test_bound_rows_stream_in_steps(monkeypatch):
-    # rows across several steps, and a pass that can be repeated (table widths)
-    monkeypatch.setattr(cli_mod, "ROW_STEP", 7)
-    columns = bound_records(1, 30)
-    rows = BoundRows(columns)
+def test_bound_rows_stream_in_steps():
+    # rows across several runs, and a pass that can be repeated (table widths)
+    runs = bound_records(1, 30)
+    assert len(runs) > 5
+    rows = BoundRows(runs)
     assert list(rows) == list(rows)
     assert [row["d"] for row in rows] == list(range(1, 31))
-    for row, bound, ratio in zip(rows, columns.bound.tolist(), columns.ratio.tolist()):
-        assert row["bound"] == bound and type(row["bound"]) is int
-        assert row["ratio"] == (None if row["d"] < 3 else float(f"{ratio:.12g}"))
+    for row, (bound, a, b) in zip(rows, expand_runs(runs)):
+        assert (row["bound"], row["a"], row["b"]) == (bound, a, b) and type(row["bound"]) is int
+        ratio = None if row["d"] < 3 else float(f"{bound_ratio(row['d'], bound):.12g}")
+        assert row["ratio"] == ratio
 
 
 def test_bound_json_rows_match_library(runner):
     result = runner.invoke(cli, ["bound", "--d-min", "3", "--d-max", "40", "--format", "json"])
     assert result.exit_code == 0
     envelope = json.loads(result.stdout)
-    columns = bound_records(3, 40)
     expected = [
-        {"d": d, "a": a, "b": b, "bound": bound, "ratio": float(f"{ratio:.12g}")}
-        for d, a, b, bound, ratio in zip(*(column.tolist() for column in columns))
+        {"d": d, "a": a, "b": b, "bound": bound, "ratio": float(f"{bound_ratio(d, bound):.12g}")}
+        for d, (bound, a, b) in enumerate(expand_runs(bound_records(3, 40)), start=3)
     ]
     assert envelope["rows"] == expected
     assert envelope["command"] == "bound"
@@ -191,16 +192,18 @@ def test_bound_stdout_is_deterministic():
 
 def test_bound_range_json_peak_rss_is_not_set_by_the_rows():
     # 10^5 rows held as records, row dicts and one JSON string took 179 MB;
-    # streamed from the columns, the sieve block sets the peak again
+    # expanded from the runs as they are written, the rows hold one at a time
     argv = [sys.executable, "-m", "tcm", "bound", "--d-min", "3", "--d-max", "100000", "--format", "json"]
     assert child_peak_rss(argv) < 100 * 2**20
 
 
 def test_bound_single_degree_peak_rss_is_set_by_the_block():
     # the whole int32 totient table of n_max(10^5) = 22,561,035 would be
-    # 86 MiB alone; the sieve holds one block of 2^20 entries at a time
-    argv = [sys.executable, "-m", "tcm", "bound", "--d-min", "100000", "--d-max", "100000", "--format", "csv"]
-    assert child_peak_rss(argv) < 100 * 2**20
+    # 86 MiB alone, and a block of the sieve of n_max(10^6) 32 MiB; the
+    # prime-set search holds no table, and the command loads no numpy
+    for d in (10**5, 10**6):
+        argv = [sys.executable, "-m", "tcm", "bound", "--d-min", str(d), "--d-max", str(d), "--format", "csv"]
+        assert child_peak_rss(argv) < 40 * 2**20, d
 
 
 def test_scan_peak_rss_is_set_by_the_block():
@@ -225,13 +228,14 @@ def _refuse_to_run(*args, **kwargs):
 
 
 def test_bound_preflight_refuses_before_allocating(runner, monkeypatch):
-    # the full range is charged about 58 MB: its sieve block, or its columns
-    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 32 * 2**20)
+    # the full range is charged about 0.8 MiB: the region's cutoffs, then the
+    # runs and the writer
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 2**19)
     monkeypatch.setattr(cli_mod, "bound_records", _refuse_to_run)
     result = runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "1000000"])
     assert result.exit_code == 2
     assert "n_max = 237662443" in result.stderr
-    assert "MiB" in result.stderr and "budget of 32 MiB" in result.stderr
+    assert "needs an estimated 1 MiB, over the budget of 0 MiB" in result.stderr
     assert result.stdout == ""
 
 
@@ -254,24 +258,43 @@ def traced_command_peak(args: list[str]) -> int:
 
 
 @pytest.mark.parametrize(
-    "d_max,fmt", [(2000, "json"), (10**4, "csv"), (10**4, "table"), (3 * 10**4, "json")]
+    "d_min,d_max,fmt",
+    [(3 * 10**5, 3 * 10**5, "csv"), (299_000, 3 * 10**5, "json"), (10**6, 10**6, "table"), (999_000, 10**6, "json")],
 )
-def test_bound_preflight_bounds_measured_peak(monkeypatch, d_max, fmt):
-    # the estimate covers the sweep, then the columns and the rows being written
+def test_bound_preflight_bounds_measured_peak(monkeypatch, d_min, d_max, fmt):
+    # the estimate covers the region's cutoffs and the search beside them,
+    # then the runs and the rows being written; from d = 3 * 10^5 on the
+    # region sets the peak
     charged = []
     monkeypatch.setattr(cli_mod, "preflight", lambda what, estimate: charged.append(estimate))
-    peak = traced_command_peak(["bound", "--d-min", "3", "--d-max", str(d_max), "--format", fmt])
+    peak = traced_command_peak(["bound", "--d-min", str(d_min), "--d-max", str(d_max), "--format", fmt])
     (estimate,) = charged
     assert peak <= estimate <= 1.5 * peak
 
 
-def test_bound_builds_the_sweep_region_once(runner):
-    # the pre-flight, the meta and bound_records share one memoized region
-    sweep_region.cache_clear()
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_bound_preflight_covers_small_requests(monkeypatch, fmt):
+    # below 3 * 10^5 the writing, not the region, can set the peak, and the
+    # estimate's floor for that phase covers it
+    charged = []
+    monkeypatch.setattr(cli_mod, "preflight", lambda what, estimate: charged.append(estimate))
+    for d_min, d_max in ((1, 1), (3, 2000), (10**4, 10**4)):
+        peak = traced_command_peak(["bound", "--d-min", str(d_min), "--d-max", str(d_max), "--format", fmt])
+        assert peak <= charged[-1], (d_min, d_max)
+
+
+def test_bound_builds_the_sweep_region_once(runner, monkeypatch):
+    # the pre-flight and the meta share one region, and the search reads none
+    built = []
+
+    def counting(d_max):
+        built.append(d_max)
+        return sweep_region(d_max)
+
+    monkeypatch.setattr(cli_mod, "sweep_region", counting)
+    monkeypatch.setattr(feasibility, "sweep_region", _refuse_to_run)
     assert runner.invoke(cli, ["bound", "--d-min", "3", "--d-max", "50"]).exit_code == 0
-    info = sweep_region.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert info.maxsize is not None
+    assert built == [50]
 
 
 @pytest.mark.parametrize(

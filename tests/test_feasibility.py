@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tcm import feasibility, primes
+from tcm import feasibility, primes, quad_core
 from tcm.feasibility import (
-    BoundColumns,
+    BoundRun,
+    bound_ratio,
     bound_records,
     chain_audit,
     constant_over,
@@ -20,7 +21,14 @@ from tcm.ideal_arith import phi_K_of_N, principal_ideal
 from tcm.quad_core import class_number, fundamental_discriminants
 from tcm.ray_class_bounds import degree_bounds
 
-from conftest import oracle_bound_records, relaxed_feasible, sieve_phi, traced_peak
+from conftest import (
+    expand_runs,
+    oracle_bound_records,
+    relaxed_feasible,
+    sieve_phi,
+    sweep_activations,
+    sweep_bound_records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +36,15 @@ def oracle_to_2000():
     return oracle_bound_records(2000)
 
 
-def entry(columns, i: int = 0) -> tuple[int, int, int]:
-    """(bound, a, b) of entry i of the columns."""
-    return int(columns.bound[i]), int(columns.a[i]), int(columns.b[i])
+@pytest.fixture(scope="module")
+def sweep_to_100000():
+    return sweep_bound_records(10**5)
+
+
+def entry(d: int) -> tuple[int, int, int]:
+    """(bound, a, b) of B(d), from a search at d alone."""
+    (record,) = expand_runs(bound_records(d, d))
+    return record
 
 
 def brute_force_bound(d: int, a_max: int, b_max: int) -> tuple[int, int, int]:
@@ -60,58 +74,58 @@ def test_torsion_bound_first_degrees_against_brute_force():
     # (a <= 24 and ab <= the product cutoff, which is < 300 there)
     assert feasible_product_cutoff(2) < 300
     for d in (1, 2):
-        size, a, b = brute_force_bound(d, 30, 2500)
-        columns = bound_records(d, d)
-        assert columns.bound[0] == size
-        assert (columns.a[0], columns.b[0]) == (a, b)
-    one = bound_records(1, 1)
-    two = bound_records(2, 2)
-    assert len(one.d) == len(two.d) == 1
-    assert entry(one) == (60, 1, 60)
-    assert entry(two) == (210, 1, 210)
+        assert entry(d) == brute_force_bound(d, 30, 2500)
+    assert bound_records(1, 1) == [BoundRun(d_lo=1, d_hi=1, bound=60)]
+    assert bound_records(2, 2) == [BoundRun(d_lo=2, d_hi=2, bound=210)]
 
 
 def test_bound_at_least_six_everywhere():
     for d in (1, 2, 3, 10, 50):
-        (bound,) = bound_records(d, d).bound
+        bound, _, _ = entry(d)
         assert bound >= 6
-        assert bound >= bound_records(1, 1).bound[0]
+        assert bound >= entry(1)[0]
 
 
 def test_ratio_defined_only_from_degree_three():
-    assert math.isnan(bound_records(1, 1).ratio[0])
-    assert math.isnan(bound_records(2, 2).ratio[0])
-    columns = bound_records(3, 3)
-    assert columns.ratio[0] == pytest.approx(columns.bound[0] / (3 * math.log(math.log(3))))
+    # log log d <= 0 below 3: the rows print no ratio there, and the
+    # constant skips those degrees
+    assert math.log(math.log(2)) < 0 < math.log(math.log(3))
+    with pytest.raises(ValueError):
+        constant_over(bound_records(1, 2))
+    assert bound_ratio(3, 240) == 240 / (3 * math.log(math.log(3)))
+    assert constant_over(bound_records(1, 3)) == (bound_ratio(3, 240), 3)
 
 
 def test_columns_types_and_exact_ratios():
-    # each ratio is the float B(d) / (d * math.log(math.log(d))) computes
-    columns = bound_records(1, 2000)
-    for name in ("d", "a", "b", "bound"):
-        assert getattr(columns, name).dtype == np.int64, name
-    assert columns.ratio.dtype == np.float64
-    assert columns.d.tolist() == list(range(1, 2001))
-    assert columns.bound.tolist() == (columns.a * columns.a * columns.b).tolist()
-    ratios = columns.ratio.tolist()
-    assert all(math.isnan(r) for r in ratios[:2])
-    for d, size, ratio in zip(range(3, 2001), columns.bound.tolist()[2:], ratios[2:]):
-        assert ratio == size / (d * math.log(math.log(d))), d
+    # the runs cover the range in order, one run per distinct value of B,
+    # as ints; each ratio is the float B(d) / (d * math.log(math.log(d)))
+    runs = bound_records(1, 2000)
+    assert [run.d_lo for run in runs[1:]] == [run.d_hi + 1 for run in runs[:-1]]
+    assert (runs[0].d_lo, runs[-1].d_hi) == (1, 2000)
+    assert all(run.d_lo <= run.d_hi for run in runs)
+    bounds = [run.bound for run in runs]
+    assert bounds == sorted(set(bounds))
+    assert {type(x) for run in runs for x in run} == {int}
+    for d in range(3, 2001, 7):
+        bound, _, _ = entry(d)
+        assert bound_ratio(d, bound) == bound / (d * math.log(math.log(d))), d
 
 
 def test_bound_records_monotone_and_consistent_with_single_degree():
-    columns = bound_records(1, 200)
-    assert columns.d.tolist() == list(range(1, 201))
-    bounds = columns.bound.tolist()
+    records = expand_runs(bound_records(1, 200))
+    assert len(records) == 200
+    bounds = [bound for bound, _, _ in records]
     for i in range(len(bounds) - 1):
         assert bounds[i] <= bounds[i + 1]
     for d in (1, 2, 3, 17, 100, 200):
-        assert entry(bound_records(d, d)) == entry(columns, d - 1)
+        assert entry(d) == records[d - 1]
+    # a range that starts inside a run (B = 2310 on [17, 20]) is cut at d_min
+    assert expand_runs(bound_records(18, 200)) == records[17:]
 
 
 def test_maximizer_is_feasible_and_beats_neighbors():
     for d in (1, 5, 40):
-        bound, a, b = entry(bound_records(d, d))
+        bound, a, b = entry(d)
         assert relaxed_feasible(d, a, b)
         assert bound == a * a * b
         # no sampled feasible pair does better
@@ -153,14 +167,59 @@ def test_sweep_region_cutoffs():
 
 
 def test_bound_records_match_oracle_to_2000(oracle_to_2000):
-    columns = bound_records(1, 2000)
-    assert [entry(columns, i) for i in range(2000)] == oracle_to_2000
+    assert expand_runs(bound_records(1, 2000)) == oracle_to_2000
 
 
 def test_single_degree_regions_match_oracle(oracle_to_2000):
-    # each d_max has its own per-a cutoffs
     for d in (1, 2, 3, 7, 12, 60, 547, 1999, 2000):
-        assert entry(bound_records(d, d)) == oracle_to_2000[d - 1], d
+        assert entry(d) == oracle_to_2000[d - 1], d
+
+
+def test_search_matches_the_sweep_to_100000(sweep_to_100000):
+    # the numpy sweep over the proven region, record for record
+    assert expand_runs(bound_records(1, 10**5)) == sweep_to_100000
+
+
+def test_search_matches_the_sweep_at_every_degree_to_5000(sweep_to_100000):
+    # one search per degree, each its own staircase of one step
+    for d in range(1, 5001):
+        assert entry(d) == sweep_to_100000[d - 1], d
+
+
+def test_every_sweep_record_has_a_equal_to_one(sweep_to_100000):
+    # Lemma 1: the smallest-a shape of every size m is (1, m)
+    assert all(a == 1 and b == bound for bound, a, b in sweep_to_100000)
+
+
+def test_staircase_makes_one_search_per_value(monkeypatch):
+    searched = []
+    largest_size = feasibility._largest_size
+
+    def counting(d):
+        searched.append(d)
+        return largest_size(d)
+
+    monkeypatch.setattr(feasibility, "_largest_size", counting)
+    runs = bound_records(1, 10**6)
+    assert len(runs) == len(searched) == 262
+    assert searched == [run.d_hi for run in reversed(runs)]
+
+
+def test_search_pins_beyond_the_sweep():
+    # the primorials 2 * 3 * ... * 23 and 10 times it, by the search alone
+    assert bound_records(10**6, 10**6) == [BoundRun(d_lo=10**6, d_hi=10**6, bound=223_092_870)]
+    assert entry(10**7) == (2_230_928_700, 1, 2_230_928_700)
+
+
+def test_pruned_search_equals_the_unpruned_walk():
+    # with nothing known (best 0) the walk visits every admissible prime set,
+    # so the largest size it lists is B(d)
+    for d in (1, 2, 3, 10, 100, 1000):
+        sets = list(feasibility._prime_sets(6 * d, lambda: 0))
+        largest = max(rad * max(feasibility._smooth(top // rad, S)) for S, rad, top in sets)
+        assert largest == entry(d)[0], d
+        for S, rad, top in sets:
+            assert rad <= top == 6 * d * math.prod(p * p for p in S) // math.prod((p - 1) ** 2 for p in S)
 
 
 def test_relaxed_pairs_match_brute_force_over_old_region():
@@ -193,20 +252,18 @@ def brute_relaxed_pairs(d: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def test_relaxed_pairs_sorted_across_blocks(monkeypatch):
-    # n_max(400) = 75,522 spans two blocks of 2^16 entries
-    assert relaxed_pairs(400) == brute_relaxed_pairs(400)
-    # n_max(60) = 10,373 spans eleven blocks of 1,000 entries
-    blocks = lambda limit: primes._sieve_blocks(limit, np.zeros(1, dtype=np.int8), 1000)
-    monkeypatch.setattr(feasibility, "least_phi_sieve", blocks)
-    for d in (7, 33, 60):
+def test_relaxed_pairs_sorted_across_blocks():
+    # sorted as the brute force lists them, a then b, at degrees whose
+    # sizes span many prime sets
+    for d in (7, 33, 60, 400):
         assert relaxed_pairs(d) == brute_relaxed_pairs(d), d
 
 
-def test_region_peak_bytes_bounds_measured_peak():
-    # 2000, 10^4 and 3 * 10^4 span four, eight and thirteen sieve blocks
-    for d in (1, 50, 2000, 10**4, 3 * 10**4):
-        assert traced_peak(bound_records, 1, d) <= sweep_region(d).peak_bytes, d
+def test_relaxed_pairs_match_the_sweep_route():
+    # the pairs the numpy sweep over the proven region finds at d
+    for d in range(1, 41):
+        swept = sorted((a, n // a) for a, ns, _ in sweep_activations(d) for n in ns.tolist())
+        assert relaxed_pairs(d) == swept, d
 
 
 def test_a_cutoff_boundary_sampling():
@@ -220,9 +277,8 @@ def test_a_cutoff_boundary_sampling():
 
 
 def test_explicit_constant_scan():
-    columns = bound_records(3, 3)
-    single = constant_over(columns)
-    assert single.value == pytest.approx(columns.bound[0] / (3 * math.log(math.log(3))))
+    single = constant_over(bound_records(3, 3))
+    assert single.value == pytest.approx(240 / (3 * math.log(math.log(3))))
     assert single.argmax_d == 3
 
     small = constant_over(bound_records(3, 50))
@@ -236,16 +292,17 @@ def test_constant_over_requires_ratios():
         constant_over(bound_records(1, 2))
 
 
-def test_constant_over_takes_the_first_maximum():
-    # degrees 1 and 2 carry NaN and are skipped; of the tied maxima the smallest d wins
-    ratio = np.array([np.nan, np.nan, 2.0, 5.0, 1.0, 5.0])
-    ints = np.arange(1, 7, dtype=np.int64)
-    columns = BoundColumns(d=ints, a=ints, b=ints, bound=ints, ratio=ratio)
-    assert constant_over(columns) == (5.0, 4)
-    wide = bound_records(1, 2000)
-    ratios = wide.ratio.tolist()
-    value = max(ratios[2:])
-    assert constant_over(wide) == (value, ratios.index(value) + 1)
+def test_constant_over_takes_the_first_maximum(monkeypatch, sweep_to_100000):
+    # the argmax over every degree of [3, 10^5], from the sweep's records
+    ratios = [bound_ratio(d, bound) for d, (bound, _, _) in enumerate(sweep_to_100000[2:], start=3)]
+    value = max(ratios)
+    assert constant_over(bound_records(1, 10**5)) == (value, ratios.index(value) + 3)
+    # degrees 1 and 2 are skipped, each run is read at its first degree, and
+    # of the tied maxima the smallest d wins
+    table = {3: 2.0, 4: 5.0, 5: 9.0, 6: 5.0}
+    monkeypatch.setattr(feasibility, "bound_ratio", lambda d, bound: table[d])
+    runs = [BoundRun(1, 2, 60), BoundRun(3, 3, 240), BoundRun(4, 5, 420), BoundRun(6, 6, 630)]
+    assert constant_over(runs) == (5.0, 4)
 
 
 def test_relaxed_pairs_cover_examples():
@@ -291,10 +348,13 @@ def test_refined_table_matches_one_phi_call_per_row(monkeypatch, d, D_cap):
             lhs = Fraction(h * phi_K_of_N(value, a * b), 6 * b)
             expected.append((value, a, b, lhs, lhs <= d))
     expected.sort(key=lambda r: (-r[1] * r[1] * r[2], -r[0], r[1], r[2]))
-    calls = {"factorize": 0, "kronecker": 0}
+    # factorize is feasibility's own import; kronecker is imported from
+    # quad_core when refined_table runs
+    owners = {"factorize": feasibility, "kronecker": quad_core}
+    calls = dict.fromkeys(owners, 0)
 
     def counting(name):
-        fn = getattr(feasibility, name)
+        fn = getattr(owners[name], name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -302,8 +362,8 @@ def test_refined_table_matches_one_phi_call_per_row(monkeypatch, d, D_cap):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(feasibility, name, counting(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counting(name))
     rows = refined_table(d, D_cap)
     assert [(r.disc.value, r.a, r.b, r.lhs, r.feasible) for r in rows] == expected
     ns = {a * b for a, b in pairs}
@@ -368,7 +428,7 @@ def test_chain_audit_matches_degree_bounds_route():
 
 
 def test_chain_audit_computes_class_number_once(monkeypatch):
-    import tcm.feasibility
+    # chain_audit imports class_number from quad_core when it runs
     import tcm.ray_class_bounds
 
     calls = []
@@ -377,7 +437,7 @@ def test_chain_audit_computes_class_number_once(monkeypatch):
         calls.append(d)
         return class_number(d)
 
-    monkeypatch.setattr(tcm.feasibility, "class_number", counting)
+    monkeypatch.setattr(quad_core, "class_number", counting)
     monkeypatch.setattr(tcm.ray_class_bounds, "class_number", counting)
     cases = [(1, -4, 2, 1), (2, -7, 1, 6), (3, -3, 2, 2), (6, -23, 3, 4)]
     for d, disc, a, b in cases:

@@ -152,8 +152,8 @@ def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_bench_spans_see_one_sweep_and_one_streamed_emit(monkeypatch, fmt):
-    # rows are formatted inside emit, in steps; the benchmark's spans still
-    # time one bound_records call and one emit call per tcm bound
+    # rows are expanded from the runs inside emit; the benchmark's spans
+    # still time one bound_records call and one emit call per tcm bound
     from click.testing import CliRunner
 
     import tcm.cli
@@ -171,7 +171,7 @@ def test_bench_spans_see_one_sweep_and_one_streamed_emit(monkeypatch, fmt):
 
     for name in wrapped:
         monkeypatch.setattr(tcm.cli, name, counting(name, getattr(tcm.cli, name)))
-    args = ["bound", "--d-min", "3", "--d-max", str(2 * tcm.cli.ROW_STEP + 500), "--format", fmt]
+    args = ["bound", "--d-min", "3", "--d-max", "2548", "--format", fmt]
     result = CliRunner().invoke(tcm.cli.cli, args)
     assert result.exit_code == 0, result.output
     assert calls == ["bound_records", "emit"]
@@ -184,6 +184,21 @@ def test_import_cli_loads_no_dataclasses():
     assert out.stdout == "False\n"
 
 
+def test_import_cli_and_bound_load_no_numpy():
+    # numpy's import is about half of a short command's time; bound and
+    # --version need none of it, and only the other commands load it
+    probe = (
+        "import os, sys, tcm.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "tcm.cli.cli.main(['bound', '--d-min', '3', '--d-max', '2000', '--format', 'json'], standalone_mode=False)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+    assert out.stderr.splitlines()[-1] == "False"
+
+
 def _public_records() -> list:
     """One instance of every public record class of the library."""
     from tcm.analytics import landau_liminf_check, mertens_product, phi_bound_scan
@@ -193,13 +208,13 @@ def _public_records() -> list:
     from tcm.quad_core import as_discriminant
     from tcm.ray_class_bounds import degree_bounds
 
-    columns = bound_records(3, 3)
+    runs = bound_records(3, 3)
     audit = chain_audit(1, -4, 1, 1)
     ideal = principal_ideal(-4, 5)
     return [
         as_discriminant(-4),
-        columns,
-        constant_over(columns),
+        runs[0],
+        constant_over(runs),
         sweep_region(3),
         refined_table(1, 4)[0],
         audit,
