@@ -5,7 +5,10 @@ quantity needed downstream (norm, the ideal Euler function, splitting
 data) depends only on that factorization, so there is no element-level
 ideal arithmetic here.  ``brute_force_phi`` counts the units of O/nO on
 the residue-ring scan of ``galois_image``; it shares nothing with the
-local-factor formula ``phi_K_of_N`` and so checks it.
+local-factor formula ``phi_K_of_N`` and so checks it.  It imports that
+scan, and with it numpy, when it runs, and ``ideals_up_to_norm`` loads
+numpy through the prime sieve; the rest of the module is Python ints and
+loads none.
 
 The least phi_K over the ideals of each norm comes from the one
 norm-indexed kernel, ``primes.least_phi_sieve`` over the field's
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .galois_image import _unit_mask
 from .primes import cached_primes, factorize
 from .quad_core import Discriminant, Splitting, as_discriminant, kronecker, require_fundamental
 
@@ -129,6 +131,8 @@ def brute_force_phi(d: int | Discriminant, n: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"n={n} exceeds cap {BRUTE_FORCE_CAP}")
+    from .galois_image import _unit_mask
+
     return int(_unit_mask(disc.value, n).sum())
 
 

@@ -14,7 +14,8 @@ alone, so a caller can refuse a request before allocating anything.
 
 numpy is imported by the sieves when they run, not with the module, so
 ``is_prime``, ``factorize``, the constants and the estimates load
-without it: ``tcm bound`` reads them and loads no numpy.
+without it: ``tcm bound``, ``quad_core`` and ``ideal_arith`` read them
+and load no numpy.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ rational primes, and class numbers computed by two independent exact
 methods: counting reduced binary quadratic forms, and the finite
 character sum of the analytic class number formula.  The two are kept
 permanently wired together so silent corruption of either is detectable.
+
+numpy is imported by the character table and the character sum when
+they run, not with the module: everything else here is Python ints, so
+``ideal_arith``, ``ray_class_bounds`` and the field side of
+``feasibility`` load no numpy.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ import enum
 from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .primes import factorize, is_prime, squarefree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Splitting(enum.Enum):
@@ -146,6 +152,8 @@ def _legendre_table(q: int) -> np.ndarray:
     of q/16 int64 squares: with the next chunk built before the last one
     is freed, the temporaries stay under 1 B per residue.
     """
+    import numpy as np
+
     table = np.full(q, -1, dtype=np.int8)
     table[0] = 0
     half = (q + 1) // 2
@@ -170,6 +178,8 @@ def character_table(d: int | Discriminant) -> np.ndarray:
     rows of chi seen as a (|d| / period, period) array: no ``kronecker``
     call and no prime sieve, and q | d is found by trial division.
     """
+    import numpy as np
+
     disc = require_fundamental(d)
     m = -disc.value
     chi = np.ones(m, dtype=np.int8)
@@ -224,6 +234,8 @@ def class_number_dirichlet(d: int | Discriminant) -> int:
     sum over k = 1 .. |d| is one int64 dot product with the character
     table (chi(|d|) = chi(0) = 0, and |sum| <= |d|^2 / 2).
     """
+    import numpy as np
+
     disc = require_fundamental(d)
     m = -disc.value
     total = int(character_table(disc).astype(np.int64) @ np.arange(m, dtype=np.int64))
@@ -252,12 +264,24 @@ def splitting_type(d: int | Discriminant, p: int) -> Splitting:
 
 
 def fundamental_discriminants(bound: int) -> list[int]:
-    """All fundamental d with |d| <= bound, sorted by |d|."""
-    out = []
-    for value in range(-3, -bound - 1, -1):
-        if value % 4 in (0, 1) and is_fundamental(value):
-            out.append(value)
-    return out
+    """All fundamental d with |d| <= bound, sorted by |d|.
+
+    -d is m = 3 mod 4 squarefree, or m = 4q with q = 1 or 2 mod 4
+    squarefree.  Both are read off one squarefree sieve up to bound, a
+    bytearray zeroed at the multiples of each p^2 by slice assignment: no
+    value is factored.
+    """
+    if bound < 3:
+        return []
+    squarefree_at = bytearray(b"\x01") * (bound + 1)
+    for p in range(2, isqrt(bound) + 1):
+        if is_prime(p):
+            squarefree_at[p * p :: p * p] = bytes(bound // (p * p))
+    return [
+        -m
+        for m in range(3, bound + 1)
+        if (m % 4 == 3 and squarefree_at[m]) or (m % 4 == 0 and m // 4 % 4 in (1, 2) and squarefree_at[m // 4])
+    ]
 
 
 __all__ = [

@@ -199,6 +199,33 @@ def test_import_cli_and_bound_load_no_numpy():
     assert out.stderr.splitlines()[-1] == "False"
 
 
+def test_exact_layers_and_large_phi_load_no_numpy():
+    # h(D), phi_K, the degree sandwich and the refined rows are Python ints;
+    # numpy loads with the character table, the unit scan and the sieves only
+    probe = (
+        "import io, json, os, sys, tcm.cli\n"
+        "from tcm.feasibility import chain_audit, refined_table\n"
+        "from tcm.ideal_arith import min_phi_ideal, phi_K, phi_K_of_N, principal_ideal\n"
+        "from tcm.quad_core import class_number, fundamental_discriminants, kronecker, splitting_type\n"
+        "from tcm.ray_class_bounds import degree_bounds\n"
+        "class_number(-9748), kronecker(-84, 101), splitting_type(-84, 7)\n"
+        "phi_K(principal_ideal(-84, 360)), phi_K_of_N(-84, 360), min_phi_ideal(-84, 7 * 25)\n"
+        "degree_bounds(-84, principal_ideal(-84, 360)), fundamental_discriminants(10**4)\n"
+        "row = refined_table(6, 100)[0]\n"
+        "chain_audit(6, row.disc, row.a, row.b)\n"
+        "print('numpy' in sys.modules)\n"
+        "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "tcm.cli.cli.main(['phi', '--disc', '-4', '--n', '1009'], standalone_mode=False)\n"
+        "print('numpy' in sys.modules, file=stdout)\n"
+        "sys.stdout = io.StringIO()\n"
+        "tcm.cli.cli.main(['phi', '--disc', '-4', '--n', '5', '--format', 'json'], standalone_mode=False)\n"
+        "row = json.loads(sys.stdout.getvalue())['rows'][0]\n"
+        "print(row['brute_force'], row['agree'], file=stdout)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\nFalse\n16 True\n"
+
+
 def _public_records() -> list:
     """One instance of every public record class of the library."""
     from tcm.analytics import landau_liminf_check, mertens_product, phi_bound_scan

@@ -74,6 +74,13 @@ def test_fundamental_discriminant_list():
     assert -12 not in fundamental_discriminants(24)
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 8, 24, 20000])
+def test_fundamental_discriminants_sieve_matches_is_fundamental(bound):
+    # the squarefree sieve lists exactly the values is_fundamental accepts
+    expected = [v for v in range(-3, -bound - 1, -1) if v % 4 in (0, 1) and is_fundamental(v)]
+    assert fundamental_discriminants(bound) == expected
+
+
 # ------------------------------------------------------------------- kronecker
 
 
