@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ideal_arith import FactoredIdeal, min_phi_ideal
-from .primes import EULER_GAMMA, least_phi_sieve, prime_array, prime_list_bytes, sieve_block_bytes
+from .primes import EULER_GAMMA, certified, least_phi_sieve, prime_array, prime_list_bytes, sieve_block_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
@@ -81,30 +81,27 @@ def _certified_product(ps: np.ndarray, chi: np.ndarray | int) -> float:
     L = ceil(log2 pi(x)) roundings per term in ``_pairwise_sum``: each
     term is within 10 u of itself (the quotient's rounding, amplified at
     most 1.45 times by log1p, and 4 ulp for log1p), and exp adds 2 u.
-    That is 1e-14 at x = 10^6.  Only when a 12-digit rounding boundary
-    lies inside that bound is the product re-evaluated in 50-digit
-    ``decimal`` (within pi(x) 10^-49 of the exact value); the float
-    returned is then the nearest one on the same side of the boundary.
+    That is 1e-14 at x = 10^6.  ``certified`` settles the 12 digits, near
+    a rounding boundary by the product in 50-digit ``decimal`` (within
+    pi(x) 10^-49 of the exact value).
     """
     terms = np.divide(chi, ps)
     np.negative(terms, out=terms)
     np.log1p(terms, out=terms)
     positive = float(terms.sum(where=terms > 0))
     total = _pairwise_sum(terms)
-    value = math.exp(total)
     magnitude = 2 * positive - total  # sum |log1p|
     bound = 2.0**-53 * ((len(ps).bit_length() + 12) * magnitude + 4)
-    if f"{value * (1 - bound):.12g}" == f"{value * (1 + bound):.12g}":
-        return value
+    return certified(math.exp(total), bound, _exact_product, ps, chi)
+
+
+def _exact_product(ps: np.ndarray, chi: np.ndarray | int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
-        exact = Decimal(1)
+        product = Decimal(1)
         for p, c in zip(ps.tolist(), np.broadcast_to(chi, ps.shape).tolist()):
-            exact *= Decimal(p - c) / p
-        value = float(exact)
-        if Decimal(f"{value:.12g}") != Decimal(f"{exact:.12g}"):
-            value = math.nextafter(value, math.inf if exact > value else -math.inf)
-    return value
+            product *= Decimal(p - c) / p
+        return product
 
 
 def mertens_product(x: int) -> ProductEstimate:

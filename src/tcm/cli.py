@@ -22,12 +22,9 @@ from . import __version__
 from .feasibility import bound_ratio, bound_records, constant_over, sweep_region
 from .primes import prime_list_bytes
 
-# the peak memory of tcm bound is the larger of its two phases: the region's
-# per-a cutoffs (a list of ints, then their tuple: up to 48 B per a) with the
-# search's working set beside them, then the writing, where csv's record
-# buffer alone is 128 KiB, beside the runs (262 at most up to d = 10^6)
-REGION_BYTES_PER_A = 48
-SEARCH_BYTES = 64 << 10
+# the peak memory of tcm bound is its writing phase, where csv's record
+# buffer alone is 128 KiB, beside the runs (262 at most up to d = 10^6);
+# the region's three counts and the search hold less, at any --d-max
 WRITE_BYTES = 256 << 10
 
 # the largest |--disc| and --n that phi and galois factor: trial division
@@ -240,8 +237,7 @@ def bound(d_min, d_max):
     if not 1 <= d_min <= d_max <= 10**6:
         raise click.UsageError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
     region = sweep_region(d_max)
-    estimate = max(REGION_BYTES_PER_A * region.a_max + SEARCH_BYTES, WRITE_BYTES)
-    preflight(f"bound up to d = {d_max} (n_max = {region.n_max})", estimate)
+    preflight(f"bound up to d = {d_max} (n_max = {region.n_max})", WRITE_BYTES)
     runs = bound_records(d_min, d_max)
     constant = None
     if d_max >= 3:
@@ -252,8 +248,7 @@ def bound(d_min, d_max):
             f"{est.value:.12g} at d={est.argmax_d}",
             file=sys.stderr,
         )
-    meta = {"n_max": region.n_max, "a_max": region.a_max, "pairs_scanned": region.pairs_scanned}
-    return BoundRows(runs), {"constant": constant, **meta}
+    return BoundRows(runs), {"constant": constant, **region._asdict()}
 
 
 class BoundRows:

@@ -50,7 +50,7 @@ passes from its activation degree ceil(phi(m)^2 / (6 m)) on, so B = m on
 [activation, d_max], and the next query is one degree below it.  So it
 makes one query per distinct value of B: 262 over [1, 10^6].
 
-``sweep_region`` is the proven (a, n) region of every feasible pair,
+``sweep_region`` counts the proven (a, n) region of every feasible pair,
 which the ``bound`` meta records and the tests' sweep oracle scans.
 With n = ab the test reads phi(n)^2 <= c n for c = 6d/a.  Rosser and
 Schoenfeld (Illinois J. Math. 6, 1962) prove n / phi(n) < e^gamma
@@ -74,9 +74,10 @@ from itertools import count, groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .primes import EULER_GAMMA, factorize, is_prime
+from .primes import EULER_GAMMA, certified, factorize, is_prime
 
 if TYPE_CHECKING:
+    from decimal import Decimal
     from fractions import Fraction
 
     from .quad_core import Discriminant
@@ -222,8 +223,21 @@ def bound_records(d_min: int, d_max: int) -> list[BoundRun]:
 
 
 def bound_ratio(d: int, bound: int) -> float:
-    """B(d) / (d log log d), for d >= 3, as the rows print it."""
-    return bound / (d * math.log(math.log(d)))
+    """B(d) / (d log log d), for d >= 3, as the rows print it: the float
+    quotient, ``certified`` against the ratio in 40-digit ``decimal``.
+    With log within an ulp (2u, u = 2^-53), the float log log d is within
+    2u / ll + 2u of ll = log log d, and the product and the quotient add
+    u each; u / ll + 2u more is slack."""
+    ll = math.log(math.log(d))
+    return certified(bound / (d * ll), 2.0**-53 * (3 / ll + 6), _exact_ratio, d, bound)
+
+
+def _exact_ratio(d: int, bound: int) -> Decimal:
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return bound / (d * Decimal(d).ln().ln())
 
 
 def constant_over(runs: Iterable[BoundRun]) -> ConstantEstimate:
@@ -291,38 +305,25 @@ def feasible_product_cutoff(d: int) -> int:
 
 
 class SweepRegion(NamedTuple):
-    """The proven (a, n = ab) region of every feasible pair up to d_max.
+    """The size of the proven (a, n = ab) region of every feasible pair up
+    to d_max: the pairs with a <= a_max and n a multiple of a with
+    a <= n <= min(n_max, M(6 d_max / a)), pairs_scanned in all."""
 
-    Pair (a, n) lies in it iff a <= a_max and n is a multiple of a with
-    n <= n_hi[a - 1] = min(n_max, M(6 d_max / a)).
-    """
-
-    d_max: int
-    n_hi: tuple[int, ...]
-
-    @property
-    def n_max(self) -> int:
-        return self.n_hi[0]
-
-    @property
-    def a_max(self) -> int:
-        return len(self.n_hi)
-
-    @property
-    def pairs_scanned(self) -> int:
-        return sum(n // a for a, n in enumerate(self.n_hi, start=1))
+    n_max: int
+    a_max: int
+    pairs_scanned: int
 
 
 def sweep_region(d_max: int) -> SweepRegion:
-    """The cutoffs a <= n <= min(n_max, M(6 d_max / a)) of the region."""
+    """The region's three counts, each a's cutoff summed as it is found."""
     n_max = feasible_product_cutoff(d_max)
-    n_hi: list[int] = []
+    a_max = pairs = 0
     for a in range(1, 12 * d_max + 1):  # phi(n)^2 >= n/2 forces a <= 12d
         cutoff = product_cutoff(6 * d_max / a)
         if cutoff < a:  # M is nondecreasing in c, so every larger a fails too
             break
-        n_hi.append(min(n_max, cutoff))
-    return SweepRegion(d_max=d_max, n_hi=tuple(n_hi))
+        a_max, pairs = a, pairs + min(n_max, cutoff) // a
+    return SweepRegion(n_max=n_max, a_max=a_max, pairs_scanned=pairs)
 
 
 # ----------------------------------------------------------- the field side

@@ -1,16 +1,19 @@
 """Prime generation and elementary factorization helpers.
 
-Everything here is exact integer arithmetic.  The prime sieve is a
-numpy bool table.  ``least_phi_sieve`` is the one multiplicative sieve
-built on its primes: the least phi_K over the ideals of each norm, for
-the character table of any imaginary quadratic field K, yielded as
-consecutive numpy int32 blocks whose size grows with the square root of
-the limit.  Only the primes up to that root are sieved, so no array
-spans the whole range.  Its consumers, ``analytics.phi_bound_scan`` and
-``landau_liminf_check``, read the blocks of a field one at a time.
-``phi_sieve`` copies the totient blocks (every prime ramified) into one
-table.  The ``*_bytes`` functions estimate peak memory by arithmetic
-alone, so a caller can refuse a request before allocating anything.
+Everything here but ``certified`` is exact integer arithmetic.  The
+prime sieve is a numpy bool table.  ``least_phi_sieve`` is the one
+multiplicative sieve built on its primes: the least phi_K over the
+ideals of each norm, for the character table of any imaginary quadratic
+field K, yielded as consecutive numpy int32 blocks whose size grows with
+the square root of the limit.  Only the primes up to that root are
+sieved, so no array spans the whole range.  Its consumers,
+``analytics.phi_bound_scan`` and ``landau_liminf_check``, read the
+blocks of a field one at a time.  ``phi_sieve`` copies the totient
+blocks (every prime ramified) into one table.  The ``*_bytes`` functions
+estimate peak memory by arithmetic alone, so a caller can refuse a
+request before allocating anything.  ``certified`` settles the 12
+printed digits of a float from its error bound, with an exact fallback
+near a rounding boundary.
 
 numpy is imported by the sieves when they run, not with the module, so
 ``is_prime``, ``factorize``, the constants and the estimates load
@@ -20,17 +23,38 @@ and load no numpy.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from math import isqrt, log
+from math import inf, isqrt, log, nextafter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from decimal import Decimal
+
     import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def certified(value: float, rel_err: float, exact: Callable[..., Decimal], *args) -> float:
+    """value if its 12 significant digits are surely those of x, else the
+    float nearest x whose 12 digits are.
+
+    value is within relative rel_err of x, with an ulp to spare, and
+    exact(*args) gives x as a Decimal to far more than 12 digits; it is
+    called only when a 12-digit rounding boundary lies within rel_err of
+    value.
+    """
+    if f"{value * (1 - rel_err):.12g}" == f"{value * (1 + rel_err):.12g}":
+        return value
+    x = exact(*args)
+    value = float(x)
+    # a boundary between x and its nearest float: one ulp toward x crosses it
+    if float(f"{value:.12g}") != float(f"{x:.12g}"):
+        value = nextafter(value, inf if x > value else -inf)
+    return value
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -142,9 +166,10 @@ def sieve_block(limit: int) -> int:
 
     Every block makes one slice per prime power of the primes <= isqrt(limit),
     about 2 pi(isqrt(limit)) slices, so scaling the block with the root keeps
-    their fixed cost small next to the block's element work.  At
-    n_max(3000) = 610,511 a block is 2^17 entries, at n_max(10^6) =
-    237,662,443 it is 2^21.
+    their fixed cost small next to the block's element work.  For the
+    field sieve of ``analytics scan`` a block is 2^16 entries at --x = 10^4
+    and 2^19 at 10^7; for the tests' sweep oracle at its largest limit,
+    n_max(10^5) = 22,561,035, it is 2^20.
     """
     return 1 << max(16, (128 * isqrt(limit) - 1).bit_length())
 
@@ -263,8 +288,9 @@ def least_phi_sieve(limit: int, chi: np.ndarray | None = None) -> Iterator[tuple
     entry has at most one prime factor q > r left (q^2 > limit), and it is
     n // smooth; its gain is q - 1, or 0 for an inert q, and the entries
     with a nonzero count are 0.  int32 holds every entry while
-    limit < 2^31, which covers n_max(10^6) = 237,662,443; callers cast to
-    int64 before squaring.
+    limit < 2^31, and a larger limit is refused (a usage error for the --x
+    of ``analytics scan`` and ``landau``; the tests' sweep oracle reaches
+    n_max(10^5) = 22,561,035).  Callers cast to int64 before squaring.
     """
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} does not fit int32")

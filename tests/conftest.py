@@ -197,19 +197,22 @@ def sweep_activations(d_max: int):
     degree[i] = ceil(a phi(n)^2 / (6 n)) is the least d at which (a, n[i])
     passes.  The totient comes in the blocks of ``least_phi_sieve``; inside
     a block, each a's multiples come in steps of at most a 32nd of a block.
-    phi(n) <= n_max(10^6) < 2^31, and a phi(n)^2 <= n_hi a M(6 d_max / a),
-    about n_max^2 < 2^63.
+    The region's per-a cutoffs n_hi = min(n_max, M(6 d_max / a)) come from
+    ``product_cutoff`` here, for a up to the region's a_max.  phi(n) <=
+    n_max(10^6) < 2^31, and a phi(n)^2 <= n_hi a M(6 d_max / a), about
+    n_max^2 < 2^63.
     """
     import numpy as np
 
-    from tcm.feasibility import sweep_region
+    from tcm.feasibility import product_cutoff, sweep_region
     from tcm.primes import least_phi_sieve, sieve_block
 
     region = sweep_region(d_max)
+    cutoffs = [min(region.n_max, product_cutoff(6 * d_max / a)) for a in range(1, region.a_max + 1)]
     chunk = sieve_block(region.n_max) // 32
     for lo, phi in least_phi_sieve(region.n_max):
         top = lo + len(phi) - 1
-        for a, n_hi in enumerate(region.n_hi, start=1):
+        for a, n_hi in enumerate(cutoffs, start=1):
             if n_hi < lo or a > top:  # n_hi does not increase with a
                 break
             last = min(n_hi, top)

@@ -184,6 +184,14 @@ def test_bound_meta_records_the_cutoffs_used(runner):
     assert "timestamp" not in meta
 
 
+def test_bound_ratio_and_constant_print_the_exact_digits(runner):
+    # B(49,533) / (49,533 ln ln 49,533) = 82.26091882204999..., which the
+    # float quotient printed as 82.2609188221
+    args = ["bound", "--d-min", "49533", "--d-max", "49533", "--format", "json"]
+    envelope = json.loads(runner.invoke(cli, args).stdout)
+    assert envelope["rows"][0]["ratio"] == envelope["meta"]["constant"]["value"] == 82.260918822
+
+
 def test_bound_stdout_is_deterministic():
     args = [sys.executable, "-m", "tcm", "bound", "--d-min", "3", "--d-max", "100", "--format", "json"]
     first, second = (subprocess.run(args, capture_output=True, check=True) for _ in range(2))
@@ -228,14 +236,13 @@ def _refuse_to_run(*args, **kwargs):
 
 
 def test_bound_preflight_refuses_before_allocating(runner, monkeypatch):
-    # the full range is charged about 0.8 MiB: the region's cutoffs, then the
-    # runs and the writer
-    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 2**19)
+    # every request is charged the writer's 256 KiB, so a budget below it refuses
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: cli_mod.WRITE_BYTES - 1)
     monkeypatch.setattr(cli_mod, "bound_records", _refuse_to_run)
     result = runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "1000000"])
     assert result.exit_code == 2
     assert "n_max = 237662443" in result.stderr
-    assert "needs an estimated 1 MiB, over the budget of 0 MiB" in result.stderr
+    assert "needs an estimated 0 MiB, over the budget of 0 MiB" in result.stderr
     assert result.stdout == ""
 
 
@@ -257,34 +264,44 @@ def traced_command_peak(args: list[str]) -> int:
             sys.stdout = stdout
 
 
-@pytest.mark.parametrize(
-    "d_min,d_max,fmt",
-    [(3 * 10**5, 3 * 10**5, "csv"), (299_000, 3 * 10**5, "json"), (10**6, 10**6, "table"), (999_000, 10**6, "json")],
-)
-def test_bound_preflight_bounds_measured_peak(monkeypatch, d_min, d_max, fmt):
-    # the estimate covers the region's cutoffs and the search beside them,
-    # then the runs and the rows being written; from d = 3 * 10^5 on the
-    # region sets the peak
+_LARGE_REQUESTS = [(3 * 10**5, 3 * 10**5, "csv"), (299_000, 3 * 10**5, "json"), (10**6, 10**6, "table"), (999_000, 10**6, "json")]
+_SMALL_RANGES = [(1, 1), (3, 2000), (10**4, 10**4)]
+
+
+def charged_and_peak(monkeypatch, d_min, d_max, fmt) -> tuple[int, int]:
+    """The pre-flight's estimate for one bound command, and its traced peak."""
     charged = []
     monkeypatch.setattr(cli_mod, "preflight", lambda what, estimate: charged.append(estimate))
     peak = traced_command_peak(["bound", "--d-min", str(d_min), "--d-max", str(d_max), "--format", fmt])
     (estimate,) = charged
-    assert peak <= estimate <= 1.5 * peak
+    return estimate, peak
+
+
+@pytest.mark.parametrize("d_min,d_max,fmt", _LARGE_REQUESTS)
+def test_bound_preflight_bounds_measured_peak(monkeypatch, d_min, d_max, fmt):
+    # the region is three counts and the search a few hundred runs, so the
+    # writer's constant covers the largest degrees too
+    estimate, peak = charged_and_peak(monkeypatch, d_min, d_max, fmt)
+    assert peak <= estimate
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_bound_preflight_covers_small_requests(monkeypatch, fmt):
-    # below 3 * 10^5 the writing, not the region, can set the peak, and the
-    # estimate's floor for that phase covers it
-    charged = []
-    monkeypatch.setattr(cli_mod, "preflight", lambda what, estimate: charged.append(estimate))
-    for d_min, d_max in ((1, 1), (3, 2000), (10**4, 10**4)):
-        peak = traced_command_peak(["bound", "--d-min", str(d_min), "--d-max", str(d_max), "--format", fmt])
-        assert peak <= charged[-1], (d_min, d_max)
+    for d_min, d_max in _SMALL_RANGES:
+        estimate, peak = charged_and_peak(monkeypatch, d_min, d_max, fmt)
+        assert peak <= estimate, (d_min, d_max)
+
+
+def test_bound_preflight_is_at_most_twice_the_largest_peak(monkeypatch):
+    # the estimate is one constant, checked from above by the largest traced
+    # peak over both grids: csv's record buffer at d = 1, about 139 KB
+    grid = _LARGE_REQUESTS + [(*r, fmt) for r in _SMALL_RANGES for fmt in ("json", "csv", "table")]
+    peaks = [charged_and_peak(monkeypatch, *args)[1] for args in grid]
+    assert cli_mod.WRITE_BYTES <= 2 * max(peaks)
 
 
 def test_bound_builds_the_sweep_region_once(runner, monkeypatch):
-    # the pre-flight and the meta share one region, and the search reads none
+    # the pre-flight's message and the meta share one region, and the search reads none
     built = []
 
     def counting(d_max):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -98,7 +99,8 @@ def test_ratio_defined_only_from_degree_three():
 
 def test_columns_types_and_exact_ratios():
     # the runs cover the range in order, one run per distinct value of B,
-    # as ints; each ratio is the float B(d) / (d * math.log(math.log(d)))
+    # as ints; each ratio is the float B(d) / (d * math.log(math.log(d))),
+    # as no sampled degree lies within its error bound of a rounding boundary
     runs = bound_records(1, 2000)
     assert [run.d_lo for run in runs[1:]] == [run.d_hi + 1 for run in runs[:-1]]
     assert (runs[0].d_lo, runs[-1].d_hi) == (1, 2000)
@@ -109,6 +111,18 @@ def test_columns_types_and_exact_ratios():
     for d in range(3, 2001, 7):
         bound, _, _ = entry(d)
         assert bound_ratio(d, bound) == bound / (d * math.log(math.log(d))), d
+
+
+@pytest.mark.parametrize("d", [49_533, 63_197, 79_920, 99_950, 122_669, 182_516])
+def test_ratio_prints_the_digits_of_the_exact_ratio(d):
+    # the float quotient rounds the wrong way at these degrees: at 49,533 it
+    # printed 82.2609188221 for the exact 82.26091882204999...
+    (run,) = bound_records(d, d)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = float(f"{run.bound / (d * Decimal(d).ln().ln()):.12g}")
+    assert float(f"{run.bound / (d * math.log(math.log(d))):.12g}") != exact
+    assert float(f"{bound_ratio(d, run.bound):.12g}") == exact
 
 
 def test_bound_records_monotone_and_consistent_with_single_degree():
@@ -159,11 +173,17 @@ def test_sweep_region_cutoffs():
     assert region.n_max == feasible_product_cutoff(2000) == 397_468
     assert region.a_max == 547
     assert product_cutoff(6 * 2000 / 548) < 548  # the a-range ends where M(6d/a) < a
-    assert region.n_hi[546] == product_cutoff(6 * 2000 / 547) >= 547
+    assert product_cutoff(6 * 2000 / 547) >= 547
     assert region.pairs_scanned == 638_795  # against 4,226,155 over a <= 12d, n <= n_max
     for d in (1, 2, 5):
         assert sweep_region(d).a_max <= 12 * d
-    assert sweep_region(10**6).n_max == 237_662_443 < 2**31  # int32 holds the CLI's largest table
+
+
+def test_sweep_region_counts_at_the_cap():
+    # the goldens pin the meta up to d_max = 100; these pin the one-pass
+    # sum of the per-a cutoffs up to the CLI's cap
+    assert sweep_region(10**5) == (22_561_035, 4_020, 36_485_902)
+    assert sweep_region(10**6) == (237_662_443, 13_148, 385_953_084)
 
 
 def test_bound_records_match_oracle_to_2000(oracle_to_2000):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tcm.analytics import mertens_product
 from tcm.primes import (
     cached_primes,
+    certified,
     least_phi_sieve,
     phi_sieve,
     prime_count_bound,
@@ -17,6 +19,18 @@ from tcm.primes import (
 from tcm.quad_core import character_table
 
 from conftest import joined_blocks, sieve_phi, slice_phi_sieve, traced_peak, trial_factor
+
+
+def test_certified_reads_the_exact_value_only_near_a_boundary():
+    def refuse():
+        raise AssertionError("read the exact value away from a boundary")
+
+    assert certified(0.5, 1e-15, refuse) == 0.5
+    # x is just above the boundary 1.234567890125; its nearest float is just
+    # below it, so the float returned is one ulp up
+    x = Decimal("1.234567890125000000001")
+    assert f"{float(x):.12g}" == "1.23456789012"
+    assert f"{certified(1.2345678901249998, 1e-15, lambda: x):.12g}" == "1.23456789013"
 
 
 def test_primes_up_to_matches_trial_division():
