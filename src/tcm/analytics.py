@@ -4,36 +4,51 @@ Mertens products, quadratic-character Euler products, L(1, chi) from the
 class number formula, and scans measuring the observed constant in the
 uniform lower bound for the ideal Euler function.  Values here are
 floating point; everything rigorous lives upstream in the exact modules.
+
+The scans are plain Python: a search over the prime sets of the norms
+for the window minimum, and Lucy's and min_25's recursions over the
+values x // k for the number of norms, so neither holds an array over
+the norms up to x.  numpy carries the per-prime loop of the two products
+and is imported by them when they run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from decimal import Decimal, localcontext
-from typing import NamedTuple
-
-import numpy as np
+from functools import lru_cache
+from itertools import accumulate, compress, count, repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ideal_arith import FactoredIdeal, min_phi_ideal
-from .primes import EULER_GAMMA, certified, least_phi_sieve, prime_array, prime_list_bytes, sieve_block_bytes
+from .primes import EULER_GAMMA, certified, factorize, nth_prime, prime_array, prime_list_bytes
 from .quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
     character_table,
     class_number,
+    kronecker,
     require_fundamental,
     unit_count,
 )
 
-# norms reduced per numpy step, and an upper bound on the bytes of the
-# float64, int64 and bool temporaries one step holds per norm
-_REDUCE_CHUNK = 1 << 16
-_REDUCE_BYTES_PER_NORM = 64
-# numpy's log may differ from math.log in the last bits, so every norm
-# within this relative distance of a step's numpy minimum is re-evaluated
-# with math.log; the slack is far above the few ulps the two logs differ by
+if TYPE_CHECKING:
+    import numpy as np
+
+# the search's bound is scaled by 1 - _LOG_SLACK: the few ulps by which
+# its floats may exceed the exact bound cannot then skip a norm whose
+# value ties the best one
 _LOG_SLACK = 1e-9
+# scan_bytes: the recursions' lists per unit of isqrt(x) (about eight
+# lists of ints, each int 32 B and its slot 8 B, one of them being
+# rebuilt); per residue, chi's table, the prime sieve beside it and a
+# slice and its negation at p = 2 (3 B), with a byte of headroom; and the
+# rest
+_BYTES_PER_ROOT = 320
+_CHI_BYTES_PER_RESIDUE = 4
+_SCAN_FIXED_BYTES = 64 << 10
+# bytes.translate table that negates chi(n) mod 3: 1 <-> 2, 0 stays
+_NEGATE_MOD_3 = bytes((0, 2, 1, *range(3, 256)))
 
 
 class ProductEstimate(NamedTuple):
@@ -73,10 +88,11 @@ def _pairwise_sum(terms: np.ndarray) -> float:
     return float(terms[0]) if len(terms) else 0.0
 
 
-def _certified_product(ps: np.ndarray, chi: np.ndarray | int) -> float:
-    """prod over the primes ps of (1 - chi(p)/p), printed right to 12 digits.
+def _certified_product(terms: np.ndarray, ps: np.ndarray, chi: np.ndarray | int) -> float:
+    """prod over the primes ps of (1 - chi(p)/p), printed right to 12 digits,
+    from its float terms log1p(-chi/p); overwrites terms.
 
-    The float is exp of the sum of log1p(-chi/p).  Relative to the exact
+    The float is exp of the sum of the terms.  Relative to the exact
     product it is within u ((L + 12) sum |log1p| + 4), with u = 2^-53 and
     L = ceil(log2 pi(x)) roundings per term in ``_pairwise_sum``: each
     term is within 10 u of itself (the quotient's rounding, amplified at
@@ -85,9 +101,6 @@ def _certified_product(ps: np.ndarray, chi: np.ndarray | int) -> float:
     a rounding boundary by the product in 50-digit ``decimal`` (within
     pi(x) 10^-49 of the exact value).
     """
-    terms = np.divide(chi, ps)
-    np.negative(terms, out=terms)
-    np.log1p(terms, out=terms)
     positive = float(terms.sum(where=terms > 0))
     total = _pairwise_sum(terms)
     magnitude = 2 * positive - total  # sum |log1p|
@@ -99,17 +112,20 @@ def _exact_product(ps: np.ndarray, chi: np.ndarray | int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
         product = Decimal(1)
-        for p, c in zip(ps.tolist(), np.broadcast_to(chi, ps.shape).tolist()):
+        for p, c in zip(ps.tolist(), repeat(chi) if isinstance(chi, int) else chi.tolist()):
             product *= Decimal(p - c) / p
         return product
 
 
 def mertens_product(x: int) -> ProductEstimate:
     """prod over primes p <= x of (1 - 1/p), with ``_certified_product``'s 12 digits."""
+    import numpy as np
+
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     ps = prime_array(x)
-    return ProductEstimate(value=_certified_product(ps, 1), terms=len(ps))
+    terms = np.divide(-1, ps)
+    return ProductEstimate(value=_certified_product(np.log1p(terms, out=terms), ps, 1), terms=len(ps))
 
 
 def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
@@ -117,12 +133,15 @@ def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
 
     Certified to 12 digits like ``mertens_product``.
     """
+    import numpy as np
+
     disc = require_fundamental(d)
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     ps = prime_array(x)
     chi = character_table(disc)[ps % -disc.value]
-    return ProductEstimate(value=_certified_product(ps, chi), terms=len(ps))
+    terms = np.divide(-chi, ps)
+    return ProductEstimate(value=_certified_product(np.log1p(terms, out=terms), ps, chi), terms=len(ps))
 
 
 def product_bytes(d: int, x: int) -> int:
@@ -145,62 +164,289 @@ def l1_from_class_number(d: int | Discriminant) -> float:
 def scan_bytes(d: int, x: int) -> int:
     """Upper estimate of the peak memory of phi_bound_scan or landau_liminf_check.
 
-    One block of the norm sieve up to x, the character table over |d| and
-    one reduction step's temporaries; no array spans the norms up to x.
-    Accepts any int d, so a caller can size a request before validating it.
+    The lists of the two recursions over the values x // k, at most
+    _BYTES_PER_ROOT per unit of isqrt(x); chi's table and its prime
+    sieve over min(|d|, x + 1) residues, _CHI_BYTES_PER_RESIDUE each; and
+    a fixed part for the search, whose path holds at most log2(x) frames.
+    No array spans the norms up to x.  Accepts any int d, so a caller can
+    size a request before validating it.
     """
     return (
-        sieve_block_bytes(max(x, 1))
-        + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(d)
-        + _REDUCE_BYTES_PER_NORM * _REDUCE_CHUNK
+        _BYTES_PER_ROOT * math.isqrt(max(x, 1))
+        + _CHI_BYTES_PER_RESIDUE * min(abs(d), max(x, 0) + 1)
+        + _SCAN_FIXED_BYTES
     )
 
 
-def _window_min(blocks: Iterable[tuple[int, np.ndarray]], lo: int) -> tuple[float | None, int, int]:
-    """(value, n, norms): the least minphi(n) * loglog n / n over norms
-    n >= lo that have an ideal, the smallest such n, and the number of norms
-    in the window that have an ideal.
+def _greedy_factor(i: int, budget: int) -> float:
+    """prod of (1 - 1/r) over the sequence p_i, p_(i+1), p_(i+1), p_(i+2),
+    p_(i+2), ... (p_i the i-th prime), while the product of the r taken
+    stays <= budget.
 
-    blocks are the consecutive (start, block) pairs of ``least_phi_sieve``,
-    block[i] = minphi(start + i), read one at a time as they come.  The value
-    is computed as float(minphi(n)) * math.log(math.log(n)) / n, the order
-    the ideal-by-ideal scan uses, so it is bit-identical to it.
+    A part of a norm made of p_i's second factor and of primes above p_i,
+    of size at most budget, has phi / norm at least this: each factor
+    1 - 1/r costs at least r of norm, a prime r > p_i gives it at most
+    twice (a split r^e, e >= 2) and p_i once more, and an inert r gives
+    1 - 1/r^2 for r^2.  Any such multiset of r's, sorted, is termwise at
+    least the sequence and has no more terms than fit, so the sequence's
+    own prefix is the least product.
     """
-    best: float | None = None
-    arg = 0
-    norms = 0
-    for first, block in blocks:
-        for start in range(max(lo, first), first + len(block), _REDUCE_CHUNK):
-            phi = block[start - first : start - first + _REDUCE_CHUNK]
-            has = phi > 0
-            found = int(np.count_nonzero(has))
-            if not found:
+    ratio = 1.0
+    r = nth_prime(i)
+    if r > budget:
+        return ratio
+    ratio *= 1 - 1 / r
+    budget //= r
+    while True:
+        i += 1
+        r = nth_prime(i)
+        for _ in range(2):
+            if r > budget:
+                return ratio
+            ratio *= 1 - 1 / r
+            budget //= r
+
+
+def _window_min(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int, int]:
+    """(value, n, phi): the least float(minphi(n)) * math.log(math.log(n)) / n
+    over the norms n in [lo, x] that have an ideal, the smallest n that
+    attains it and phi = minphi(n); (None, 0, 0) when the window has no norm.
+
+    minphi(n), the least phi_K over the ideals of norm n, is multiplicative
+    with local factors split p^1 and ramified p^e -> p^(e-1)(p - 1),
+    split p^e with e >= 2 -> p^(e-2)(p - 1)^2 (both conjugates), inert
+    p^(2k) -> p^(2k-2)(p^2 - 1); an odd inert power is no norm.  The
+    search walks the norms depth first by their primes, ascending, with
+    inert primes at even exponents only.  The child q of the norm n is
+    skipped when (minphi(n)/n) (1 - 1/q) ``_greedy_factor`` loglog(max(lo, nq))
+    exceeds the best value so far: every norm under it is at least nq,
+    and its phi / norm at least the product.  The bound rises with q, so
+    the first child skipped ends the loop.  It is scaled by
+    1 - _LOG_SLACK, so the rounding of its floats cannot skip a norm that
+    ties.  Each norm's value is the float expression of the ideal-by-ideal
+    scan, so the minimum is bit-identical to it.
+    """
+    best = [math.inf, 0, 0]
+    chi: dict[int, int] = {}
+
+    def walk(n: int, phi: int, start: int) -> None:
+        if n >= lo:
+            value = float(phi) * math.log(math.log(n)) / n
+            if value < best[0] or (value == best[0] and n < best[1]):
+                best[:] = value, n, phi
+        ratio = phi / n
+        for i in count(start):
+            q = nth_prime(i)
+            m = n * q
+            if m > x:
+                return
+            bound = ratio * (1 - 1 / q) * _greedy_factor(i, x // m) * math.log(math.log(max(lo, m)))
+            if bound * (1 - _LOG_SLACK) > best[0]:
+                return
+            if q not in chi:
+                chi[q] = kronecker(disc, q)
+            if chi[q] < 0:
+                m, f, step = m * q, phi * (q * q - 1), q * q
+            else:
+                walk(m, phi * (q - 1), i + 1)
+                # the second power: (q - 1)^2 split, q (q - 1) ramified
+                m, f, step = m * q, phi * (q - 1) * (q - 1 if chi[q] else q), q
+            while m <= x:
+                walk(m, f, i + 1)
+                m, f = m * step, f * step
+
+    walk(1, 1, 0)
+    value, n, phi = best
+    return (None, 0, 0) if n == 0 else (value, n, phi)
+
+
+def _scan_value(phi: int, n: int) -> float:
+    """float(phi) * log(log(n)) / n, the window minimum as it is printed,
+    ``certified`` against the value in 40-digit ``decimal``.
+
+    phi < 2^53 is exact as a float, so the bound is ``bound_ratio``'s: the
+    float log log n is within 2u / ll + 2u of ll = log log n (u = 2^-53,
+    log within an ulp), the product and the quotient add u each, and
+    u / ll + 2u more is slack.
+    """
+    ll = math.log(math.log(n))
+    return certified(float(phi) * ll / n, 2.0**-53 * (3 / ll + 6), _exact_scan_value, phi, n)
+
+
+def _exact_scan_value(phi: int, n: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return phi * Decimal(n).ln().ln() / n
+
+
+def _chi_table(disc: Discriminant, size: int) -> bytearray:
+    """chi(n) mod 3, that is 2 where chi(n) = -1, for n = 0 .. size - 1, size >= 2.
+
+    chi is completely multiplicative.  The table starts at 1 (0 at n = 0);
+    each prime p < size, with chi(p) by Euler's criterion, zeroes the
+    multiples of p when chi(p) = 0, and negates the multiples of each
+    power p^k < size when chi(p) = -1, so every entry ends at the product
+    of chi(p)^e over p^e || n.  The primes come from a sieve of
+    Eratosthenes over a bytearray.  Each step is one slice, so the Python
+    steps number about pi(size), not size.
+    """
+    table = bytearray(b"\x01") * size
+    table[0] = 0
+    prime = bytearray(b"\x01") * size
+    prime[0] = prime[1] = 0
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, size, p)))
+    for p in compress(range(size), prime):
+        # Euler's criterion at an odd p: d^((p - 1)/2) is 1, p - 1 or 0 mod p
+        c = pow(disc.value % p, p >> 1, p) if p > 2 else kronecker(disc, 2) % 3
+        if c == 0:
+            table[p::p] = bytes(len(range(p, size, p)))
+        elif c != 1:
+            power = p
+            while power < size:
+                table[power::power] = table[power::power].translate(_NEGATE_MOD_3)
+                power *= p
+    return table
+
+
+def _chi_sums(disc: Discriminant, size: int, values: list[int]) -> list[int]:
+    """The sum of chi(n) over 2 <= n <= v for each v of values (0 below 2).
+
+    The sum depends on v mod |d| only, as a period of chi sums to 0, and
+    every v mod |d| is below size.  The v's are read in the order of
+    v mod |d|, each adding the 1s less the 2s of ``_chi_table`` since the
+    last, as counted by ``bytearray.count``.
+    """
+    m = -disc.value
+    table = _chi_table(disc, size)
+    sums = [0] * len(values)
+    at = total = 0
+    for i in sorted(range(len(values)), key=lambda i: values[i] % m):
+        end = values[i] % m + 1
+        total += table.count(1, at, end) - table.count(2, at, end)
+        at = end
+        sums[i] = total - 1 if values[i] else 0
+    return sums
+
+
+@lru_cache(maxsize=16)
+def _primes_dividing(m: int) -> tuple[int, ...]:
+    """The primes dividing m, by trial division once per m: each window
+    counts norms twice, and |d| may be near 10^12."""
+    return tuple(p for p, _ in factorize(m))
+
+
+def _prime_sums(disc: Discriminant, x: int) -> tuple[list[int], list[bool], list[int], list[int]]:
+    """(primes, noninert, small, large): the primes p <= r = isqrt(x), for
+    each whether chi(p) >= 0, and the number of split and ramified primes
+    <= v for v <= r (small[v]) and for v = x // k (large[k], k = 1 .. r).
+
+    Lucy's recursion gives pi(v) and pi_chi(v) = sum of chi(p) over p <= v
+    at every v = x // k; the split and ramified primes <= v number
+    (pi(v) + pi_chi(v) + #{p | d : p <= v}) / 2.
+
+    Each prime p <= r removes, from every v >= p^2, its multiples whose
+    least prime factor is p: S(v) -= f(p) (S(v // p) - S(p - 1)), with
+    f = 1 for pi and f = chi for pi_chi (chi is completely
+    multiplicative).  The start S(v) = v - 1 for pi, and for pi_chi the
+    sum of chi(n) over 2 <= n <= v, from ``_chi_sums`` over min(|d|, x + 1)
+    residues.
+    """
+    r = math.isqrt(x)
+    m = -disc.value
+    top = [0, *(x // k for k in range(1, r + 1))]
+    chi_sums = _chi_sums(disc, min(m, x + 1), [*range(r + 1), *top])
+    small_chi, large_chi = chi_sums[: r + 1], chi_sums[r + 1 :]
+    del chi_sums
+    small_pi = [max(v - 1, 0) for v in range(r + 1)]
+    large_pi = [max(v - 1, 0) for v in top]
+    primes, noninert = [], []
+    for p in range(2, r + 1):
+        if small_pi[p] == small_pi[p - 1]:
+            continue  # a multiple of a smaller prime
+        c = kronecker(disc, p)
+        primes.append(p)
+        noninert.append(c >= 0)
+        p2 = p * p
+        last = min(r, x // p2)
+        inner = min(last, r // p)  # for k <= inner, v // p = x // (kp) is large[kp]
+        for large, small, f in ((large_pi, small_pi, 1), (large_chi, small_chi, c)):
+            if not f:
                 continue
-            norms += found
-            n = np.arange(start, start + len(phi), dtype=np.float64)
-            approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
-            cut = approx.min() * (1 + _LOG_SLACK)
-            for i in np.flatnonzero(approx <= cut).tolist():
-                k = start + i
-                value = float(phi[i]) * math.log(math.log(k)) / k
-                if best is None or value < best:
-                    best, arg = value, k
-    return best, arg, norms
+            base = small[p - 1]
+            large[1 : inner + 1] = [
+                a - f * (b - base) for a, b in zip(large[1 : inner + 1], large[p : inner * p + 1 : p])
+            ]
+            large[inner + 1 : last + 1] = [
+                large[k] - f * (small[x // (k * p)] - base) for k in range(inner + 1, last + 1)
+            ]
+            small[p2:] = [small[v] - f * (small[v // p] - base) for v in range(p2, r + 1)]
+    ramified = _primes_dividing(m)
+
+    def good(vs, pis, chi_sums):
+        return [(a + b + sum(q <= v for q in ramified)) // 2 for v, a, b in zip(vs, pis, chi_sums)]
+
+    return primes, noninert, good(range(r + 1), small_pi, small_chi), good(top, large_pi, large_chi)
+
+
+def _norm_count(disc: Discriminant, x: int) -> int:
+    """The number of n in [1, x] that are the norm of an ideal.
+
+    The indicator of norms is multiplicative: 1 at every power of a split
+    or ramified prime, and at the even powers of an inert one.  It is
+    summed by the second recursion of min_25's method: the norms in
+    [2, v] whose least prime is at least p_j are the split and ramified
+    primes in [p_j, v], and for each p_k >= p_j with p_k^2 <= v and each
+    e with p_k^(e+1) <= v, p_k^e t for the norms t in [2, v // p_k^e] with
+    least prime above p_k (when p_k^e is a norm), and p_k^(e+1) (when it
+    is one).  Every v it reaches is some x // k.
+    """
+    primes, noninert, small, large = _prime_sums(disc, x)
+    r = len(small) - 1
+    before = [0, *accumulate(noninert)]  # split and ramified primes among primes[:j]
+
+    def norms_from(v: int, j: int) -> int:
+        total = (small[v] if v <= r else large[x // v]) - before[j]
+        for k in range(j, len(primes)):
+            p = primes[k]
+            if p * p > v:
+                break
+            power, e = p, 1
+            while power * p <= v:
+                if noninert[k] or not e % 2:
+                    total += norms_from(v // power, k + 1)
+                if noninert[k] or e % 2:
+                    total += 1
+                power *= p
+                e += 1
+        return total
+
+    return 1 + norms_from(x, 0)
+
+
+def _window(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int, int]:
+    """(certified minimum, its norm, the number of norms) over [lo, x], lo >= 3."""
+    if x >= 2**31:
+        raise ValueError(f"need x < 2^31, got {x}")
+    value, n, phi = _window_min(disc, lo, x)
+    norms = _norm_count(disc, x) - _norm_count(disc, lo - 1)
+    return (None if value is None else _scan_value(phi, n)), n, norms
 
 
 def phi_bound_scan(d: int | Discriminant, x: int) -> ScanResult:
     """Minimum of phi_K(c) * loglog|c| / |c| over ideals with 3 <= |c| <= x.
 
     Multiplied by the class number this is the observed constant in the
-    uniform lower bound phi_K(c) >= (C/h) |c| / loglog|c|.  A reduction
-    over the blocks of ``least_phi_sieve`` for the field's character, one
-    block at a time; ties go to the smallest norm, and within it to the
-    ideal ``min_phi_ideal`` names.
+    uniform lower bound phi_K(c) >= (C/h) |c| / loglog|c|.  The minimum
+    over the norms comes from the search of ``_window_min`` and is printed
+    through ``_scan_value``; ties go to the smallest norm, and within it to
+    the ideal ``min_phi_ideal`` names.  x < 2^31.
     """
     disc = require_fundamental(d)
     if x < 3:
         raise ValueError(f"need x >= 3, got {x}")
-    best, arg, norms = _window_min(least_phi_sieve(x, character_table(disc)), 3)
+    best, arg, norms = _window(disc, 3, x)
     if best is None:
         raise ValueError(f"no ideals with norm in [3, {x}] for discriminant {disc.value}")
     return ScanResult(
@@ -214,17 +460,17 @@ def phi_bound_scan(d: int | Discriminant, x: int) -> ScanResult:
 def landau_liminf_check(d: int | Discriminant, x: int) -> LandauCheck:
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1, chi).
 
-    The tail runs over norms in [x/10, x]; the comparison is directional,
-    not a convergence proof, and the tail minimum mostly sits below the
-    target: over the 62 fundamental |D| <= 200 it is below for 61 fields
-    at x = 10^3, 60 at 10^4, 57 at 10^5 and 56 at 10^6, at 0.46 to 1.08
-    times the target.
+    The tail runs over norms in [x/10, x], x < 2^31; the comparison is
+    directional, not a convergence proof, and the tail minimum mostly
+    sits below the target: over the 62 fundamental |D| <= 200 it is below
+    for 61 fields at x = 10^3, 60 at 10^4, 57 at 10^5 and 56 at 10^6, at
+    0.46 to 1.08 times the target.
     """
     disc = require_fundamental(d)
     if x < 100:
         raise ValueError(f"need x >= 100, got {x}")
     lo = x // 10
-    best, _, norms = _window_min(least_phi_sieve(x, character_table(disc)), lo)
+    best, _, norms = _window(disc, lo, x)
     target = math.exp(-EULER_GAMMA) / l1_from_class_number(disc)
     return LandauCheck(empirical_min_tail=best, target=target, window=(lo, x), norms=norms)
 

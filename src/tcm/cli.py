@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -51,13 +52,23 @@ def check_factorable(**values: int) -> None:
             )
 
 
+def _size(n: int, rounding) -> str:
+    """n bytes in whole MiB, or in whole KiB below 1 MiB, rounded by rounding."""
+    unit, name = (2**20, "MiB") if n >= 2**20 else (2**10, "KiB")
+    return f"{rounding(n / unit):,} {name}"
+
+
 def preflight(what: str, estimate: int) -> None:
-    """Exit 2 before allocating anything if the estimated peak memory is over budget."""
+    """Exit 2 before allocating anything if the estimated peak memory is over budget.
+
+    The message rounds the estimate up and the budget down, so the one it
+    prints is over the other it prints.
+    """
     budget = memory_budget()
     if estimate > budget:
         print(
-            f"error: {what} needs an estimated {estimate / 2**20:,.0f} MiB, over the "
-            f"budget of {budget / 2**20:,.0f} MiB (half of physical RAM)",
+            f"error: {what} needs an estimated {_size(estimate, math.ceil)}, over the "
+            f"budget of {_size(budget, math.floor)} (half of physical RAM)",
             file=sys.stderr,
         )
         sys.exit(2)
@@ -198,9 +209,9 @@ def brute_check(d, n: int, value: int) -> dict:
 def _analytics(name: str):
     """analytics.<name>, imported at its first call.
 
-    The analytic modules load numpy, which ``tcm bound`` and ``tcm
-    --version`` do without.  The commands call these through the module's
-    globals, so a caller can wrap each one by setattr on this module.
+    ``tcm bound``, ``phi``, ``galois`` and ``--version`` do without the
+    module.  The commands call these through the module's globals, so a
+    caller can wrap each one by setattr on this module.
     """
 
     def call(*args):
@@ -352,7 +363,7 @@ def scan(disc, x):
     from .analytics import scan_bytes
     from .ideal_arith import ideal_norm
 
-    preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
+    preflight(f"norm search and count up to x = {x}", scan_bytes(disc, x))
     result = phi_bound_scan(disc, x)
     row = {
         "disc": disc,
@@ -372,7 +383,7 @@ def landau(disc, x):
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi)."""
     from .analytics import scan_bytes
 
-    preflight(f"norm sieve up to x = {x}", scan_bytes(disc, x))
+    preflight(f"norm search and count up to x = {x}", scan_bytes(disc, x))
     result = landau_liminf_check(disc, x)
     row = {
         "disc": disc,

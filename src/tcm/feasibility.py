@@ -74,7 +74,7 @@ from itertools import count, groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .primes import EULER_GAMMA, certified, factorize, is_prime
+from .primes import EULER_GAMMA, certified, factorize, nth_prime
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -127,26 +127,12 @@ class ChainAudit(NamedTuple):
 
 # ---------------------------------------------------------------- the search
 
-# the primes from 2 on, extended as the search reaches them
-_PRIMES = [2, 3]
-
-
-def _prime(i: int) -> int:
-    """The i-th prime, 2 being the 0th."""
-    while len(_PRIMES) <= i:
-        q = _PRIMES[-1] + 2
-        while not is_prime(q):
-            q += 2
-        _PRIMES.append(q)
-    return _PRIMES[i]
-
-
 def _greedy_gain(c: int, i: int, num: int, den: int, rad: int) -> tuple[int, int]:
     """num / den times p^2 / (p - 1)^2 for the primes p from the i-th on,
     taken in order while each keeps the set admissible: Lemma 2's bound
     on the gain of any admissible extension, as an exact fraction."""
     while True:
-        p = _prime(i)
+        p = nth_prime(i)
         num_p, den_p, rad_p = num * p * p, den * (p - 1) ** 2, rad * p
         if rad_p * den_p > c * num_p:
             return num, den
@@ -166,7 +152,7 @@ def _prime_sets(c: int, best: Callable[[], int]) -> Iterator[tuple[list[int], in
     def walk(S: list[int], start: int, num: int, den: int, rad: int):
         yield S, rad, c * num // den
         for i in count(start):
-            q = _prime(i)
+            q = nth_prime(i)
             num_q, den_q, rad_q = num * q * q, den * (q - 1) ** 2, rad * q
             if rad_q * den_q > c * num_q:
                 return  # S + {q} is inadmissible, and so is S + {q'} for q' > q

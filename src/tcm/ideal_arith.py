@@ -10,11 +10,12 @@ scan, and with it numpy, when it runs, and ``ideals_up_to_norm`` loads
 numpy through the prime sieve; the rest of the module is Python ints and
 loads none.
 
-The least phi_K over the ideals of each norm comes from the one
-norm-indexed kernel, ``primes.least_phi_sieve`` over the field's
-character table, block by block; ``min_phi_ideal`` names the ideal that
-attains it at one norm.  ``ideals_up_to_norm`` lists the ideals
-themselves and is that kernel's oracle.
+The least phi_K over the ideals of a norm is multiplicative in the norm;
+``analytics`` searches it over prime sets for the scans' window minimum,
+and ``min_phi_ideal`` names the ideal that attains it at one norm.
+``ideals_up_to_norm`` lists the ideals themselves; it is the oracle of
+``primes.least_phi_sieve``, which tabulates the least phi_K per norm and
+is in turn the tests' oracle of the search.
 """
 
 from __future__ import annotations

@@ -6,19 +6,23 @@ multiplicative sieve built on its primes: the least phi_K over the
 ideals of each norm, for the character table of any imaginary quadratic
 field K, yielded as consecutive numpy int32 blocks whose size grows with
 the square root of the limit.  Only the primes up to that root are
-sieved, so no array spans the whole range.  Its consumers,
-``analytics.phi_bound_scan`` and ``landau_liminf_check``, read the
-blocks of a field one at a time.  ``phi_sieve`` copies the totient
-blocks (every prime ramified) into one table.  The ``*_bytes`` functions
+sieved, so no array spans the whole range.  ``phi_sieve`` copies the
+totient blocks (every prime ramified) into one table; the benchmark
+times it, and the tests read both sieves as the oracles of the prime-set
+searches (``feasibility.bound_records``, and the window minimum and norm
+count behind ``analytics.phi_bound_scan`` and ``landau_liminf_check``).
+``nth_prime`` reads the primes those searches reach, one ``is_prime`` at
+a time, so they sieve nothing.  The ``*_bytes`` functions
 estimate peak memory by arithmetic alone, so a caller can refuse a
 request before allocating anything.  ``certified`` settles the 12
 printed digits of a float from its error bound, with an exact fallback
 near a rounding boundary.
 
 numpy is imported by the sieves when they run, not with the module, so
-``is_prime``, ``factorize``, the constants and the estimates load
-without it: ``tcm bound``, ``quad_core`` and ``ideal_arith`` read them
-and load no numpy.
+``is_prime``, ``nth_prime``, ``factorize``, the constants and the
+estimates load without it: ``tcm bound``, ``analytics scan`` and
+``landau``, ``quad_core`` and ``ideal_arith`` read them and load no
+numpy.
 """
 
 from __future__ import annotations
@@ -75,6 +79,20 @@ def prime_array(limit: int) -> np.ndarray:
 def cached_primes(limit: int) -> tuple[int, ...]:
     """Memoized tuple of primes <= limit (read-only after creation)."""
     return tuple(prime_array(limit).tolist())
+
+
+# the primes from 2 on, extended as the prime-set searches reach them
+_PRIMES = [2, 3]
+
+
+def nth_prime(i: int) -> int:
+    """The i-th prime, 2 being the 0th, found by ``is_prime`` on first use."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] + 2
+        while not is_prime(q):
+            q += 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
 
 
 def is_prime(n: int) -> bool:
@@ -167,8 +185,8 @@ def sieve_block(limit: int) -> int:
     Every block makes one slice per prime power of the primes <= isqrt(limit),
     about 2 pi(isqrt(limit)) slices, so scaling the block with the root keeps
     their fixed cost small next to the block's element work.  For the
-    field sieve of ``analytics scan`` a block is 2^16 entries at --x = 10^4
-    and 2^19 at 10^7; for the tests' sweep oracle at its largest limit,
+    field sieve of the tests' scan oracle a block is 2^16 entries at
+    x = 10^4 and 2^19 at 10^7; for the tests' sweep oracle at its largest limit,
     n_max(10^5) = 22,561,035, it is 2^20.
     """
     return 1 << max(16, (128 * isqrt(limit) - 1).bit_length())
@@ -288,9 +306,9 @@ def least_phi_sieve(limit: int, chi: np.ndarray | None = None) -> Iterator[tuple
     entry has at most one prime factor q > r left (q^2 > limit), and it is
     n // smooth; its gain is q - 1, or 0 for an inert q, and the entries
     with a nonzero count are 0.  int32 holds every entry while
-    limit < 2^31, and a larger limit is refused (a usage error for the --x
-    of ``analytics scan`` and ``landau``; the tests' sweep oracle reaches
-    n_max(10^5) = 22,561,035).  Callers cast to int64 before squaring.
+    limit < 2^31, and a larger limit is refused (the tests' sweep oracle
+    reaches n_max(10^5) = 22,561,035).  Callers cast to int64 before
+    squaring.
     """
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} does not fit int32")

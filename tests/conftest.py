@@ -94,6 +94,58 @@ def least_phi_by_norm(d: int, x: int):
     return _join(least_phi_sieve(x, character_table(d)), x, sieve_block(x))
 
 
+# norms reduced per numpy step by sieve_window_min, and the relative
+# distance from a step's numpy minimum within which a norm is re-evaluated
+# with math.log (numpy's log may differ from it in the last bits)
+REDUCE_CHUNK = 1 << 16
+_LOG_SLACK = 1e-9
+
+
+def sieve_window_min(blocks, lo: int, chunk: int = REDUCE_CHUNK) -> tuple[float | None, int, int]:
+    """(value, n, norms): the least minphi(n) * loglog n / n over norms
+    n >= lo that have an ideal, the smallest such n, and the number of norms
+    in the window that have an ideal; the oracle of the search and the
+    norm count of ``analytics``.
+
+    blocks are the consecutive (start, block) pairs of ``least_phi_sieve``,
+    block[i] = minphi(start + i), reduced one at a time in numpy steps of
+    chunk norms.  The value is float(minphi(n)) * math.log(math.log(n)) / n,
+    the order the ideal-by-ideal scan uses, so it is bit-identical to it.
+    """
+    import math
+
+    import numpy as np
+
+    best = None
+    arg = 0
+    norms = 0
+    for first, block in blocks:
+        for start in range(max(lo, first), first + len(block), chunk):
+            phi = block[start - first : start - first + chunk]
+            has = phi > 0
+            found = int(np.count_nonzero(has))
+            if not found:
+                continue
+            norms += found
+            n = np.arange(start, start + len(phi), dtype=np.float64)
+            approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
+            cut = approx.min() * (1 + _LOG_SLACK)
+            for i in np.flatnonzero(approx <= cut).tolist():
+                k = start + i
+                value = float(phi[i]) * math.log(math.log(k)) / k
+                if best is None or value < best:
+                    best, arg = value, k
+    return best, arg, norms
+
+
+def sieve_window(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
+    """sieve_window_min over the norm sieve of the field of discriminant d up to x."""
+    from tcm.primes import least_phi_sieve
+    from tcm.quad_core import character_table
+
+    return sieve_window_min(least_phi_sieve(x, character_table(d)), lo)
+
+
 def _join(blocks, limit: int, block: int):
     import numpy as np
 

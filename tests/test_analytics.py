@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,11 +16,11 @@ from tcm.analytics import (
     product_bytes,
     scan_bytes,
 )
-from tcm.ideal_arith import ideal_norm, phi_K, principal_ideal
+from tcm.ideal_arith import ideal_norm, ideals_up_to_norm, min_phi_ideal, phi_K, principal_ideal
 from tcm.primes import EULER_GAMMA, _sieve_blocks, factorize, prime_array
-from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker
+from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker, require_fundamental
 
-from conftest import joined_blocks, oracle_scan, traced_peak
+from conftest import REDUCE_CHUNK, joined_blocks, oracle_scan, sieve_window, sieve_window_min, traced_peak
 
 
 def test_mertens_single_factor():
@@ -144,20 +145,19 @@ def test_scans_match_ideal_by_ideal_oracle(d, x):
     assert landau_liminf_check(d, x).empirical_min_tail.hex() == tail.hex()
 
 
-@pytest.mark.parametrize("chunk", [20, analytics._REDUCE_CHUNK])
+@pytest.mark.parametrize("chunk", [20, REDUCE_CHUNK])
 @pytest.mark.parametrize("block", [45, 64])
 @pytest.mark.parametrize("d", [-3, -4, -7])
-def test_streamed_window_min_matches_one_table(monkeypatch, d, block, chunk):
-    # lo = 3, and lo = x // 10 on, just before and just after a block edge;
-    # neither block is a multiple of either chunk of the reduction
-    monkeypatch.setattr(analytics, "_REDUCE_CHUNK", chunk)
+def test_streamed_window_min_matches_one_table(d, block, chunk):
+    # the sieve oracle itself: lo = 3, and lo = x // 10 on, just before and
+    # just after a block edge; neither block is a multiple of either chunk
     chi = character_table(d)
     cases = [(k * block + s, 3) for k in (2, 7) for s in (-1, 0, 1)]
     cases += [(10 * (k * block + s), k * block + s) for k in (2, 7) for s in (-1, 0, 1)]
     for x, lo in cases:
         table = joined_blocks(x, chi, block)
-        streamed = analytics._window_min(_sieve_blocks(x, chi, block), lo)
-        assert streamed == analytics._window_min([(0, table)], lo), (x, lo)
+        streamed = sieve_window_min(_sieve_blocks(x, chi, block), lo, chunk)
+        assert streamed == sieve_window_min([(0, table)], lo, chunk), (x, lo)
         # the first of the least values, and the norms with an ideal
         values = [
             float(table[n]) * math.log(math.log(n)) / n if table[n] else math.inf
@@ -166,6 +166,90 @@ def test_streamed_window_min_matches_one_table(monkeypatch, d, block, chunk):
         best = min(values)
         norms = int(np.count_nonzero(table[lo:]))
         assert streamed == (best, lo + values.index(best), norms), (x, lo)
+
+
+def search_and_count(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
+    """The search's (value, n) and the recursions' norm count over [lo, x]."""
+    disc = require_fundamental(d)
+    value, n, _ = analytics._window_min(disc, lo, x)
+    return value, n, analytics._norm_count(disc, x) - analytics._norm_count(disc, lo - 1)
+
+
+# every fundamental |D| <= 200, x = 10^2 .. 10^5, lo = 3 and x // 10: 496 cases
+GRID_FIELDS = fundamental_discriminants(200)
+GRID_XS = [10**2, 10**3, 10**4, 10**5]
+
+
+@pytest.mark.parametrize("x", GRID_XS)
+def test_search_and_count_match_sieve_oracle(x):
+    for d in GRID_FIELDS:
+        for lo in (3, x // 10):
+            assert search_and_count(d, lo, x) == sieve_window(d, lo, x), (d, lo, x)
+
+
+@pytest.mark.parametrize(
+    "d,lo,x",
+    [
+        # around a sieve block edge, 2^16; -3 has an inert 2, -4 a ramified 2
+        *[(d, lo, x) for d in (-3, -4, -7) for x in (2**16 - 1, 2**16, 2**16 + 1) for lo in (3, x // 10)],
+        # the smallest windows: 3 and 4 are norms of -3; 3 is inert in
+        # Q(i), so [3, 3] holds no norm of -4
+        *[(d, 3, x) for d in (-3, -4, -7, -8) for x in (3, 4, 5)],
+        # |D| above x, so chi is read over n <= x, not over a period
+        *[(d, lo, x) for d in (-1003, -10007, -40004) for x in (100, 1000) for lo in (3, x // 10)],
+    ],
+)
+def test_search_and_count_edge_cases(d, lo, x):
+    assert search_and_count(d, lo, x) == sieve_window(d, lo, x)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -8, -24, -20020, -15015, -1003, -100000000003])
+def test_chi_table_matches_kronecker(d):
+    # the period |d| may be shorter or longer than the table
+    disc = require_fundamental(d)
+    for size in (2, 3, 97, 3000):
+        table = analytics._chi_table(disc, size)
+        assert [(0, 1, -1)[c] for c in table] == [0] + [kronecker(d, n) for n in range(1, size)], size
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -15, -23, -84, -1003])
+def test_norm_count_matches_ideal_enumeration(d):
+    norms = sorted({ideal_norm(ideal) for ideal in ideals_up_to_norm(d, 600)})
+    disc = require_fundamental(d)
+    for x in range(1, 601):
+        assert analytics._norm_count(disc, x) == bisect_right(norms, x), (d, x)
+
+
+def twelve_digits(value) -> float:
+    """A float or Decimal rounded to the 12 significant digits the CLI prints."""
+    return float(f"{value:.12g}")
+
+
+def decimal_scan_value(phi: int, n: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return phi * Decimal(n).ln().ln() / n
+
+
+@pytest.mark.parametrize("x", GRID_XS)
+def test_scan_digits_match_decimal_oracle(x):
+    # the 12 printed digits of both minima against phi loglog n / n in
+    # 40-digit decimal at the sieve oracle's argmin
+    for d in GRID_FIELDS:
+        for lo, value in ((3, phi_bound_scan(d, x).min_value), (x // 10, landau_liminf_check(d, x).empirical_min_tail)):
+            _, n, _ = sieve_window(d, lo, x)
+            oracle = decimal_scan_value(phi_K(min_phi_ideal(d, n)), n)
+            assert twelve_digits(value) == twelve_digits(oracle), (d, lo, x)
+
+
+# minphi(n) loglog n / n at these norms lies next to a 12-digit rounding
+# boundary, where the float expression prints a wrong last digit
+@pytest.mark.parametrize("d,n", [(-3, 12096), (-4, 118850), (-7, 1321072), (-8, 198249)])
+def test_scan_value_next_to_a_rounding_boundary(d, n):
+    phi = phi_K(min_phi_ideal(d, n))
+    oracle = decimal_scan_value(phi, n)
+    assert twelve_digits(float(phi) * math.log(math.log(n)) / n) != twelve_digits(oracle)
+    assert twelve_digits(analytics._scan_value(phi, n)) == twelve_digits(oracle)
 
 
 def test_scans_record_their_window():

@@ -22,7 +22,7 @@ from tcm.cli import (
 from tcm import feasibility
 from tcm.feasibility import bound_ratio, bound_records, sweep_region
 
-from conftest import child_peak_rss, expand_runs, ideal_count_oracle
+from conftest import child_peak_rss, expand_runs, ideal_count_oracle, oracle_scan
 
 
 @pytest.fixture
@@ -216,7 +216,7 @@ def test_bound_single_degree_peak_rss_is_set_by_the_block():
 
 def test_scan_peak_rss_is_set_by_the_block():
     # the whole int32 table of the norms up to 10^7 would be 38 MiB alone;
-    # the reduction reads one sieve block of 2^19 entries at a time
+    # the search and the recursions over x // k hold no table of the norms
     argv = [sys.executable, "-m", "tcm", "analytics", "scan", "--disc", "-4", "--x", "10000000", "--format", "csv"]
     assert child_peak_rss(argv) < 60 * 2**20
 
@@ -242,7 +242,7 @@ def test_bound_preflight_refuses_before_allocating(runner, monkeypatch):
     result = runner.invoke(cli, ["bound", "--d-min", "1", "--d-max", "1000000"])
     assert result.exit_code == 2
     assert "n_max = 237662443" in result.stderr
-    assert "needs an estimated 0 MiB, over the budget of 0 MiB" in result.stderr
+    assert "needs an estimated 256 KiB, over the budget of 255 KiB" in result.stderr
     assert result.stdout == ""
 
 
@@ -371,12 +371,25 @@ def test_factoring_bound_admits_its_limit(runner):
 def test_scan_preflight_refuses_before_allocating(runner, monkeypatch, command, fn):
     monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
     monkeypatch.setattr(cli_mod, fn, _refuse_to_run)
-    # one sieve block is charged, not the norms up to x: 45 MiB at 10^8, 87 MiB at 10^9
-    result = runner.invoke(cli, ["analytics", command, "--disc", "-4", "--x", str(10**9)])
+    # chi over min(|D|, x + 1) residues is charged, 4 B each: 3,825 MiB
+    # here, where D = -4 at the same x costs 10 MiB
+    args = ["analytics", command, "--disc", "-100000000003", "--x", str(10**9)]
+    result = runner.invoke(cli, args)
     assert result.exit_code == 2
-    assert f"norm sieve up to x = {10**9}" in result.stderr
-    assert "budget of 64 MiB" in result.stderr
+    assert f"norm search and count up to x = {10**9}" in result.stderr
+    assert "needs an estimated 3,825 MiB, over the budget of 64 MiB" in result.stderr
     assert result.stdout == ""
+
+
+def test_scan_runs_at_a_discriminant_far_above_x(runner):
+    # chi is read over n <= x, not over a period of |D| = 10^11 + 3
+    args = ["analytics", "scan", "--disc=-100000000003", "--x", "100", "--format", "json"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.stderr
+    row = json.loads(result.stdout)["rows"][0]
+    value, ideal = oracle_scan(-100000000003, 100, 3)
+    assert row["min_value"] == float(f"{value:.12g}")
+    assert row["argmin_ideal"] == str(ideal)
 
 
 @pytest.mark.parametrize("command", ["scan", "landau"])

@@ -199,6 +199,20 @@ def test_import_cli_and_bound_load_no_numpy():
     assert out.stderr.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("command", ["scan", "landau"])
+def test_scan_and_landau_load_no_numpy(command):
+    # the window minimum is a search over prime sets and the norm count a
+    # recursion over x // k, so neither command loads numpy
+    probe = (
+        "import os, sys, tcm.cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"tcm.cli.cli.main(['analytics', '{command}', '--disc', '-84', '--x', '10000'], standalone_mode=False)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stderr == "False\n"
+
+
 def test_exact_layers_and_large_phi_load_no_numpy():
     # h(D), phi_K, the degree sandwich and the refined rows are Python ints;
     # numpy loads with the character table, the unit scan and the sieves only
