@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -330,17 +329,13 @@ def _chi_sums(disc: Discriminant, size: int, values: list[int]) -> list[int]:
     return sums
 
 
-@lru_cache(maxsize=16)
-def _primes_dividing(m: int) -> tuple[int, ...]:
-    """The primes dividing m, by trial division once per m: each window
-    counts norms twice, and |d| may be near 10^12."""
-    return tuple(p for p, _ in factorize(m))
-
-
-def _prime_sums(disc: Discriminant, x: int) -> tuple[list[int], list[bool], list[int], list[int]]:
+def _prime_sums(
+    disc: Discriminant, x: int, ramified: list[int]
+) -> tuple[list[int], list[bool], list[int], list[int]]:
     """(primes, noninert, small, large): the primes p <= r = isqrt(x), for
     each whether chi(p) >= 0, and the number of split and ramified primes
     <= v for v <= r (small[v]) and for v = x // k (large[k], k = 1 .. r).
+    ramified lists the primes dividing d.
 
     Lucy's recursion gives pi(v) and pi_chi(v) = sum of chi(p) over p <= v
     at every v = x // k; the split and ramified primes <= v number
@@ -382,7 +377,6 @@ def _prime_sums(disc: Discriminant, x: int) -> tuple[list[int], list[bool], list
                 large[k] - f * (small[x // (k * p)] - base) for k in range(inner + 1, last + 1)
             ]
             small[p2:] = [small[v] - f * (small[v // p] - base) for v in range(p2, r + 1)]
-    ramified = _primes_dividing(m)
 
     def good(vs, pis, chi_sums):
         return [(a + b + sum(q <= v for q in ramified)) // 2 for v, a, b in zip(vs, pis, chi_sums)]
@@ -390,8 +384,9 @@ def _prime_sums(disc: Discriminant, x: int) -> tuple[list[int], list[bool], list
     return primes, noninert, good(range(r + 1), small_pi, small_chi), good(top, large_pi, large_chi)
 
 
-def _norm_count(disc: Discriminant, x: int) -> int:
-    """The number of n in [1, x] that are the norm of an ideal.
+def _norm_count(disc: Discriminant, x: int, ramified: list[int]) -> int:
+    """The number of n in [1, x] that are the norm of an ideal; ramified
+    lists the primes dividing d.
 
     The indicator of norms is multiplicative: 1 at every power of a split
     or ramified prime, and at the even powers of an inert one.  It is
@@ -402,7 +397,7 @@ def _norm_count(disc: Discriminant, x: int) -> int:
     least prime above p_k (when p_k^e is a norm), and p_k^(e+1) (when it
     is one).  Every v it reaches is some x // k.
     """
-    primes, noninert, small, large = _prime_sums(disc, x)
+    primes, noninert, small, large = _prime_sums(disc, x, ramified)
     r = len(small) - 1
     before = [0, *accumulate(noninert)]  # split and ramified primes among primes[:j]
 
@@ -430,7 +425,8 @@ def _window(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int, int
     if x >= 2**31:
         raise ValueError(f"need x < 2^31, got {x}")
     value, n, phi = _window_min(disc, lo, x)
-    norms = _norm_count(disc, x) - _norm_count(disc, lo - 1)
+    ramified = [p for p, _ in factorize(-disc.value)]
+    norms = _norm_count(disc, x, ramified) - _norm_count(disc, lo - 1, ramified)
     return (None if value is None else _scan_value(phi, n)), n, norms
 
 

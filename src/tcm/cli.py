@@ -28,9 +28,14 @@ from .primes import prime_list_bytes
 # the region's three counts and the search hold less, at any --d-max
 WRITE_BYTES = 256 << 10
 
-# the largest |--disc| and --n that phi and galois factor: trial division
-# is O(sqrt(n)), 0.035 s at the prime 10^12 + 39 on a 2-core Xeon VM
+# the largest |--disc| and --n that phi, galois, scan and landau factor:
+# trial division is O(sqrt(n)), 0.035 s at the prime 10^12 + 39 on a
+# 2-core Xeon VM
 FACTOR_MAX = 10**12
+
+# the largest |--disc| whose class number landau counts: the form count is
+# O(|d|), 0.47 s at |d| = 10^8 + 7 and 5.1 s at 10^9 + 7 on the same VM
+CLASS_NUMBER_MAX = 10**9
 
 
 def _round12(x: float) -> float:
@@ -363,6 +368,7 @@ def scan(disc, x):
     from .analytics import scan_bytes
     from .ideal_arith import ideal_norm
 
+    check_factorable(disc=disc)
     preflight(f"norm search and count up to x = {x}", scan_bytes(disc, x))
     result = phi_bound_scan(disc, x)
     row = {
@@ -383,6 +389,10 @@ def landau(disc, x):
     """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi)."""
     from .analytics import scan_bytes
 
+    if abs(disc) > CLASS_NUMBER_MAX:
+        raise click.UsageError(
+            f"|--disc| = {abs(disc)} is over the class-number bound {CLASS_NUMBER_MAX:,}"
+        )
     preflight(f"norm search and count up to x = {x}", scan_bytes(disc, x))
     result = landau_liminf_check(disc, x)
     row = {

@@ -12,9 +12,9 @@ times it, and the tests read both sieves as the oracles of the prime-set
 searches (``feasibility.bound_records``, and the window minimum and norm
 count behind ``analytics.phi_bound_scan`` and ``landau_liminf_check``).
 ``nth_prime`` reads the primes those searches reach, one ``is_prime`` at
-a time, so they sieve nothing.  The ``*_bytes`` functions
-estimate peak memory by arithmetic alone, so a caller can refuse a
-request before allocating anything.  ``certified`` settles the 12
+a time, so they sieve nothing.  ``prime_list_bytes`` estimates
+peak memory by arithmetic alone, so a caller can refuse a request
+before allocating anything.  ``certified`` settles the 12
 printed digits of a float from its error bound, with an exact fallback
 near a rounding boundary.
 
@@ -190,23 +190,6 @@ def sieve_block(limit: int) -> int:
     n_max(10^5) = 22,561,035, it is 2^20.
     """
     return 1 << max(16, (128 * isqrt(limit) - 1).bit_length())
-
-
-def sieve_block_bytes(limit: int, inert: bool = True) -> int:
-    """Upper estimate of ``least_phi_sieve``'s peak memory, character table aside.
-
-    One block's arrays (the int32 table, smooth part and quotient: 12 B per
-    entry; 16 B when the character has inert primes, which add the int8
-    odd-power count, two bool masks and numpy's index buffer), the table of
-    the block before it, which its consumer holds until the next one is
-    made (4 B per entry), the plan of prime powers at 256 B a step, and
-    64 KiB for array headers.  A prime p <= isqrt(limit) has two powers
-    <= limit if p^3 > limit, and at most log2(limit) otherwise.
-    """
-    block = min(sieve_block(limit), limit + 1)
-    cube = round(limit ** (1 / 3)) + 1
-    steps = 2 * prime_count_bound(isqrt(limit)) + limit.bit_length() * prime_count_bound(cube)
-    return (20 if inert else 16) * block + 256 * steps + (1 << 16)
 
 
 def _sieve_plan(limit: int, chi: np.ndarray) -> list[tuple[int, int, int, int]]:

@@ -94,6 +94,27 @@ def least_phi_by_norm(d: int, x: int):
     return _join(least_phi_sieve(x, character_table(d)), x, sieve_block(x))
 
 
+def sieve_block_bytes(limit: int) -> int:
+    """Upper estimate of least_phi_sieve's peak memory, character table aside.
+
+    One block's arrays (the int32 table, smooth part and quotient, and for
+    the inert primes the int8 odd-power count, two bool masks and numpy's
+    index buffer: 16 B per entry), the table of the block before it, which
+    its consumer holds until the next one is made (4 B per entry), the plan
+    of prime powers at 256 B a step, and 64 KiB for array headers.  A prime
+    p <= isqrt(limit) has two powers <= limit if p^3 > limit, and at most
+    log2(limit) otherwise.
+    """
+    from math import isqrt
+
+    from tcm.primes import prime_count_bound, sieve_block
+
+    block = min(sieve_block(limit), limit + 1)
+    cube = round(limit ** (1 / 3)) + 1
+    steps = 2 * prime_count_bound(isqrt(limit)) + limit.bit_length() * prime_count_bound(cube)
+    return 20 * block + 256 * steps + (1 << 16)
+
+
 # norms reduced per numpy step by sieve_window_min, and the relative
 # distance from a step's numpy minimum within which a norm is re-evaluated
 # with math.log (numpy's log may differ from it in the last bits)

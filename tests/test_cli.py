@@ -344,6 +344,7 @@ def test_product_preflight_counts_the_character_table(runner, monkeypatch):
         ["phi", "--disc", "-4", "--n", str(cli_mod.FACTOR_MAX + 1)],
         ["phi", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--n", "5"],
         ["galois", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--n", "5"],
+        ["analytics", "scan", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--x", "100"],
     ],
 )
 def test_factoring_bound_refuses_before_factoring(runner, monkeypatch, args):
@@ -355,6 +356,15 @@ def test_factoring_bound_refuses_before_factoring(runner, monkeypatch, args):
     result = runner.invoke(cli, args)
     assert result.exit_code == 2
     assert "over the factoring bound" in result.stderr
+    assert result.stdout == ""
+
+
+def test_landau_refuses_a_class_number_over_its_bound(runner, monkeypatch):
+    # the form count is O(|D|): 5 s at 10^9 + 7, so 10^9 + 7 is refused at once
+    monkeypatch.setattr(cli_mod, "landau_liminf_check", _refuse_to_run)
+    result = runner.invoke(cli, ["analytics", "landau", "--disc", "-1000000007", "--x", "100"])
+    assert result.exit_code == 2
+    assert "|--disc| = 1000000007 is over the class-number bound 1,000,000,000" in result.stderr
     assert result.stdout == ""
 
 
@@ -371,13 +381,13 @@ def test_factoring_bound_admits_its_limit(runner):
 def test_scan_preflight_refuses_before_allocating(runner, monkeypatch, command, fn):
     monkeypatch.setattr(cli_mod, "memory_budget", lambda: 64 * 2**20)
     monkeypatch.setattr(cli_mod, fn, _refuse_to_run)
-    # chi over min(|D|, x + 1) residues is charged, 4 B each: 3,825 MiB
+    # chi over min(|D|, x + 1) residues is charged, 4 B each: 392 MiB
     # here, where D = -4 at the same x costs 10 MiB
-    args = ["analytics", command, "--disc", "-100000000003", "--x", str(10**9)]
+    args = ["analytics", command, "--disc", "-100000007", "--x", str(10**9)]
     result = runner.invoke(cli, args)
     assert result.exit_code == 2
     assert f"norm search and count up to x = {10**9}" in result.stderr
-    assert "needs an estimated 3,825 MiB, over the budget of 64 MiB" in result.stderr
+    assert "needs an estimated 392 MiB, over the budget of 64 MiB" in result.stderr
     assert result.stdout == ""
 
 

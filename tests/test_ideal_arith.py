@@ -14,7 +14,7 @@ from tcm.ideal_arith import (
     phi_K_of_N,
     principal_ideal,
 )
-from tcm.primes import least_phi_sieve, sieve_block_bytes
+from tcm.primes import least_phi_sieve
 from tcm.quad_core import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     Splitting,
@@ -31,6 +31,7 @@ from conftest import (
     oracle_min_phi,
     oracle_unit_pairs,
     order_discriminants,
+    sieve_block_bytes,
     traced_peak,
 )
 
