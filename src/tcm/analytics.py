@@ -5,34 +5,32 @@ class number formula, and scans measuring the observed constant in the
 uniform lower bound for the ideal Euler function.  Values here are
 floating point; everything rigorous lives upstream in the exact modules.
 
-The scans are plain Python: a search over the prime sets of the norms
-for the window minimum, and Lucy's and min_25's recursions over the
-values x // k for the number of norms, so neither holds an array over
-the norms up to x.  numpy carries the per-prime loop of the two products
-and is imported by them when they run.
+Everything here is plain Python and loads no numpy.  The two products
+are one ``math.fsum`` over a stream of primes from one bytearray sieve,
+with chi(p) read from ``quad_core.chi_table``.  The scans are a search
+over the prime sets of the norms for the window minimum, and Lucy's and
+min_25's recursions over the values x // k for the number of norms, so
+neither holds an array over the norms up to x.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from itertools import accumulate, compress, count, repeat
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import accumulate, count
+from typing import NamedTuple
 
 from .ideal_arith import FactoredIdeal, min_phi_ideal
-from .primes import EULER_GAMMA, certified, factorize, nth_prime, prime_array, prime_list_bytes
+from .primes import EULER_GAMMA, certified, factorize, nth_prime, prime_list_bytes, prime_sieve, primes_in
 from .quad_core import (
-    CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    CHI_TABLE_BYTES_PER_RESIDUE,
     Discriminant,
-    character_table,
+    chi_table,
     class_number,
     kronecker,
     require_fundamental,
     unit_count,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # the search's bound is scaled by 1 - _LOG_SLACK: the few ulps by which
 # its floats may exceed the exact bound cannot then skip a norm whose
@@ -40,14 +38,11 @@ if TYPE_CHECKING:
 _LOG_SLACK = 1e-9
 # scan_bytes: the recursions' lists per unit of isqrt(x) (about eight
 # lists of ints, each int 32 B and its slot 8 B, one of them being
-# rebuilt); per residue, chi's table, the prime sieve beside it and a
-# slice and its negation at p = 2 (3 B), with a byte of headroom; and the
-# rest
+# rebuilt); chi's table per residue; and the rest
 _BYTES_PER_ROOT = 320
-_CHI_BYTES_PER_RESIDUE = 4
 _SCAN_FIXED_BYTES = 64 << 10
-# bytes.translate table that negates chi(n) mod 3: 1 <-> 2, 0 stays
-_NEGATE_MOD_3 = bytes((0, 2, 1, *range(3, 256)))
+# chi(n) from its code chi(n) mod 3 in a chi_table
+_CHI = (0, 1, -1)
 
 
 class ProductEstimate(NamedTuple):
@@ -73,83 +68,76 @@ class LandauCheck(NamedTuple):
     norms: int
 
 
-def _pairwise_sum(terms: np.ndarray) -> float:
-    """Sum by halving in place: each term passes through ceil(log2 n) roundings.
+def _euler_product(x: int, table: bytes, m: int) -> ProductEstimate:
+    """prod over the primes p <= x of (1 - chi(p)/p), chi(p) = _CHI[table[p % m]],
+    printed right to 12 digits.
 
-    Overwrites terms.  Each step adds the last half onto the first; an odd
-    middle term waits for the next step.
+    The float is exp of the ``math.fsum`` of the terms log1p(-chi(p)/p),
+    over one pass of a prime stream.  Relative to the exact product it is
+    within u (12 log x + 4), u = 2^-53: each term is within 10 u of itself
+    (the quotient's rounding, amplified at most 1.45 times by log1p, and
+    4 ulp for log1p), fsum's one rounding adds u times the sum, and exp
+    2 u; the rest is spare.  No second pass over the terms is needed for
+    the sum of their magnitudes: the sum of the |log1p(-chi(p)/p)| is at
+    most that of log(p / (p - 1)), and so at most the sum of
+    log(n / (n - 1)) over n = 2 .. x, which is log x.  The bound is 2e-14
+    at x = 10^6.  ``certified`` settles the 12 digits, near a
+    rounding boundary by the product in 50-digit ``decimal`` (within
+    pi(x) 10^-49 of the exact value) over the same sieve.
     """
-    n = len(terms)
-    while n > 1:
-        half = n // 2
-        terms[:half] += terms[n - half : n]
-        n -= half
-    return float(terms[0]) if len(terms) else 0.0
+    sieve = prime_sieve(x)
+    total = math.fsum(math.log1p(-_CHI[table[p % m]] / p) for p in primes_in(sieve))
+    bound = 2.0**-53 * (12 * math.log(x) + 4)
+    value = certified(math.exp(total), bound, _exact_product, sieve, table, m)
+    return ProductEstimate(value=value, terms=sieve.count(1))
 
 
-def _certified_product(terms: np.ndarray, ps: np.ndarray, chi: np.ndarray | int) -> float:
-    """prod over the primes ps of (1 - chi(p)/p), printed right to 12 digits,
-    from its float terms log1p(-chi/p); overwrites terms.
-
-    The float is exp of the sum of the terms.  Relative to the exact
-    product it is within u ((L + 12) sum |log1p| + 4), with u = 2^-53 and
-    L = ceil(log2 pi(x)) roundings per term in ``_pairwise_sum``: each
-    term is within 10 u of itself (the quotient's rounding, amplified at
-    most 1.45 times by log1p, and 4 ulp for log1p), and exp adds 2 u.
-    That is 1e-14 at x = 10^6.  ``certified`` settles the 12 digits, near
-    a rounding boundary by the product in 50-digit ``decimal`` (within
-    pi(x) 10^-49 of the exact value).
-    """
-    positive = float(terms.sum(where=terms > 0))
-    total = _pairwise_sum(terms)
-    magnitude = 2 * positive - total  # sum |log1p|
-    bound = 2.0**-53 * ((len(ps).bit_length() + 12) * magnitude + 4)
-    return certified(math.exp(total), bound, _exact_product, ps, chi)
-
-
-def _exact_product(ps: np.ndarray, chi: np.ndarray | int) -> Decimal:
+def _exact_product(sieve: bytearray, table: bytes, m: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
         product = Decimal(1)
-        for p, c in zip(ps.tolist(), repeat(chi) if isinstance(chi, int) else chi.tolist()):
-            product *= Decimal(p - c) / p
+        for p in primes_in(sieve):
+            product *= Decimal(p - _CHI[table[p % m]]) / p
         return product
 
 
 def mertens_product(x: int) -> ProductEstimate:
-    """prod over primes p <= x of (1 - 1/p), with ``_certified_product``'s 12 digits."""
-    import numpy as np
+    """prod over primes p <= x of (1 - 1/p), with ``_euler_product``'s 12 digits.
 
+    The product of the character chi = 1, one table entry of period 1.
+    """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    ps = prime_array(x)
-    terms = np.divide(-1, ps)
-    return ProductEstimate(value=_certified_product(np.log1p(terms, out=terms), ps, 1), terms=len(ps))
+    return _euler_product(x, b"\x01", 1)
 
 
 def char_euler_product(d: int | Discriminant, x: int) -> ProductEstimate:
     """prod over primes p <= x of (1 - chi(p)/p) for the field character chi.
 
-    Certified to 12 digits like ``mertens_product``.
+    Certified to 12 digits like ``mertens_product``; chi is read from
+    ``chi_table`` over min(|d|, x + 1) residues, at p mod |d|.
     """
-    import numpy as np
-
     disc = require_fundamental(d)
+    m = -disc.value
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    ps = prime_array(x)
-    chi = character_table(disc)[ps % -disc.value]
-    terms = np.divide(-chi, ps)
-    return ProductEstimate(value=_certified_product(np.log1p(terms, out=terms), ps, chi), terms=len(ps))
+    return _euler_product(x, chi_table(disc, min(m, x + 1)), m)
 
 
 def product_bytes(d: int, x: int) -> int:
     """Upper estimate of char_euler_product's peak memory, by arithmetic alone.
 
-    The primes up to x and the character table over |d|.  Accepts any
-    int d, so a caller can size a request before validating it.
+    The prime sieve up to x and chi's table over min(|d|, x + 1)
+    residues.  Accepts any int d, so a caller can size a request before
+    validating it.
     """
-    return prime_list_bytes(x) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(d)
+    return prime_list_bytes(x) + _chi_bytes(d, x)
+
+
+def _chi_bytes(d: int, x: int) -> int:
+    """Upper estimate of the peak memory of ``chi_table`` over the
+    min(|d|, x + 1) residues that serve every n <= x."""
+    return CHI_TABLE_BYTES_PER_RESIDUE * min(abs(d), max(x, 0) + 1)
 
 
 def l1_from_class_number(d: int | Discriminant) -> float:
@@ -165,14 +153,13 @@ def scan_bytes(d: int, x: int) -> int:
 
     The lists of the two recursions over the values x // k, at most
     _BYTES_PER_ROOT per unit of isqrt(x); chi's table and its prime
-    sieve over min(|d|, x + 1) residues, _CHI_BYTES_PER_RESIDUE each; and
-    a fixed part for the search, whose path holds at most log2(x) frames.
+    sieve over min(|d|, x + 1) residues; and a fixed part for the search, whose path holds at most log2(x) frames.
     No array spans the norms up to x.  Accepts any int d, so a caller can
     size a request before validating it.
     """
     return (
         _BYTES_PER_ROOT * math.isqrt(max(x, 1))
-        + _CHI_BYTES_PER_RESIDUE * min(abs(d), max(x, 0) + 1)
+        + _chi_bytes(d, x)
         + _SCAN_FIXED_BYTES
     )
 
@@ -278,47 +265,16 @@ def _exact_scan_value(phi: int, n: int) -> Decimal:
         return phi * Decimal(n).ln().ln() / n
 
 
-def _chi_table(disc: Discriminant, size: int) -> bytearray:
-    """chi(n) mod 3, that is 2 where chi(n) = -1, for n = 0 .. size - 1, size >= 2.
-
-    chi is completely multiplicative.  The table starts at 1 (0 at n = 0);
-    each prime p < size, with chi(p) by Euler's criterion, zeroes the
-    multiples of p when chi(p) = 0, and negates the multiples of each
-    power p^k < size when chi(p) = -1, so every entry ends at the product
-    of chi(p)^e over p^e || n.  The primes come from a sieve of
-    Eratosthenes over a bytearray.  Each step is one slice, so the Python
-    steps number about pi(size), not size.
-    """
-    table = bytearray(b"\x01") * size
-    table[0] = 0
-    prime = bytearray(b"\x01") * size
-    prime[0] = prime[1] = 0
-    for p in range(2, math.isqrt(size - 1) + 1):
-        if prime[p]:
-            prime[p * p :: p] = bytes(len(range(p * p, size, p)))
-    for p in compress(range(size), prime):
-        # Euler's criterion at an odd p: d^((p - 1)/2) is 1, p - 1 or 0 mod p
-        c = pow(disc.value % p, p >> 1, p) if p > 2 else kronecker(disc, 2) % 3
-        if c == 0:
-            table[p::p] = bytes(len(range(p, size, p)))
-        elif c != 1:
-            power = p
-            while power < size:
-                table[power::power] = table[power::power].translate(_NEGATE_MOD_3)
-                power *= p
-    return table
-
-
 def _chi_sums(disc: Discriminant, size: int, values: list[int]) -> list[int]:
     """The sum of chi(n) over 2 <= n <= v for each v of values (0 below 2).
 
     The sum depends on v mod |d| only, as a period of chi sums to 0, and
     every v mod |d| is below size.  The v's are read in the order of
-    v mod |d|, each adding the 1s less the 2s of ``_chi_table`` since the
+    v mod |d|, each adding the 1s less the 2s of ``chi_table`` since the
     last, as counted by ``bytearray.count``.
     """
     m = -disc.value
-    table = _chi_table(disc, size)
+    table = chi_table(disc, size)
     sums = [0] * len(values)
     at = total = 0
     for i in sorted(range(len(values)), key=lambda i: values[i] % m):

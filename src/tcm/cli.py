@@ -28,7 +28,7 @@ from .primes import prime_list_bytes
 # the region's three counts and the search hold less, at any --d-max
 WRITE_BYTES = 256 << 10
 
-# the largest |--disc| and --n that phi, galois, scan and landau factor:
+# the largest |--disc| and --n that phi, galois, scan, landau and product factor:
 # trial division is O(sqrt(n)), 0.035 s at the prime 10^12 + 39 on a
 # 2-core Xeon VM
 FACTOR_MAX = 10**12
@@ -354,6 +354,7 @@ def product(disc, x):
     """Character Euler product of (1 - chi(p)/p) over primes p <= x."""
     from .analytics import product_bytes
 
+    check_factorable(disc=disc)
     preflight(f"primes up to x = {x} and the character mod {abs(disc)}", product_bytes(disc, x))
     est = char_euler_product(disc, x)
     return [{"disc": disc, "x": x, "value": _round12(est.value), "terms": est.terms}], {}

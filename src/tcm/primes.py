@@ -1,27 +1,29 @@
 """Prime generation and elementary factorization helpers.
 
 Everything here but ``certified`` is exact integer arithmetic.  The
-prime sieve is a numpy bool table.  ``least_phi_sieve`` is the one
-multiplicative sieve built on its primes: the least phi_K over the
-ideals of each norm, for the character table of any imaginary quadratic
-field K, yielded as consecutive numpy int32 blocks whose size grows with
-the square root of the limit.  Only the primes up to that root are
-sieved, so no array spans the whole range.  ``phi_sieve`` copies the
-totient blocks (every prime ramified) into one table; the benchmark
-times it, and the tests read both sieves as the oracles of the prime-set
-searches (``feasibility.bound_records``, and the window minimum and norm
-count behind ``analytics.phi_bound_scan`` and ``landau_liminf_check``).
+prime sieve is one odd-only bytearray, ``prime_sieve``, read as a
+stream by ``primes_in``: the Euler products of ``analytics``, chi's
+table in ``quad_core`` and the plan of the norm sieve read their primes
+from it, and no list of primes is kept.  ``least_phi_sieve`` is the one
+multiplicative sieve: the least phi_K over the ideals of each norm, for
+the character table of any imaginary quadratic field K, yielded as
+consecutive numpy int32 blocks whose size grows with the square root of
+the limit.  Only the primes up to that root are sieved, so no array
+spans the whole range.  ``phi_sieve`` copies the totient blocks (every
+prime ramified) into one table; the benchmark times it, and the tests
+read both sieves as the oracles of the prime-set searches
+(``feasibility.bound_records``, and the window minimum and norm count
+behind ``analytics.phi_bound_scan`` and ``landau_liminf_check``).
 ``nth_prime`` reads the primes those searches reach, one ``is_prime`` at
-a time, so they sieve nothing.  ``prime_list_bytes`` estimates
-peak memory by arithmetic alone, so a caller can refuse a request
-before allocating anything.  ``certified`` settles the 12
-printed digits of a float from its error bound, with an exact fallback
-near a rounding boundary.
+a time, so they sieve nothing.  ``prime_list_bytes`` estimates peak
+memory by arithmetic alone, so a caller can refuse a request before
+allocating anything.  ``certified`` settles the 12 printed digits of a
+float from its error bound, with an exact fallback near a rounding
+boundary.
 
-numpy is imported by the sieves when they run, not with the module, so
-``is_prime``, ``nth_prime``, ``factorize``, the constants and the
-estimates load without it: ``tcm bound``, ``analytics scan`` and
-``landau``, ``quad_core`` and ``ideal_arith`` read them and load no
+numpy is imported by the norm sieve when it runs, not with the module,
+so everything else here loads without it: ``tcm bound``, every
+``analytics`` command and ``quad_core`` read this module and load no
 numpy.
 """
 
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from math import inf, isqrt, log, nextafter
+from itertools import chain, compress
+from math import inf, isqrt, nextafter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -61,24 +64,36 @@ def certified(value: float, rel_err: float, exact: Callable[..., Decimal], *args
     return value
 
 
-def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, by the sieve of Eratosthenes."""
-    import numpy as np
+def prime_sieve(x: int) -> bytearray:
+    """The sieve of Eratosthenes over the odd n <= x: entry i is 1 exactly
+    when 2i + 1 is prime, but entry 0, which would stand for 1, stands
+    for 2.  So ``count(1)`` is the number of primes <= x.
 
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite)
+    Each odd prime p <= isqrt(x) zeroes its odd multiples from p^2 on,
+    one slice assignment from a zero bytearray of the slice's length (x/6
+    B at p = 3; a ``bytes`` would be copied into a bytearray first).
+    """
+    if x < 2:
+        return bytearray(max(x + 1, 0) // 2)
+    size = (x + 1) // 2
+    sieve = bytearray(b"\x01") * size
+    for i in range(1, (isqrt(x) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytearray(len(range(start, size, p)))
+    return sieve
+
+
+def primes_in(sieve: bytearray) -> Iterator[int]:
+    """The primes a ``prime_sieve`` marks, ascending, as a stream."""
+    return compress(chain((2,), range(3, 2 * len(sieve), 2)), sieve)
 
 
 @lru_cache(maxsize=8)
 def cached_primes(limit: int) -> tuple[int, ...]:
     """Memoized tuple of primes <= limit (read-only after creation)."""
-    return tuple(prime_array(limit).tolist())
+    return tuple(primes_in(prime_sieve(limit)))
 
 
 # the primes from 2 on, extended as the prime-set searches reach them
@@ -154,28 +169,21 @@ def squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-def prime_count_bound(x: int) -> int:
-    """Upper bound on the number of primes <= x.
-
-    pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, Illinois
-    J. Math. 6, 1962, (3.6)).
-    """
-    return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
-
-
-# bytes per prime: the analytic products hold a few 8-byte arrays over
-# the primes at once (the primes, their residues, chi(p) and the
-# temporaries of the log sum); the rest is headroom
-_PRIME_LIST_BYTES = 100
+# prime_list_bytes: per number up to x, the sieve (1/2 B) and the zero
+# bytes its slice at p = 3 assigns from (1/6 B); and the rest: the float
+# sum's partials, the decimal fallback and the printed digits
+_PRIME_SIEVE_FIXED_BYTES = 64 << 10
 
 
 def prime_list_bytes(x: int) -> int:
-    """Upper estimate of the peak memory of an analytic product over primes <= x.
+    """Upper estimate of the peak memory of an Euler product over the primes <= x.
 
-    The sieve's bool table and its complement (2 B per entry) plus the
-    per-prime cost.
+    The primes are a stream over one ``prime_sieve``, so the product
+    holds the sieve, x/2 B, and at its building the zero bytes of the
+    slice at p = 3, x/6 B; no list of primes.
     """
-    return 2 * (x + 1) + _PRIME_LIST_BYTES * prime_count_bound(x)
+    x = max(x, 0)
+    return x // 2 + x // 6 + _PRIME_SIEVE_FIXED_BYTES
 
 
 def sieve_block(limit: int) -> int:
@@ -203,7 +211,7 @@ def _sieve_plan(limit: int, chi: np.ndarray) -> list[tuple[int, int, int, int]]:
     """
     period = len(chi)
     steps = []
-    for p in map(int, prime_array(isqrt(limit))):
+    for p in primes_in(prime_sieve(isqrt(limit))):
         kind = int(chi[p % period])
         gains = {1: (p - 1, p - 1), 0: (p - 1,), -1: (1, p * p - 1)}[kind]
         power, k = p, 1

@@ -1,15 +1,15 @@
 """Exact arithmetic of negative quadratic discriminants.
 
-Fundamentality, the Kronecker character, unit counts, splitting of
-rational primes, and class numbers computed by two independent exact
-methods: counting reduced binary quadratic forms, and the finite
-character sum of the analytic class number formula.  The two are kept
-permanently wired together so silent corruption of either is detectable.
+Fundamentality, the Kronecker character and its one table over n < size
+(a bytearray of chi(n) mod 3, built at the primes), unit counts,
+splitting of rational primes, and class numbers computed by two
+independent exact methods: counting reduced binary quadratic forms, and
+the finite character sum of the analytic class number formula.  The two
+are kept permanently wired together so silent corruption of either is
+detectable.
 
-numpy is imported by the character table and the character sum when
-they run, not with the module: everything else here is Python ints, so
-``ideal_arith``, ``ray_class_bounds`` and the field side of
-``feasibility`` load no numpy.
+Everything here is Python ints and bytearrays, so the module loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .primes import factorize, is_prime, squarefree
-
-if TYPE_CHECKING:
-    import numpy as np
+from .primes import is_prime, prime_sieve, primes_in, squarefree
 
 
 class Splitting(enum.Enum):
@@ -131,68 +129,44 @@ def kronecker(d: int | Discriminant, n: int) -> int:
     return result if n == 1 else 0
 
 
-# bytes character_table holds per residue at its peak: the int8 table, one
-# Legendre table and one chunk of its int64 squares (at most 1 B per
-# residue each, 3 B in all); the rest is headroom
-CHARACTER_TABLE_BYTES_PER_RESIDUE = 5
+# bytes chi_table holds per residue at its peak: the table, the prime
+# sieve beside it (1/2 B) and, at p = 2, a slice of every other entry and
+# its negation (1/2 B each), 2.5 B in all; the rest is headroom
+CHI_TABLE_BYTES_PER_RESIDUE = 4
 
-# chi over one period for the 2-part -4, 8 or -8 of an even fundamental
-# discriminant
-_TWO_PART_CHI = {
-    -4: (0, 1, 0, -1),
-    8: (0, 1, 0, -1, 0, -1, 0, 1),
-    -8: (0, 1, 0, 1, 0, -1, 0, -1),
-}
+# bytes.translate tables over chi(n) mod 3: negate (1 <-> 2, 0 stays), and
+# select the 1s or the 2s as 1
+_NEGATE_MOD_3 = bytes((0, 2, 1, *range(3, 256)))
+_SELECT_1 = bytes((0, 1)) + bytes(254)
+_SELECT_2 = bytes((0, 0, 1)) + bytes(253)
 
 
-def _legendre_table(q: int) -> np.ndarray:
-    """The Legendre symbol (r / q) for r = 0 .. q-1, q an odd prime, as int8.
+def chi_table(d: int | Discriminant, size: int) -> bytearray:
+    """chi(n) mod 3, that is 2 where chi(n) = -1, for n = 0 .. size - 1, size >= 2.
 
-    Marks the squares k^2 mod q for 1 <= k < q/2 as residues, in chunks
-    of q/16 int64 squares: with the next chunk built before the last one
-    is freed, the temporaries stay under 1 B per residue.
+    chi = (d|.) is completely multiplicative.  The table starts at 1 (0 at
+    n = 0); each prime p < size, with chi(p) by Euler's criterion, zeroes
+    the multiples of p when chi(p) = 0, and negates the multiples of each
+    power p^k < size when chi(p) = -1, so every entry ends at the product
+    of chi(p)^e over p^e || n.  The primes come from ``primes.prime_sieve``.
+    Each step is one slice, so the Python steps number about pi(size),
+    not size.  chi has period |d|, so size = min(|d|, x + 1) serves every
+    n <= x through n mod |d|.
     """
-    import numpy as np
-
-    table = np.full(q, -1, dtype=np.int8)
+    disc = as_discriminant(d)
+    table = bytearray(b"\x01") * size
     table[0] = 0
-    half = (q + 1) // 2
-    step = max(q // 16, 1)
-    for lo in range(1, half, step):
-        squares = np.arange(lo, min(lo + step, half), dtype=np.int64)
-        squares *= squares
-        squares %= q
-        table[squares] = 1
+    for p in primes_in(prime_sieve(size - 1)):
+        # Euler's criterion at an odd p: d^((p - 1)/2) is 1, p - 1 or 0 mod p
+        c = pow(disc.value % p, p >> 1, p) if p > 2 else kronecker(disc, 2) % 3
+        if c == 0:
+            table[p::p] = bytearray(len(range(p, size, p)))
+        elif c != 1:
+            power = p
+            while power < size:
+                table[power::power] = table[power::power].translate(_NEGATE_MOD_3)
+                power *= p
     return table
-
-
-def character_table(d: int | Discriminant) -> np.ndarray:
-    """chi(r) for r = 0 .. |d|-1 as an int8 array (the character has period |d|).
-
-    Built from the genus characters: a fundamental d is the product of
-    the prime discriminants q* = (-1)^((q-1)/2) q over the odd primes
-    q | d and a 2-part -4, 8 or -8 (for even d), and chi is the product
-    of their characters.  For q* that character is the Legendre symbol
-    mod q (quadratic reciprocity; at r = 2 too, as q* = 1 mod 4).  Each
-    factor's table is multiplied into chi in place, broadcast over the
-    rows of chi seen as a (|d| / period, period) array: no ``kronecker``
-    call and no prime sieve, and q | d is found by trial division.
-    """
-    import numpy as np
-
-    disc = require_fundamental(d)
-    m = -disc.value
-    chi = np.ones(m, dtype=np.int8)
-    odd = m // (m & -m)  # m & -m is the largest power of 2 dividing m
-    for q, _ in factorize(odd):
-        rows = chi.reshape(-1, q)
-        rows *= _legendre_table(q)
-    # the product of the q* is = 1 mod 4, and +-odd
-    two_part = disc.value // (odd if odd % 4 == 1 else -odd)
-    if two_part != 1:
-        rows = chi.reshape(-1, abs(two_part))
-        rows *= np.array(_TWO_PART_CHI[two_part], dtype=np.int8)
-    return chi
 
 
 def _reduced_triples(value: int) -> Iterator[tuple[int, int, int]]:
@@ -231,14 +205,16 @@ def class_number_dirichlet(d: int | Discriminant) -> int:
 
     Only valid for fundamental d (the sum as written needs the primitive
     character); serves as the independent oracle for class_number.  The
-    sum over k = 1 .. |d| is one int64 dot product with the character
-    table (chi(|d|) = chi(0) = 0, and |sum| <= |d|^2 / 2).
+    sum over k = 1 .. |d| - 1 is the sum of the k with chi(k) = 1 less
+    that of the k with chi(k) = -1, each read off ``chi_table`` over one
+    period by ``bytes.translate`` and ``compress`` (chi(|d|) = 0).
     """
-    import numpy as np
-
     disc = require_fundamental(d)
     m = -disc.value
-    total = int(character_table(disc).astype(np.int64) @ np.arange(m, dtype=np.int64))
+    table = chi_table(disc, m)
+    total = sum(compress(range(m), table.translate(_SELECT_1))) - sum(
+        compress(range(m), table.translate(_SELECT_2))
+    )
     w = unit_count(disc)
     num = w * abs(total)
     if num % (2 * m):
@@ -285,11 +261,11 @@ def fundamental_discriminants(bound: int) -> list[int]:
 
 
 __all__ = [
-    "CHARACTER_TABLE_BYTES_PER_RESIDUE",
+    "CHI_TABLE_BYTES_PER_RESIDUE",
     "Discriminant",
     "Splitting",
     "as_discriminant",
-    "character_table",
+    "chi_table",
     "class_number",
     "class_number_dirichlet",
     "fundamental_discriminants",

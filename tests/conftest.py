@@ -38,9 +38,9 @@ def slice_phi_sieve(limit: int):
     """
     import numpy as np
 
-    from tcm.primes import prime_array
+    from tcm.primes import prime_sieve, primes_in
 
-    primes = prime_array(limit)
+    primes = np.fromiter(primes_in(prime_sieve(limit)), dtype=np.int64)
     phi = np.arange(limit + 1, dtype=np.int32)
     half = int(np.searchsorted(primes, limit // 2, side="right"))
     phi[primes[half:]] -= 1
@@ -48,6 +48,85 @@ def slice_phi_sieve(limit: int):
         multiples = phi[p::p]
         multiples -= multiples // p
     return phi
+
+
+def prime_count_bound(x: int) -> int:
+    """Upper bound on the number of primes <= x.
+
+    pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, Illinois
+    J. Math. 6, 1962, (3.6)).
+    """
+    from math import log
+
+    return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
+
+
+# bytes character_table holds per residue at its peak: the int8 table, one
+# Legendre table and one chunk of its int64 squares (at most 1 B per
+# residue each, 3 B in all); the rest is headroom
+CHARACTER_TABLE_BYTES_PER_RESIDUE = 5
+
+# chi over one period for the 2-part -4, 8 or -8 of an even fundamental
+# discriminant
+_TWO_PART_CHI = {
+    -4: (0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def _legendre_table(q: int):
+    """The Legendre symbol (r / q) for r = 0 .. q-1, q an odd prime, as int8.
+
+    Marks the squares k^2 mod q for 1 <= k < q/2 as residues, in chunks
+    of q/16 int64 squares: with the next chunk built before the last one
+    is freed, the temporaries stay under 1 B per residue.
+    """
+    import numpy as np
+
+    table = np.full(q, -1, dtype=np.int8)
+    table[0] = 0
+    half = (q + 1) // 2
+    step = max(q // 16, 1)
+    for lo in range(1, half, step):
+        squares = np.arange(lo, min(lo + step, half), dtype=np.int64)
+        squares *= squares
+        squares %= q
+        table[squares] = 1
+    return table
+
+
+def character_table(d: int):
+    """chi(r) for r = 0 .. |d|-1 as an int8 array (the character has period |d|);
+    the oracle of ``quad_core.chi_table`` and the character the norm sieve reads.
+
+    Built from the genus characters: a fundamental d is the product of
+    the prime discriminants q* = (-1)^((q-1)/2) q over the odd primes
+    q | d and a 2-part -4, 8 or -8 (for even d), and chi is the product
+    of their characters.  For q* that character is the Legendre symbol
+    mod q (quadratic reciprocity; at r = 2 too, as q* = 1 mod 4).  Each
+    factor's table is multiplied into chi in place, broadcast over the
+    rows of chi seen as a (|d| / period, period) array: no ``kronecker``
+    call and no prime sieve, and q | d is found by trial division.
+    """
+    import numpy as np
+
+    from tcm.primes import factorize
+    from tcm.quad_core import require_fundamental
+
+    disc = require_fundamental(d)
+    m = -disc.value
+    chi = np.ones(m, dtype=np.int8)
+    odd = m // (m & -m)  # m & -m is the largest power of 2 dividing m
+    for q, _ in factorize(odd):
+        rows = chi.reshape(-1, q)
+        rows *= _legendre_table(q)
+    # the product of the q* is = 1 mod 4, and +-odd
+    two_part = disc.value // (odd if odd % 4 == 1 else -odd)
+    if two_part != 1:
+        rows = chi.reshape(-1, abs(two_part))
+        rows *= np.array(_TWO_PART_CHI[two_part], dtype=np.int8)
+    return chi
 
 
 # run argv from a small interpreter and print its exit code and peak RSS
@@ -89,7 +168,6 @@ def least_phi_by_norm(d: int, x: int):
     discriminant d: the blocks of least_phi_sieve(x, character_table(d)),
     checked to be consecutive int32 blocks, in one array."""
     from tcm.primes import least_phi_sieve, sieve_block
-    from tcm.quad_core import character_table
 
     return _join(least_phi_sieve(x, character_table(d)), x, sieve_block(x))
 
@@ -107,7 +185,7 @@ def sieve_block_bytes(limit: int) -> int:
     """
     from math import isqrt
 
-    from tcm.primes import prime_count_bound, sieve_block
+    from tcm.primes import sieve_block
 
     block = min(sieve_block(limit), limit + 1)
     cube = round(limit ** (1 / 3)) + 1
@@ -162,7 +240,6 @@ def sieve_window_min(blocks, lo: int, chunk: int = REDUCE_CHUNK) -> tuple[float 
 def sieve_window(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
     """sieve_window_min over the norm sieve of the field of discriminant d up to x."""
     from tcm.primes import least_phi_sieve
-    from tcm.quad_core import character_table
 
     return sieve_window_min(least_phi_sieve(x, character_table(d)), lo)
 

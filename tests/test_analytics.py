@@ -17,10 +17,18 @@ from tcm.analytics import (
     scan_bytes,
 )
 from tcm.ideal_arith import ideal_norm, ideals_up_to_norm, min_phi_ideal, phi_K, principal_ideal
-from tcm.primes import EULER_GAMMA, _sieve_blocks, factorize, prime_array
-from tcm.quad_core import Splitting, character_table, fundamental_discriminants, kronecker, require_fundamental
+from tcm.primes import EULER_GAMMA, _sieve_blocks, factorize, prime_sieve, primes_in
+from tcm.quad_core import Splitting, chi_table, fundamental_discriminants, kronecker, require_fundamental
 
-from conftest import REDUCE_CHUNK, joined_blocks, oracle_scan, sieve_window, sieve_window_min, traced_peak
+from conftest import (
+    REDUCE_CHUNK,
+    character_table,
+    joined_blocks,
+    oracle_scan,
+    sieve_window,
+    sieve_window_min,
+    traced_peak,
+)
 
 
 def test_mertens_single_factor():
@@ -31,7 +39,7 @@ def test_mertens_single_factor():
 
 def test_mertens_small_exact_rational_oracle():
     exact = Fraction(1)
-    for p in prime_array(10).tolist():
+    for p in primes_in(prime_sieve(10)):
         exact *= Fraction(p - 1, p)
     assert exact == Fraction(8, 35)
     est = mertens_product(10)
@@ -51,7 +59,7 @@ def decimal_product(chi, x: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
         value = Decimal(1)
-        for p in prime_array(x).tolist():
+        for p in primes_in(prime_sieve(x)):
             value *= 1 - Decimal(chi(p)) / p
         return value
 
@@ -86,7 +94,7 @@ def test_char_product_examples():
 def test_char_product_small_exact_rational_oracle():
     for d in (-4, -7, -23):
         exact = Fraction(1)
-        for p in prime_array(50).tolist():
+        for p in primes_in(prime_sieve(50)):
             exact *= Fraction(p - kronecker(d, p), p)
         assert char_euler_product(d, 50).value == pytest.approx(float(exact), rel=1e-12)
 
@@ -209,7 +217,7 @@ def test_chi_table_matches_kronecker(d):
     # the period |d| may be shorter or longer than the table
     disc = require_fundamental(d)
     for size in (2, 3, 97, 3000):
-        table = analytics._chi_table(disc, size)
+        table = chi_table(disc, size)
         assert [(0, 1, -1)[c] for c in table] == [0] + [kronecker(d, n) for n in range(1, size)], size
 
 
@@ -264,9 +272,11 @@ def test_scans_record_their_window():
     assert check.norms == 68
 
 
-@pytest.mark.parametrize("d,x", [(-100003, 100), (-4, 10**6)])
+@pytest.mark.parametrize("d,x", [(-100003, 100), (-4, 10**6), (-100000000003, 10**6)])
 def test_product_bytes_bounds_measured_peak(d, x):
-    # the character table over |d| sets the peak at (-100003, 100), the primes at (-4, 10^6)
+    # the fixed part sets the peak at (-100003, 100), the prime sieve at
+    # (-4, 10^6), and chi's table over x + 1 residues beside it at
+    # (-100000000003, 10^6)
     assert traced_peak(char_euler_product, d, x) <= product_bytes(d, x)
 
 

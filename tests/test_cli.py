@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -21,8 +23,9 @@ from tcm.cli import (
 )
 from tcm import feasibility
 from tcm.feasibility import bound_ratio, bound_records, sweep_region
+from tcm.quad_core import kronecker
 
-from conftest import child_peak_rss, expand_runs, ideal_count_oracle, oracle_scan
+from conftest import child_peak_rss, expand_runs, ideal_count_oracle, oracle_scan, trial_factor
 
 
 @pytest.fixture
@@ -214,6 +217,13 @@ def test_bound_single_degree_peak_rss_is_set_by_the_block():
         assert child_peak_rss(argv) < 40 * 2**20, d
 
 
+def test_product_peak_rss_at_a_discriminant_far_above_x():
+    # chi is read from a table over x + 1 residues, not over a period of
+    # |D| = 10^11 + 3, and the primes from a sieve of x / 2 bytes
+    argv = [sys.executable, "-m", "tcm", "analytics", "product", "--disc=-100000000003", "--x", "1000000"]
+    assert child_peak_rss(argv) < 100 * 2**20
+
+
 def test_scan_peak_rss_is_set_by_the_block():
     # the whole int32 table of the norms up to 10^7 would be 38 MiB alone;
     # the search and the recursions over x // k hold no table of the norms
@@ -330,12 +340,32 @@ def test_analytics_preflight_refuses_before_allocating(runner, monkeypatch, args
 
 
 def test_product_preflight_counts_the_character_table(runner, monkeypatch):
-    # 100 primes cost 3 KB, but the table over |D| = 1000003 peaks near 3 MB
-    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 2**20)
+    # at x = 10^6 the prime sieve is charged 0.7 MiB; chi's table over
+    # min(|D|, x + 1) residues adds 16 B for -4 and 3.8 MiB for -1000003
+    monkeypatch.setattr(cli_mod, "memory_budget", lambda: 2 * 2**20)
     monkeypatch.setattr(cli_mod, "char_euler_product", _refuse_to_run)
-    result = runner.invoke(cli, ["analytics", "product", "--disc", "-1000003", "--x", "100"])
+    result = runner.invoke(cli, ["analytics", "product", "--disc", "-1000003", "--x", str(10**6)])
     assert result.exit_code == 2
-    assert "the character mod 1000003" in result.stderr
+    assert "the character mod 1000003 needs an estimated 5 MiB, over the budget of 2 MiB" in result.stderr
+    with pytest.raises(AssertionError, match="ran past the memory pre-flight"):
+        runner.invoke(cli, ["analytics", "product", "--disc", "-4", "--x", str(10**6)], catch_exceptions=False)
+
+
+def test_product_runs_at_a_discriminant_far_above_x(runner):
+    # a table over a period of |D| = 10^11 + 3 would need 466 GiB; chi is
+    # read over x + 1 residues
+    args = ["analytics", "product", "--disc=-100000000003", "--x", "100", "--format", "json"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.stderr
+    row = json.loads(result.stdout)["rows"][0]
+    primes = [p for p in range(2, 101) if trial_factor(p) == [(p, 1)]]
+    exact = Fraction(1)
+    for p in primes:
+        exact *= Fraction(p - kronecker(-100000000003, p), p)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert row["value"] == float(f"{Decimal(exact.numerator) / exact.denominator:.12g}")
+    assert row["terms"] == len(primes) == 25
 
 
 @pytest.mark.parametrize(
@@ -345,6 +375,7 @@ def test_product_preflight_counts_the_character_table(runner, monkeypatch):
         ["phi", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--n", "5"],
         ["galois", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--n", "5"],
         ["analytics", "scan", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--x", "100"],
+        ["analytics", "product", "--disc", str(-cli_mod.FACTOR_MAX - 3), "--x", "100"],
     ],
 )
 def test_factoring_bound_refuses_before_factoring(runner, monkeypatch, args):
@@ -542,7 +573,8 @@ def test_disc_is_factored_once(runner, monkeypatch, args, times):
         factored.append(n)
         return factorize(n)
 
-    for module in (tcm.primes, tcm.quad_core, tcm.ideal_arith):
+    # quad_core factors through primes.squarefree
+    for module in (tcm.primes, tcm.ideal_arith):
         monkeypatch.setattr(module, "factorize", counting)
     tcm.quad_core.is_fundamental.cache_clear()  # an earlier test may have validated -23
     result = runner.invoke(cli, args)

@@ -15,15 +15,11 @@ from tcm.ideal_arith import (
     principal_ideal,
 )
 from tcm.primes import least_phi_sieve
-from tcm.quad_core import (
-    CHARACTER_TABLE_BYTES_PER_RESIDUE,
-    Splitting,
-    character_table,
-    fundamental_discriminants,
-    kronecker,
-)
+from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
 
 from conftest import (
+    CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    character_table,
     ideal_count_oracle,
     joined_blocks,
     least_phi_by_norm,
@@ -57,7 +53,7 @@ def test_primes_above_rejects_nonfundamental():
 
 def test_enumeration_tests_each_prime_once(monkeypatch):
     import tcm.quad_core
-    from tcm.primes import is_prime, prime_array
+    from tcm.primes import is_prime, prime_sieve
 
     calls = []
 
@@ -69,7 +65,7 @@ def test_enumeration_tests_each_prime_once(monkeypatch):
     x = 10**4
     for _ in ideals_up_to_norm(-3, x):
         pass
-    assert len(calls) <= len(prime_array(x))
+    assert len(calls) <= prime_sieve(x).count(1)
 
 
 def test_principal_ideal_examples():

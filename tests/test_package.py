@@ -199,14 +199,16 @@ def test_import_cli_and_bound_load_no_numpy():
     assert out.stderr.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("command", ["scan", "landau"])
+@pytest.mark.parametrize("command", ["scan", "landau", "mertens", "product"])
 def test_scan_and_landau_load_no_numpy(command):
     # the window minimum is a search over prime sets and the norm count a
-    # recursion over x // k, so neither command loads numpy
+    # recursion over x // k; the two products sum over a bytearray prime
+    # sieve; so no analytics command loads numpy
+    args = ["analytics", command, *(["--disc", "-84"] if command != "mertens" else []), "--x", "10000"]
     probe = (
         "import os, sys, tcm.cli\n"
         "sys.stdout = open(os.devnull, 'w')\n"
-        f"tcm.cli.cli.main(['analytics', '{command}', '--disc', '-84', '--x', '10000'], standalone_mode=False)\n"
+        f"tcm.cli.cli.main({args!r}, standalone_mode=False)\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
@@ -214,15 +216,15 @@ def test_scan_and_landau_load_no_numpy(command):
 
 
 def test_exact_layers_and_large_phi_load_no_numpy():
-    # h(D), phi_K, the degree sandwich and the refined rows are Python ints;
-    # numpy loads with the character table, the unit scan and the sieves only
+    # h(D) both ways, phi_K, the degree sandwich and the refined rows are
+    # Python ints; numpy loads with the unit scan and the norm sieve only
     probe = (
         "import io, json, os, sys, tcm.cli\n"
         "from tcm.feasibility import chain_audit, refined_table\n"
         "from tcm.ideal_arith import min_phi_ideal, phi_K, phi_K_of_N, principal_ideal\n"
-        "from tcm.quad_core import class_number, fundamental_discriminants, kronecker, splitting_type\n"
+        "from tcm.quad_core import class_number, class_number_dirichlet, fundamental_discriminants, kronecker, splitting_type\n"
         "from tcm.ray_class_bounds import degree_bounds\n"
-        "class_number(-9748), kronecker(-84, 101), splitting_type(-84, 7)\n"
+        "class_number(-9748), class_number_dirichlet(-9748), kronecker(-84, 101), splitting_type(-84, 7)\n"
         "phi_K(principal_ideal(-84, 360)), phi_K_of_N(-84, 360), min_phi_ideal(-84, 7 * 25)\n"
         "degree_bounds(-84, principal_ideal(-84, 360)), fundamental_discriminants(10**4)\n"
         "row = refined_table(6, 100)[0]\n"

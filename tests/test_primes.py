@@ -10,15 +10,21 @@ from tcm.primes import (
     certified,
     least_phi_sieve,
     phi_sieve,
-    prime_count_bound,
-    prime_array,
     prime_list_bytes,
+    prime_sieve,
+    primes_in,
     sieve_block,
 )
 
-from tcm.quad_core import character_table
-
-from conftest import joined_blocks, sieve_phi, slice_phi_sieve, traced_peak, trial_factor
+from conftest import (
+    character_table,
+    joined_blocks,
+    prime_count_bound,
+    sieve_phi,
+    slice_phi_sieve,
+    traced_peak,
+    trial_factor,
+)
 
 
 def test_certified_reads_the_exact_value_only_near_a_boundary():
@@ -36,8 +42,9 @@ def test_certified_reads_the_exact_value_only_near_a_boundary():
 def test_primes_up_to_matches_trial_division():
     for limit in (-3, 0, 1, 2, 3, 4, 97, 2000):
         expected = [n for n in range(2, limit + 1) if trial_factor(n) == [(n, 1)]]
-        assert prime_array(limit).tolist() == expected, limit
-    assert [len(prime_array(10**k)) for k in (3, 4, 5, 6)] == [168, 1229, 9592, 78498]
+        assert list(primes_in(prime_sieve(limit))) == expected, limit
+        assert prime_sieve(limit).count(1) == len(expected), limit
+    assert [prime_sieve(10**k).count(1) for k in (3, 4, 5, 6)] == [168, 1229, 9592, 78498]
 
 
 def test_phi_sieve_matches_oracle_table():
@@ -87,7 +94,7 @@ def test_phi_sieve_refuses_tables_beyond_int32():
 
 def test_prime_count_bound():
     for x in (2, 3, 10, 100, 17, 10**4, 10**6):
-        assert prime_count_bound(x) >= len(prime_array(x)), x
+        assert prime_count_bound(x) >= prime_sieve(x).count(1), x
     assert prime_count_bound(1) == 0
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
-    CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    CHI_TABLE_BYTES_PER_RESIDUE,
     _form_count,
     _reduced_triples,
     as_discriminant,
-    character_table,
+    chi_table,
     class_number,
     class_number_dirichlet,
     fundamental_discriminants,
@@ -20,7 +20,14 @@ from tcm.quad_core import (
     Splitting,
 )
 
-from conftest import oracle_reduced_forms, order_discriminants, traced_peak, trial_factor
+from conftest import (
+    CHARACTER_TABLE_BYTES_PER_RESIDUE,
+    character_table,
+    oracle_reduced_forms,
+    order_discriminants,
+    traced_peak,
+    trial_factor,
+)
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +167,22 @@ def test_character_table_matches_kronecker_per_residue():
     for d in fundamental_discriminants(2000):
         table = character_table(d)
         assert table.tolist() == [0] + [kronecker(d, r) for r in range(1, -d)], d
+
+
+def test_chi_table_matches_genus_character_oracle():
+    # over one period, and over a longer and a shorter table
+    for d in fundamental_discriminants(2000):
+        oracle = character_table(d).tolist()
+        for size in (-d, 3 * -d + 1, max(-d // 3, 2)):
+            table = chi_table(d, size)
+            assert [(0, 1, -1)[c] for c in table] == [oracle[n % -d] for n in range(size)], (d, size)
+
+
+def test_chi_table_bytes_bound_measured_peak():
+    # a prime |D|, 8 * odd and an odd composite, over one period; and a
+    # period far above the table
+    for d, size in ((-100003, 100003), (-100024, 100024), (-99995, 99995), (-100000000003, 10**5 + 1)):
+        assert traced_peak(chi_table, d, size) <= CHI_TABLE_BYTES_PER_RESIDUE * size, d
 
 
 def test_character_table_bytes_bound_measured_peak():
