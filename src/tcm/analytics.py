@@ -378,6 +378,8 @@ def _norm_count(disc: Discriminant, x: int, ramified: list[int]) -> int:
 
 def _window(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int, int]:
     """(certified minimum, its norm, the number of norms) over [lo, x], lo >= 3."""
+    # no table holds x: the cap stands in for a time bound, as the count
+    # of norms takes O(x^(3/4)) steps and chi's table min(|D|, x + 1)
     if x >= 2**31:
         raise ValueError(f"need x < 2^31, got {x}")
     value, n, phi = _window_min(disc, lo, x)

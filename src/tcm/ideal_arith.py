@@ -6,16 +6,15 @@ data) depends only on that factorization, so there is no element-level
 ideal arithmetic here.  ``brute_force_phi`` counts the units of O/nO on
 the residue-ring scan of ``galois_image``; it shares nothing with the
 local-factor formula ``phi_K_of_N`` and so checks it.  It imports that
-scan, and with it numpy, when it runs, and ``ideals_up_to_norm`` loads
-numpy through the prime sieve; the rest of the module is Python ints and
-loads none.
+scan, and with it numpy, when it runs; the rest of the module is Python
+ints and loads none.
 
 The least phi_K over the ideals of a norm is multiplicative in the norm;
 ``analytics`` searches it over prime sets for the scans' window minimum,
 and ``min_phi_ideal`` names the ideal that attains it at one norm.
 ``ideals_up_to_norm`` lists the ideals themselves; it is the oracle of
-``primes.least_phi_sieve``, which tabulates the least phi_K per norm and
-is in turn the tests' oracle of the search.
+the tests' norm sieve, which tabulates the least phi_K per norm and is
+in turn the tests' oracle of the search.
 """
 
 from __future__ import annotations

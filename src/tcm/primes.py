@@ -2,27 +2,20 @@
 
 Everything here but ``certified`` is exact integer arithmetic.  The
 prime sieve is one odd-only bytearray, ``prime_sieve``, read as a
-stream by ``primes_in``: the Euler products of ``analytics``, chi's
-table in ``quad_core`` and the plan of the norm sieve read their primes
-from it, and no list of primes is kept.  ``least_phi_sieve`` is the one
-multiplicative sieve: the least phi_K over the ideals of each norm, for
-the character table of any imaginary quadratic field K, yielded as
-consecutive numpy int32 blocks whose size grows with the square root of
-the limit.  Only the primes up to that root are sieved, so no array
-spans the whole range.  ``phi_sieve`` copies the totient blocks (every
-prime ramified) into one table; the benchmark times it, and the tests
-read both sieves as the oracles of the prime-set searches
-(``feasibility.bound_records``, and the window minimum and norm count
-behind ``analytics.phi_bound_scan`` and ``landau_liminf_check``).
-``nth_prime`` reads the primes those searches reach, one ``is_prime`` at
-a time, so they sieve nothing.  ``prime_list_bytes`` estimates peak
-memory by arithmetic alone, so a caller can refuse a request before
-allocating anything.  ``certified`` settles the 12 printed digits of a
-float from its error bound, with an exact fallback near a rounding
-boundary.
+stream by ``primes_in``: the Euler products of ``analytics`` and chi's
+table in ``quad_core`` read their primes from it, and no list of primes
+is kept.  ``nth_prime`` reads the primes the prime-set searches
+(``feasibility.bound_records``, and the window minimum behind
+``analytics.phi_bound_scan`` and ``landau_liminf_check``) reach, one
+``is_prime`` at a time, so they sieve nothing.  ``prime_list_bytes``
+estimates peak memory by arithmetic alone, so a caller can refuse a
+request before allocating anything.  ``certified`` settles the 12
+printed digits of a float from its error bound, with an exact fallback
+near a rounding boundary.  ``phi_sieve``, the totient as one numpy
+table, has no reader in the library; the benchmark times it.
 
-numpy is imported by the norm sieve when it runs, not with the module,
-so everything else here loads without it: ``tcm bound``, every
+numpy is imported by ``phi_sieve`` when it runs, not with the module, so
+everything else here loads without it: ``tcm bound``, every
 ``analytics`` command and ``quad_core`` read this module and load no
 numpy.
 """
@@ -37,8 +30,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from decimal import Decimal
-
-    import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -186,140 +177,38 @@ def prime_list_bytes(x: int) -> int:
     return x // 2 + x // 6 + _PRIME_SIEVE_FIXED_BYTES
 
 
-def sieve_block(limit: int) -> int:
-    """Entries per block of ``least_phi_sieve``: the power of two at or
-    above 128 isqrt(limit), and at least 2^16.
+def phi_sieve(limit: int):
+    """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
 
-    Every block makes one slice per prime power of the primes <= isqrt(limit),
-    about 2 pi(isqrt(limit)) slices, so scaling the block with the root keeps
-    their fixed cost small next to the block's element work.  For the
-    field sieve of the tests' scan oracle a block is 2^16 entries at
-    x = 10^4 and 2^19 at 10^7; for the tests' sweep oracle at its largest limit,
-    n_max(10^5) = 22,561,035, it is 2^20.
-    """
-    return 1 << max(16, (128 * isqrt(limit) - 1).bit_length())
-
-
-def _sieve_plan(limit: int, chi: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """(p^k, p, gain, parity) for every power p^k <= limit of a prime
-    p <= isqrt(limit), by increasing p^k.
-
-    The running product of the gains over k is the local factor of p^k.
-    For an inert p, parity is 1 at odd k and -1 at even k, so that its
-    running sum over the powers dividing n is 1 exactly when p^k || n for
-    an odd k; for other primes it is 0.
-    """
-    period = len(chi)
-    steps = []
-    for p in primes_in(prime_sieve(isqrt(limit))):
-        kind = int(chi[p % period])
-        gains = {1: (p - 1, p - 1), 0: (p - 1,), -1: (1, p * p - 1)}[kind]
-        power, k = p, 1
-        while power <= limit:
-            gain = gains[k - 1] if k <= len(gains) else p
-            steps.append((power, p, gain, (-1) ** (k + 1) if kind == -1 else 0))
-            power *= p
-            k += 1
-    steps.sort()
-    return steps
-
-
-def _sieve_block(lo: int, hi: int, steps: list, noninert: np.ndarray | None) -> np.ndarray:
-    """The least phi_K for n = lo .. hi - 1, by the steps of ``_sieve_plan``.
-
-    noninert[r] says chi(r) >= 0, over one period of chi; None when no
-    prime is inert.
-    """
-    import numpy as np
-
-    table = np.ones(hi - lo, dtype=np.int32)
-    smooth = np.ones(hi - lo, dtype=np.int32)
-    # the number of inert primes p <= isqrt(limit) with an odd power p^k || n
-    odd = None if noninert is None else np.zeros(hi - lo, dtype=np.int8)
-    for power, p, gain, parity in steps:
-        if power >= hi:
-            break
-        # the multiples of p^k in the block, n = 0 aside
-        first = max(-(-lo // power), 1) * power - lo
-        if first >= len(table):
-            continue
-        if gain != 1:
-            multiples = table[first::power]
-            multiples *= gain
-        part = smooth[first::power]
-        part *= p
-        if parity:
-            marks = odd[first::power]
-            marks += parity
-    # n = smooth * q with q = 1 or one prime q > isqrt(limit)
-    q = np.arange(lo, hi, dtype=np.int32)
-    np.floor_divide(q, smooth, out=q)
-    if odd is not None:
-        keep = noninert[np.remainder(q, len(noninert), out=smooth)]
-        keep &= odd == 0
-    np.subtract(q, 1, out=q)
-    np.maximum(q, 1, out=q)  # the gain q - 1, and 1 where q = 1 (and at n = 0)
-    if odd is not None:
-        np.multiply(q, keep, out=q)  # 0 for an inert q or an odd inert power
-    table *= q
-    if lo == 0:
-        table[0] = 0
-    return table
-
-
-def _sieve_blocks(limit: int, chi: np.ndarray, block: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``least_phi_sieve`` in blocks of the given number of entries."""
-    steps = _sieve_plan(limit, chi)
-    noninert = chi >= 0 if chi.min() < 0 else None
-    for lo in range(0, limit + 1, block):
-        yield lo, _sieve_block(lo, min(limit + 1, lo + block), steps, noninert)
-
-
-def least_phi_sieve(limit: int, chi: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Least phi_K over the ideals of norm n, for n = 0 .. limit, in blocks.
-
-    Yields (lo, block) with block[i] the value at n = lo + i, as int32, for
-    consecutive blocks of ``sieve_block(limit)`` entries.  chi is the
-    character table of K, chi(p) = chi[p % len(chi)], of any period.  An
-    entry is 0 when no ideal has norm n (and at n = 0).  The least phi_K is
-    multiplicative in n, with local factors: split p -> p - 1, split p^e
-    (e >= 2) -> p^(e-2)(p-1)^2 (both conjugates present), inert p^(2k) ->
-    p^(2k-2)(p^2-1), inert odd powers -> 0, ramified p^e -> p^(e-1)(p-1).
-    With every prime ramified (chi = [0], the default None) that is phi(n).  Each
-    factor is at most p^e, so every entry is at most n.
-
-    Only the primes p <= r = isqrt(limit) are sieved.  In each block every
-    power p^k <= limit makes one in-place slice over its multiples, which
-    multiplies the table by a gain whose running product over k is the
-    local factor, and a smooth-part array by p; for an inert p it also
-    adds 1 at odd k and -1 at even k to an int8 count, which ends nonzero
-    exactly where some inert p has an odd exponent.  After the slices an
-    entry has at most one prime factor q > r left (q^2 > limit), and it is
-    n // smooth; its gain is q - 1, or 0 for an inert q, and the entries
-    with a nonzero count are 0.  int32 holds every entry while
-    limit < 2^31, and a larger limit is refused (the tests' sweep oracle
-    reaches n_max(10^5) = 22,561,035).  Callers cast to int64 before
-    squaring.
+    One slice update per prime: phi[p::p] -= phi[p::p] // p for every
+    prime p <= limit / 2, and p - 1 at the primes above limit / 2, which
+    have no other multiple in the table.  int32 holds every entry while
+    limit < 2^31; a larger limit is refused before the table exists.
     """
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} does not fit int32")
-    if chi is None:
-        import numpy as np
-
-        chi = np.zeros(1, dtype=np.int8)
-    return _sieve_blocks(limit, chi, sieve_block(limit))
-
-
-def phi_sieve(limit: int) -> np.ndarray:
-    """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
-
-    The blocks of ``least_phi_sieve`` with every prime ramified, copied into
-    one table: the ramified local factor p^(e-1)(p-1) is phi(p^e).
-    """
     import numpy as np
 
-    blocks = least_phi_sieve(limit)  # checks the limit before the table exists
-    table = np.empty(limit + 1, dtype=np.int32)
-    for lo, block in blocks:
-        table[lo : lo + len(block)] = block
-    return table
+    primes = np.fromiter(primes_in(prime_sieve(limit)), dtype=np.int64)
+    phi = np.arange(limit + 1, dtype=np.int32)
+    half = int(np.searchsorted(primes, limit // 2, side="right"))
+    phi[primes[half:]] -= 1
+    for p in map(int, primes[:half]):
+        multiples = phi[p::p]
+        multiples -= multiples // p
+    return phi
+
+
+__all__ = [
+    "EULER_GAMMA",
+    "cached_primes",
+    "certified",
+    "factorize",
+    "is_prime",
+    "nth_prime",
+    "phi_sieve",
+    "prime_list_bytes",
+    "prime_sieve",
+    "primes_in",
+    "squarefree",
+]

@@ -27,29 +27,6 @@ def sieve_phi(limit: int) -> list[int]:
     return phi
 
 
-def slice_phi_sieve(limit: int):
-    """Totient table as a numpy int32 array by one slice update per prime.
-
-    phi[p::p] -= phi[p::p] // p for every prime p <= limit / 2, and p - 1
-    at the primes above limit / 2 (they have no other multiple in the
-    table).  No smooth part and no blocks, so it checks the quotient
-    n // smooth that gives phi_sieve the prime above isqrt(limit), and the
-    block edges.
-    """
-    import numpy as np
-
-    from tcm.primes import prime_sieve, primes_in
-
-    primes = np.fromiter(primes_in(prime_sieve(limit)), dtype=np.int64)
-    phi = np.arange(limit + 1, dtype=np.int32)
-    half = int(np.searchsorted(primes, limit // 2, side="right"))
-    phi[primes[half:]] -= 1
-    for p in map(int, primes[:half]):
-        multiples = phi[p::p]
-        multiples -= multiples // p
-    return phi
-
-
 def prime_count_bound(x: int) -> int:
     """Upper bound on the number of primes <= x.
 
@@ -98,7 +75,7 @@ def _legendre_table(q: int):
 
 def character_table(d: int):
     """chi(r) for r = 0 .. |d|-1 as an int8 array (the character has period |d|);
-    the oracle of ``quad_core.chi_table`` and the character the norm sieve reads.
+    the oracle of ``quad_core.chi_table`` and the character ``norm_sieve`` reads.
 
     Built from the genus characters: a fundamental d is the product of
     the prime discriminants q* = (-1)^((q-1)/2) q over the odd primes
@@ -155,42 +132,97 @@ def child_peak_rss(argv: list[str]) -> int:
     return kib * 1024
 
 
-def joined_blocks(limit: int, chi, block: int):
-    """The blocks of the sieve generator at the given block size, checked to
-    be consecutive int32 blocks, in one array."""
-    from tcm.primes import _sieve_blocks
+def _sieve_plan(limit: int, chi) -> list[tuple[int, int, int, int]]:
+    """(p^k, p, gain, parity) for every power p^k <= limit of a prime
+    p <= isqrt(limit), by increasing p^k.
 
-    return _join(_sieve_blocks(limit, chi, block), limit, block)
+    The running product of the gains over k is the local factor of p^k.
+    For an inert p, parity is 1 at odd k and -1 at even k, so that its
+    running sum over the powers dividing n is 1 exactly when p^k || n for
+    an odd k; for other primes it is 0.
+    """
+    from math import isqrt
+
+    from tcm.primes import prime_sieve, primes_in
+
+    period = len(chi)
+    steps = []
+    for p in primes_in(prime_sieve(isqrt(limit))):
+        kind = int(chi[p % period])
+        gains = {1: (p - 1, p - 1), 0: (p - 1,), -1: (1, p * p - 1)}[kind]
+        power, k = p, 1
+        while power <= limit:
+            gain = gains[k - 1] if k <= len(gains) else p
+            steps.append((power, p, gain, (-1) ** (k + 1) if kind == -1 else 0))
+            power *= p
+            k += 1
+    steps.sort()
+    return steps
+
+
+def norm_sieve(limit: int, chi=None):
+    """Least phi_K over the ideals of norm n, for n = 0 .. limit, as one
+    numpy int32 table; the oracle of the prime-set searches and of the norm
+    count, and with every prime ramified (chi = [0], the default None) the
+    totient, the oracle of ``primes.phi_sieve``.
+
+    chi is the character table of K, chi(p) = chi[p % len(chi)], of any
+    period.  An entry is 0 when no ideal has norm n (and at n = 0).  The
+    least phi_K is multiplicative in n, with local factors: split p -> p - 1,
+    split p^e (e >= 2) -> p^(e-2)(p-1)^2 (both conjugates present), inert
+    p^(2k) -> p^(2k-2)(p^2-1), inert odd powers -> 0, ramified p^e ->
+    p^(e-1)(p-1).  Each factor is at most p^e, so every entry is at most n.
+
+    Only the primes p <= r = isqrt(limit) are sieved.  Every power
+    p^k <= limit makes one in-place slice over its multiples, which
+    multiplies the table by a gain whose running product over k is the
+    local factor, and a smooth-part array by p; for an inert p it also adds
+    1 at odd k and -1 at even k to an int8 count, which ends nonzero exactly
+    where some inert p has an odd exponent.  After the slices an entry has
+    at most one prime factor q > r left (q^2 > limit), and it is
+    n // smooth; its gain is q - 1, or 0 for an inert q, and the entries
+    with a nonzero count are 0.  int32 holds every entry while
+    limit < 2^31.
+    """
+    import numpy as np
+
+    assert limit < 2**31, limit
+    if chi is None:
+        chi = np.zeros(1, dtype=np.int8)
+    steps = _sieve_plan(limit, chi)
+    inert = chi.min() < 0
+    table = np.ones(limit + 1, dtype=np.int32)
+    smooth = np.ones(limit + 1, dtype=np.int32)
+    # the number of inert primes p <= isqrt(limit) with an odd power p^k || n
+    odd = np.zeros(limit + 1, dtype=np.int8) if inert else None
+    for power, p, gain, parity in steps:
+        if gain != 1:
+            multiples = table[power::power]
+            multiples *= gain
+        part = smooth[power::power]
+        part *= p
+        if parity:
+            marks = odd[power::power]
+            marks += parity
+    # n = smooth * q with q = 1 or one prime q > isqrt(limit)
+    q = np.arange(limit + 1, dtype=np.int32)
+    np.floor_divide(q, smooth, out=q)
+    if inert:
+        keep = (chi >= 0)[np.remainder(q, len(chi), out=smooth)]
+        keep &= odd == 0
+    np.subtract(q, 1, out=q)
+    np.maximum(q, 1, out=q)  # the gain q - 1, and 1 where q = 1 (and at n = 0)
+    if inert:
+        np.multiply(q, keep, out=q)  # 0 for an inert q or an odd inert power
+    table *= q
+    table[0] = 0
+    return table
 
 
 def least_phi_by_norm(d: int, x: int):
     """The least phi_K over the ideals of each norm 0 .. x of the field of
-    discriminant d: the blocks of least_phi_sieve(x, character_table(d)),
-    checked to be consecutive int32 blocks, in one array."""
-    from tcm.primes import least_phi_sieve, sieve_block
-
-    return _join(least_phi_sieve(x, character_table(d)), x, sieve_block(x))
-
-
-def sieve_block_bytes(limit: int) -> int:
-    """Upper estimate of least_phi_sieve's peak memory, character table aside.
-
-    One block's arrays (the int32 table, smooth part and quotient, and for
-    the inert primes the int8 odd-power count, two bool masks and numpy's
-    index buffer: 16 B per entry), the table of the block before it, which
-    its consumer holds until the next one is made (4 B per entry), the plan
-    of prime powers at 256 B a step, and 64 KiB for array headers.  A prime
-    p <= isqrt(limit) has two powers <= limit if p^3 > limit, and at most
-    log2(limit) otherwise.
-    """
-    from math import isqrt
-
-    from tcm.primes import sieve_block
-
-    block = min(sieve_block(limit), limit + 1)
-    cube = round(limit ** (1 / 3)) + 1
-    steps = 2 * prime_count_bound(isqrt(limit)) + limit.bit_length() * prime_count_bound(cube)
-    return 20 * block + 256 * steps + (1 << 16)
+    discriminant d: norm_sieve(x, character_table(d))."""
+    return norm_sieve(x, character_table(d))
 
 
 # norms reduced per numpy step by sieve_window_min, and the relative
@@ -200,14 +232,13 @@ REDUCE_CHUNK = 1 << 16
 _LOG_SLACK = 1e-9
 
 
-def sieve_window_min(blocks, lo: int, chunk: int = REDUCE_CHUNK) -> tuple[float | None, int, int]:
+def sieve_window_min(table, lo: int, chunk: int = REDUCE_CHUNK) -> tuple[float | None, int, int]:
     """(value, n, norms): the least minphi(n) * loglog n / n over norms
     n >= lo that have an ideal, the smallest such n, and the number of norms
     in the window that have an ideal; the oracle of the search and the
     norm count of ``analytics``.
 
-    blocks are the consecutive (start, block) pairs of ``least_phi_sieve``,
-    block[i] = minphi(start + i), reduced one at a time in numpy steps of
+    table[n] = minphi(n), a ``norm_sieve`` table, reduced in numpy steps of
     chunk norms.  The value is float(minphi(n)) * math.log(math.log(n)) / n,
     the order the ideal-by-ideal scan uses, so it is bit-identical to it.
     """
@@ -218,39 +249,27 @@ def sieve_window_min(blocks, lo: int, chunk: int = REDUCE_CHUNK) -> tuple[float 
     best = None
     arg = 0
     norms = 0
-    for first, block in blocks:
-        for start in range(max(lo, first), first + len(block), chunk):
-            phi = block[start - first : start - first + chunk]
-            has = phi > 0
-            found = int(np.count_nonzero(has))
-            if not found:
-                continue
-            norms += found
-            n = np.arange(start, start + len(phi), dtype=np.float64)
-            approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
-            cut = approx.min() * (1 + _LOG_SLACK)
-            for i in np.flatnonzero(approx <= cut).tolist():
-                k = start + i
-                value = float(phi[i]) * math.log(math.log(k)) / k
-                if best is None or value < best:
-                    best, arg = value, k
+    for start in range(lo, len(table), chunk):
+        phi = table[start : start + chunk]
+        has = phi > 0
+        found = int(np.count_nonzero(has))
+        if not found:
+            continue
+        norms += found
+        n = np.arange(start, start + len(phi), dtype=np.float64)
+        approx = np.where(has, phi * np.log(np.log(n)) / n, np.inf)
+        cut = approx.min() * (1 + _LOG_SLACK)
+        for i in np.flatnonzero(approx <= cut).tolist():
+            k = start + i
+            value = float(phi[i]) * math.log(math.log(k)) / k
+            if best is None or value < best:
+                best, arg = value, k
     return best, arg, norms
 
 
 def sieve_window(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
     """sieve_window_min over the norm sieve of the field of discriminant d up to x."""
-    from tcm.primes import least_phi_sieve
-
-    return sieve_window_min(least_phi_sieve(x, character_table(d)), lo)
-
-
-def _join(blocks, limit: int, block: int):
-    import numpy as np
-
-    starts, blocks = zip(*blocks)
-    assert list(starts) == list(range(0, limit + 1, block))
-    assert all(b.dtype == np.int32 for b in blocks)
-    return np.concatenate(blocks)
+    return sieve_window_min(least_phi_by_norm(d, x), lo)
 
 
 def traced_peak(fn, *args) -> int:
@@ -339,15 +358,19 @@ def oracle_bound_records(d_max: int) -> list[tuple[int, int, int]]:
     return records
 
 
+# multiples of a per numpy step of sweep_activations
+_SWEEP_STEP = 1 << 15
+
+
 def sweep_activations(d_max: int):
     """Yield (a, n, degree) for every pair (a, n = ab) of the proven region
     of d_max that passes by degree d_max: a numpy sweep over the totient
     sieve, a route to B(d) that shares nothing with the prime-set search.
 
     degree[i] = ceil(a phi(n)^2 / (6 n)) is the least d at which (a, n[i])
-    passes.  The totient comes in the blocks of ``least_phi_sieve``; inside
-    a block, each a's multiples come in steps of at most a 32nd of a block.
-    The region's per-a cutoffs n_hi = min(n_max, M(6 d_max / a)) come from
+    passes.  The totient is one ``norm_sieve`` table with every prime
+    ramified; each a's multiples come in steps of ``_SWEEP_STEP``.  The
+    region's per-a cutoffs n_hi = min(n_max, M(6 d_max / a)) come from
     ``product_cutoff`` here, for a up to the region's a_max.  phi(n) <=
     n_max(10^6) < 2^31, and a phi(n)^2 <= n_hi a M(6 d_max / a), about
     n_max^2 < 2^63.
@@ -355,27 +378,21 @@ def sweep_activations(d_max: int):
     import numpy as np
 
     from tcm.feasibility import product_cutoff, sweep_region
-    from tcm.primes import least_phi_sieve, sieve_block
 
     region = sweep_region(d_max)
-    cutoffs = [min(region.n_max, product_cutoff(6 * d_max / a)) for a in range(1, region.a_max + 1)]
-    chunk = sieve_block(region.n_max) // 32
-    for lo, phi in least_phi_sieve(region.n_max):
-        top = lo + len(phi) - 1
-        for a, n_hi in enumerate(cutoffs, start=1):
-            if n_hi < lo or a > top:  # n_hi does not increase with a
-                break
-            last = min(n_hi, top)
-            for start in range(max(a, -(-lo // a) * a), last + 1, a * chunk):
-                stop = min(last, start + a * (chunk - 1))
-                n = np.arange(start, stop + 1, a, dtype=np.int64)
-                lhs = phi[start - lo : stop - lo + 1 : a].astype(np.int64)
-                lhs *= lhs
-                lhs *= a
-                six_n = 6 * n
-                keep = lhs <= six_n * d_max
-                six_n = six_n[keep]
-                yield a, n[keep], (lhs[keep] + six_n - 1) // six_n
+    phi = norm_sieve(region.n_max)
+    for a in range(1, region.a_max + 1):
+        n_hi = min(region.n_max, product_cutoff(6 * d_max / a))
+        for start in range(a, n_hi + 1, a * _SWEEP_STEP):
+            stop = min(n_hi, start + a * (_SWEEP_STEP - 1))
+            n = np.arange(start, stop + 1, a, dtype=np.int64)
+            lhs = phi[start : stop + 1 : a].astype(np.int64)
+            lhs *= lhs
+            lhs *= a
+            six_n = 6 * n
+            keep = lhs <= six_n * d_max
+            six_n = six_n[keep]
+            yield a, n[keep], (lhs[keep] + six_n - 1) // six_n
 
 
 def sweep_bound_records(d_max: int) -> list[tuple[int, int, int]]:

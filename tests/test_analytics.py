@@ -17,13 +17,13 @@ from tcm.analytics import (
     scan_bytes,
 )
 from tcm.ideal_arith import ideal_norm, ideals_up_to_norm, min_phi_ideal, phi_K, principal_ideal
-from tcm.primes import EULER_GAMMA, _sieve_blocks, factorize, prime_sieve, primes_in
+from tcm.primes import EULER_GAMMA, factorize, prime_sieve, primes_in
 from tcm.quad_core import Splitting, chi_table, fundamental_discriminants, kronecker, require_fundamental
 
 from conftest import (
     REDUCE_CHUNK,
     character_table,
-    joined_blocks,
+    least_phi_by_norm,
     oracle_scan,
     sieve_window,
     sieve_window_min,
@@ -154,18 +154,16 @@ def test_scans_match_ideal_by_ideal_oracle(d, x):
 
 
 @pytest.mark.parametrize("chunk", [20, REDUCE_CHUNK])
-@pytest.mark.parametrize("block", [45, 64])
+@pytest.mark.parametrize("step", [45, 64])
 @pytest.mark.parametrize("d", [-3, -4, -7])
-def test_streamed_window_min_matches_one_table(d, block, chunk):
-    # the sieve oracle itself: lo = 3, and lo = x // 10 on, just before and
-    # just after a block edge; neither block is a multiple of either chunk
-    chi = character_table(d)
-    cases = [(k * block + s, 3) for k in (2, 7) for s in (-1, 0, 1)]
-    cases += [(10 * (k * block + s), k * block + s) for k in (2, 7) for s in (-1, 0, 1)]
+def test_streamed_window_min_matches_one_table(d, step, chunk):
+    # the sieve oracle's chunked reduction against one math.log minimum:
+    # lo = 3, and lo = x // 10 on, just before, at and just after multiples
+    # of step, which is not a multiple of either chunk
+    cases = [(k * step + s, 3) for k in (2, 7) for s in (-1, 0, 1)]
+    cases += [(10 * (k * step + s), k * step + s) for k in (2, 7) for s in (-1, 0, 1)]
     for x, lo in cases:
-        table = joined_blocks(x, chi, block)
-        streamed = sieve_window_min(_sieve_blocks(x, chi, block), lo, chunk)
-        assert streamed == sieve_window_min([(0, table)], lo, chunk), (x, lo)
+        table = least_phi_by_norm(d, x)
         # the first of the least values, and the norms with an ideal
         values = [
             float(table[n]) * math.log(math.log(n)) / n if table[n] else math.inf
@@ -173,7 +171,7 @@ def test_streamed_window_min_matches_one_table(d, block, chunk):
         ]
         best = min(values)
         norms = int(np.count_nonzero(table[lo:]))
-        assert streamed == (best, lo + values.index(best), norms), (x, lo)
+        assert sieve_window_min(table, lo, chunk) == (best, lo + values.index(best), norms), (x, lo)
 
 
 def search_and_count(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
@@ -199,7 +197,7 @@ def test_search_and_count_match_sieve_oracle(x):
 @pytest.mark.parametrize(
     "d,lo,x",
     [
-        # around a sieve block edge, 2^16; -3 has an inert 2, -4 a ramified 2
+        # x around 2^16, an even power of 2; -3 has an inert 2, -4 a ramified 2
         *[(d, lo, x) for d in (-3, -4, -7) for x in (2**16 - 1, 2**16, 2**16 + 1) for lo in (3, x // 10)],
         # the smallest windows: 3 and 4 are norms of -3; 3 is inert in
         # Q(i), so [3, 3] holds no norm of -4

@@ -210,8 +210,8 @@ def test_bound_range_json_peak_rss_is_not_set_by_the_rows():
 
 def test_bound_single_degree_peak_rss_is_set_by_the_block():
     # the whole int32 totient table of n_max(10^5) = 22,561,035 would be
-    # 86 MiB alone, and a block of the sieve of n_max(10^6) 32 MiB; the
-    # prime-set search holds no table, and the command loads no numpy
+    # 86 MiB alone; the prime-set search holds no table, and the command
+    # loads no numpy
     for d in (10**5, 10**6):
         argv = [sys.executable, "-m", "tcm", "bound", "--d-min", str(d), "--d-max", str(d), "--format", "csv"]
         assert child_peak_rss(argv) < 40 * 2**20, d

@@ -14,21 +14,15 @@ from tcm.ideal_arith import (
     phi_K_of_N,
     principal_ideal,
 )
-from tcm.primes import least_phi_sieve
 from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
 
 from conftest import (
-    CHARACTER_TABLE_BYTES_PER_RESIDUE,
-    character_table,
     ideal_count_oracle,
-    joined_blocks,
     least_phi_by_norm,
     naive_phi,
     oracle_min_phi,
     oracle_unit_pairs,
     order_discriminants,
-    sieve_block_bytes,
-    traced_peak,
 )
 
 
@@ -275,17 +269,6 @@ def test_norm_sieve_inert_prime_power_cutoffs(d, p):
 
 
 @pytest.mark.parametrize("d", [-3, -4, -7])
-def test_norm_sieve_blocks_at_block_edges(d):
-    # 2 is inert for -3, 3 for -4 and -7, and 5 for -7 too: their zeroed odd
-    # powers straddle the edges of blocks of 45 and 64 entries
-    chi = character_table(d)
-    best = oracle_min_phi(d, 7 * 64 + 1)
-    for block in (45, 64):
-        for x in [k * block + s for k in (1, 2, 7) for s in (-1, 0, 1)]:
-            assert joined_blocks(x, chi, block).tolist() == _expected_min_phi(best, x), (d, block, x)
-
-
-@pytest.mark.parametrize("d", [-3, -4, -7])
 def test_norm_sieve_last_cofactor_cutoffs(d):
     # r(r + 1) - 1, r(r + 1), r(r + 1) + 1: the largest smooth part below a
     # prime above the root, x // (isqrt(x) + 1), steps
@@ -334,17 +317,3 @@ def test_min_phi_ideal_rejects_norms_without_ideals():
         min_phi_ideal(-4, 3)
     with pytest.raises(ValueError):
         min_phi_ideal(-4, 27)
-
-
-def _drain_norm_sieve(d, x):
-    for _ in least_phi_sieve(x, character_table(d)):
-        pass
-
-
-@pytest.mark.parametrize("x", [10**4, 2 * 10**5, 10**6])
-def test_norm_sieve_bytes_bounds_measured_peak(x):
-    # -3: an inert 2, the most zeroed slices; -4: a ramified 2.  The sieve
-    # read block by block holds one block, never a table of x + 1 entries.
-    for d in (-3, -4):
-        estimate = sieve_block_bytes(x) + CHARACTER_TABLE_BYTES_PER_RESIDUE * abs(d)
-        assert traced_peak(_drain_norm_sieve, d, x) <= estimate

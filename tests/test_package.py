@@ -217,7 +217,7 @@ def test_scan_and_landau_load_no_numpy(command):
 
 def test_exact_layers_and_large_phi_load_no_numpy():
     # h(D) both ways, phi_K, the degree sandwich and the refined rows are
-    # Python ints; numpy loads with the unit scan and the norm sieve only
+    # Python ints; numpy loads with the unit scan and `primes.phi_sieve` only
     probe = (
         "import io, json, os, sys, tcm.cli\n"
         "from tcm.feasibility import chain_audit, refined_table\n"

@@ -1,4 +1,3 @@
-import math
 from decimal import Decimal
 
 import numpy as np
@@ -8,20 +7,16 @@ from tcm.analytics import mertens_product
 from tcm.primes import (
     cached_primes,
     certified,
-    least_phi_sieve,
     phi_sieve,
     prime_list_bytes,
     prime_sieve,
     primes_in,
-    sieve_block,
 )
 
 from conftest import (
-    character_table,
-    joined_blocks,
+    norm_sieve,
     prime_count_bound,
     sieve_phi,
-    slice_phi_sieve,
     traced_peak,
     trial_factor,
 )
@@ -54,42 +49,21 @@ def test_phi_sieve_matches_oracle_table():
         assert table.tolist() == sieve_phi(limit), limit
 
 
-def test_phi_sieve_matches_slice_oracle():
-    # n_max(2000) and n_max(3010), four and five blocks; p^2 - 1, p^2,
-    # p^2 + 1, where isqrt(limit) moves onto or off a prime; r(r + 1) - 1,
-    # r(r + 1), r(r + 1) + 1, where limit // (isqrt(limit) + 1), the largest
-    # smooth part below a prime above the root, steps from r - 1 to r
+def test_phi_sieve_matches_norm_sieve_oracle():
+    # n_max(2000) and n_max(3010); p^2 - 1, p^2, p^2 + 1, where isqrt(limit)
+    # moves onto or off a prime; r(r + 1) - 1, r(r + 1), r(r + 1) + 1, where
+    # limit // (isqrt(limit) + 1), the largest smooth part below a prime
+    # above the root, steps from r - 1 to r: the oracle's quotient n // smooth
     limits = [397_468, 612_546]
     limits += [p * p + k for p in (2, 3, 7, 31, 101, 997) for k in (-1, 0, 1)]
     limits += [r * (r + 1) + k for r in (2, 5, 30, 100, 706) for k in (-1, 0, 1)]
     for limit in limits:
-        assert np.array_equal(phi_sieve(limit), slice_phi_sieve(limit)), limit
-
-
-@pytest.mark.parametrize("block", [45, 64])
-def test_phi_blocks_match_slice_oracle_at_block_edges(block):
-    # limit + 1 entries one short of, at and one past a multiple of the block;
-    # an odd block starts most blocks at an odd n, an even one at an even n
-    for limit in [k * block + s for k in (1, 2, 7) for s in (-2, -1, 0)]:
-        joined = joined_blocks(limit, np.zeros(1, dtype=np.int8), block)
-        assert np.array_equal(joined, slice_phi_sieve(limit)), (block, limit)
-
-
-def test_sieve_block_scales_with_the_root():
-    for limit in (0, 10**4, 397_468, 610_511, 22_561_035, 237_662_443):
-        block = sieve_block(limit)
-        assert block & (block - 1) == 0 and block >= max(1 << 16, 128 * math.isqrt(limit))
-        assert block < max(1 << 17, 256 * math.isqrt(limit))
-    sizes = [len(b) for _, b in least_phi_sieve(397_468)]
-    assert sizes == [1 << 17] * 3 + [397_469 - 3 * (1 << 17)]
+        assert np.array_equal(phi_sieve(limit), norm_sieve(limit)), limit
 
 
 def test_phi_sieve_refuses_tables_beyond_int32():
     with pytest.raises(ValueError):
         phi_sieve(2**31)
-    # the limit is checked when the sieve is called, before any block is made
-    with pytest.raises(ValueError):
-        least_phi_sieve(2**31, character_table(-4))
 
 
 def test_prime_count_bound():
