@@ -1,23 +1,24 @@
-"""The unit group of O/NO as an array of unit pairs, verified by scan.
+"""The unit group of O/NO as a list of unit pairs, verified by scan.
 
 An element x + y w of O/NO, with w = (D + sqrt(D))/2, is carried as its
 pair (alpha, beta) = (x, y) mod N; it is a unit iff its norm
 x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N, and ``_times`` is the
-group law.  ``_unit_mask`` is the one scan of the residue ring: the
-group lists its unit pairs, ``ideal_arith.brute_force_phi`` counts them
-and ``kernel_size`` reads the kernel and the image of reduction off it.
-The module scans the full group for small N and measures, exhaustively,
-the facts the torsion bound rests on: the homotheties are present,
-reduction kernels have size p^(2B), and point stabilizers divide
-p - 1 / 1 / p according to the splitting of p.
+group law.  ``_unit_mask`` is the one scan of the residue ring, a bytes
+mask over all N^2 pairs: the group lists its unit pairs,
+``ideal_arith.brute_force_phi`` counts them and ``kernel_size`` reads
+the kernel and the image of reduction off it.  The module scans the
+full group for small N and measures, exhaustively, the facts the
+torsion bound rests on: the homotheties are present, reduction kernels
+have size p^(2B), and point stabilizers divide p - 1 / 1 / p according
+to the splitting of p.  It is plain Python over C-level byte operations
+and loads no numpy.
 """
 
 from __future__ import annotations
 
+from itertools import compress, product
 from math import gcd
 from typing import NamedTuple
-
-import numpy as np
 
 from .primes import is_prime
 from .quad_core import Discriminant, Splitting, as_discriminant, splitting_type
@@ -39,38 +40,58 @@ class GaloisImageReport(NamedTuple):
 
 def _times(delta, n, ux, uy, vx, vy):
     """(ux + uy w)(vx + vy w) mod n as its pair, where w = (D + sqrt(D))/2
-    satisfies w^2 = q + D w with q = (D - D^2)/4.  Works on ints and on
-    int64 arrays of entries below n (the coefficients are reduced first).
+    satisfies w^2 = q + D w with q = (D - D^2)/4.
     """
     qm, dm = (delta - delta * delta) // 4 % n, delta % n
     return (ux * vx + qm * uy * vy) % n, (ux * vy + uy * vx + dm * uy * vy) % n
 
 
-def _unit_mask(delta: int, n: int) -> np.ndarray:
-    """Boolean (n, n) array: entry [x, y] is True iff the pair is a unit."""
-    quad = (delta * delta - delta) // 4
-    xs = np.arange(n, dtype=np.int64)
-    norm = (xs * xs)[:, None] + ((delta % n) * xs)[:, None] * xs + (quad % n) * xs * xs
-    return (np.gcd(xs, n) == 1)[norm % n]
+def _unit_mask(delta: int, n: int) -> bytes:
+    """n * n bytes, x-major: byte x n + y is 1 iff the pair (x, y) is a unit.
+
+    Every norm is evaluated mod n, one column y at a time.  For fixed y the
+    norm is x^2 + b x + g with b = D y mod n = 2k + r (r in {0, 1}) and
+    g = ((D^2 - D)/4) y^2, which equals s^2 + r s + c at s = x + k, where
+    c = g - k^2 - r k.  So the column is the table of s^2 + r s mod n,
+    rotated by k, read through the table of units rotated by c: one
+    ``bytes.translate`` while the values fit in a byte (n < 256), one
+    ``map`` over the table above that.
+    """
+    units = bytes(gcd(v, n) == 1 for v in range(n))
+    squares = [[(s * s + r * s) % n for s in range(n)] for r in (0, 1)]
+    if n < 256:
+        squares = [bytes(table) for table in squares]
+    quad = (delta * delta - delta) // 4 % n
+    columns = []
+    for y in range(n):
+        k, r = divmod(delta * y % n, 2)
+        c = (quad * y * y - k * k - r * k) % n
+        shifted = squares[r][k:] + squares[r][:k]  # entry x is s^2 + r s at s = x + k
+        table = units[c:] + units[:c]  # entry v says whether v + c is a unit
+        if n < 256:
+            columns.append(shifted.translate(table.ljust(256, b"\0")))
+        else:
+            columns.append(bytes(map(table.__getitem__, shifted)))
+    by_column = b"".join(columns)
+    return b"".join(by_column[x::n] for x in range(n))
 
 
-def cn_elements(d: int | Discriminant, n: int) -> np.ndarray:
+def cn_elements(d: int | Discriminant, n: int) -> list[tuple[int, int]]:
     """The full unit group mod n, from a scan of all (alpha, beta) pairs.
 
-    An (order, 2) int64 array of the unit pairs in lexicographic order.
+    The unit pairs (x, y) as tuples, in lexicographic order.
     """
     disc = as_discriminant(d)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > CN_CAP:
         raise ValueError(f"n={n} exceeds cap {CN_CAP}")
-    return np.argwhere(_unit_mask(disc.value, n))
+    return list(compress(product(range(n), repeat=2), _unit_mask(disc.value, n)))
 
 
 def verify_homotheties(d: int | Discriminant, n: int) -> bool:
     """Check every unit scalar a mod n lies in the group, as the pair (a, 0)."""
-    pairs = cn_elements(d, n)
-    scalars = set(pairs[pairs[:, 1] == 0, 0].tolist())
+    scalars = {x for x, y in cn_elements(d, n) if y == 0}
     return all(a in scalars for a in range(1, n) if gcd(a, n) == 1)
 
 
@@ -92,9 +113,10 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
     """Size of the kernel of reduction from level p^(A+B) to level p^A.
 
     Read off the level-p^(A+B) unit mask: the kernel is the units with
-    x = 1 and y = 0 mod p^A.  Also asserts, by counting the residue pairs
-    mod p^A hit by a unit, that the reduction map is surjective onto the
-    level-p^A group.
+    x = 1 and y = 0 mod p^A.  Also asserts that the reduction map is
+    surjective onto the level-p^A group: the residue pairs mod p^A hit by
+    a unit, found by OR-ing the mask's rows x = r mod p^A as ints and
+    folding each into chunks of width p^A, must be the level-p^A mask.
     """
     disc = as_discriminant(d)
     if not is_prime(p):
@@ -104,14 +126,22 @@ def kernel_size(d: int | Discriminant, p: int, A: int, B: int) -> int:
     big = _capped_power(p, A + B, "p**(A+B)")
     small = p**A
     mask = _unit_mask(disc.value, big)
-    # the unit pair (x, y) = (i small + r, j small + s) reduces to (r, s)
-    m = big // small
-    images = mask.reshape(m, small, m, small).any(axis=(0, 2))
-    if images.sum() != _unit_mask(disc.value, small).sum():
+    chunk = (1 << 8 * small) - 1
+    images = []
+    for r in range(small):
+        hit = 0
+        for x in range(r, big, small):
+            hit |= int.from_bytes(mask[x * big : (x + 1) * big], "big")
+        folded = 0
+        while hit:
+            folded |= hit & chunk
+            hit >>= 8 * small
+        images.append(folded.to_bytes(small, "big"))
+    if b"".join(images) != _unit_mask(disc.value, small):
         raise ArithmeticError(
             f"reduction mod {small} of the level-{big} group is not surjective"
         )
-    return int(mask[1::small, ::small].sum())
+    return sum(mask[x * big : (x + 1) * big : small].count(1) for x in range(1, big, small))
 
 
 def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageReport:
@@ -121,8 +151,8 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
     For A = 0 the scan runs over the whole mod-p group and all nonzero
     points; the maximum must divide p - 1, 1, or p according to whether p
     splits, is inert, or ramifies.  For A >= 1 the scan runs over the
-    kernel of reduction to level p^A and points of exact order p^(A+1);
-    the maximum must divide p.
+    kernel of reduction to level p^A, the p^2 pairs (1 + p^A s, p^A t),
+    and points of exact order p^(A+1); the maximum must divide p.
 
     One point per orbit of the full unit group suffices.  The group acts
     on O/nO by multiplication in a commutative ring, so for a unit u and
@@ -130,8 +160,13 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
     candidates fixing a point is constant on each orbit.  Both point sets
     (nonzero points; points outside pO) are unions of orbits, because
     multiplying by a unit keeps a point in them.  The scan takes the
-    first unmarked point, marks its orbit, counts its fixers and repeats,
-    in (#orbits) * |group| work rather than |candidates| * n^2.
+    first unmarked point, counts its fixers exactly, marks points of its
+    orbit and repeats.  A unit's orbit is the whole group, so its mask
+    is cleared in one pass; any other point marks its orbit under the
+    homotheties t in (Z/n)^*, a subset of its orbit.  Marking a subset
+    is safe: it can only leave more points to be taken as
+    representatives, each with its exact count, and every marked point
+    shares the count of the point that marked it.
     """
     disc = as_discriminant(d)
     if A < 0:
@@ -139,25 +174,34 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
     kind = splitting_type(disc, p)
     n = _capped_power(p, A + 1, "p**(A+1)")
 
-    xs, ys = cn_elements(disc, n).T
-    grid = np.arange(n, dtype=np.int64)
+    mask = _unit_mask(disc.value, n)
     if A == 0:
-        gx, gy = xs, ys
+        candidates = cn_elements(disc, n)
         expected = {Splitting.SPLIT: p - 1, Splitting.INERT: 1, Splitting.RAMIFIED: p}[kind]
-        unmarked = (grid[:, None] != 0) | (grid[None, :] != 0)
+        unmarked = bytearray(b"\0" + b"\1" * (n * n - 1))
     else:
         small = p**A
-        in_kernel = (xs % small == 1) & (ys % small == 0)
-        gx, gy = xs[in_kernel], ys[in_kernel]
+        candidates = [(1 + small * s, small * t) for s in range(p) for t in range(p)]
         expected = p
-        unmarked = (grid[:, None] % p != 0) | (grid[None, :] % p != 0)  # exact order p^(A+1)
+        # exact order p^(A+1): x or y is not divisible by p
+        row, divisible = b"\1" * n, (b"\0" + b"\1" * (p - 1)) * (n // p)
+        unmarked = bytearray(b"".join(divisible if x % p == 0 else row for x in range(n)))
+    scalars = [t for t in range(1, n) if gcd(t, n) == 1]
+    group = int.from_bytes(mask, "big")
 
     observed = 0
-    while unmarked.any():
-        vx, vy = divmod(int(np.argmax(unmarked)), n)
-        unmarked[_times(disc.value, n, xs, ys, vx, vy)] = False
-        fx, fy = _times(disc.value, n, gx, gy, vx, vy)
-        observed = max(observed, int(((fx == vx) & (fy == vy)).sum()))
+    index = unmarked.find(1)
+    while index >= 0:
+        vx, vy = divmod(index, n)
+        if mask[index]:
+            left = int.from_bytes(unmarked, "big") & ~group
+            unmarked = bytearray(left.to_bytes(n * n, "big"))
+        else:
+            for t in scalars:
+                unmarked[t * vx % n * n + t * vy % n] = 0
+        fixers = sum(_times(disc.value, n, gx, gy, vx, vy) == (vx, vy) for gx, gy in candidates)
+        observed = max(observed, fixers)
+        index = unmarked.find(1, index)
     return GaloisImageReport(
         split_type=kind,
         max_stabilizer_order=observed,

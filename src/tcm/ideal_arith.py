@@ -6,8 +6,7 @@ data) depends only on that factorization, so there is no element-level
 ideal arithmetic here.  ``brute_force_phi`` counts the units of O/nO on
 the residue-ring scan of ``galois_image``; it shares nothing with the
 local-factor formula ``phi_K_of_N`` and so checks it.  It imports that
-scan, and with it numpy, when it runs; the rest of the module is Python
-ints and loads none.
+scan when it runs; the module loads no numpy.
 
 The least phi_K over the ideals of a norm is multiplicative in the norm;
 ``analytics`` searches it over prime sets for the scans' window minimum,
@@ -133,7 +132,7 @@ def brute_force_phi(d: int | Discriminant, n: int) -> int:
         raise ValueError(f"n={n} exceeds cap {BRUTE_FORCE_CAP}")
     from .galois_image import _unit_mask
 
-    return int(_unit_mask(disc.value, n).sum())
+    return _unit_mask(disc.value, n).count(1)
 
 
 def ideals_up_to_norm(d: int | Discriminant, x: int):

@@ -208,7 +208,7 @@ def test_bound_range_json_peak_rss_is_not_set_by_the_rows():
     assert child_peak_rss(argv) < 100 * 2**20
 
 
-def test_bound_single_degree_peak_rss_is_set_by_the_block():
+def test_bound_single_degree_peak_rss_is_set_by_the_search():
     # the whole int32 totient table of n_max(10^5) = 22,561,035 would be
     # 86 MiB alone; the prime-set search holds no table, and the command
     # loads no numpy
@@ -224,7 +224,7 @@ def test_product_peak_rss_at_a_discriminant_far_above_x():
     assert child_peak_rss(argv) < 100 * 2**20
 
 
-def test_scan_peak_rss_is_set_by_the_block():
+def test_scan_peak_rss_is_set_by_the_search_and_count():
     # the whole int32 table of the norms up to 10^7 would be 38 MiB alone;
     # the search and the recursions over x // k hold no table of the norms
     argv = [sys.executable, "-m", "tcm", "analytics", "scan", "--disc", "-4", "--x", "10000000", "--format", "csv"]

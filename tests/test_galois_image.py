@@ -2,9 +2,9 @@ import itertools
 import re
 from math import gcd
 
-import numpy as np
 import pytest
 
+import tcm.galois_image
 from tcm.galois_image import (
     _times,
     cn_elements,
@@ -37,12 +37,13 @@ def test_cn_elements_matches_oracle_pairs():
     for d in GRID_DISCS + (-12,):
         for n in range(2, 41):
             pairs = cn_elements(d, n)
-            assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2), (d, n)
-            assert [tuple(pair) for pair in pairs.tolist()] == oracle_unit_pairs(d, n), (d, n)
+            assert type(pairs) is list and all(type(pair) is tuple and len(pair) == 2 for pair in pairs), (d, n)
+            assert all(type(entry) is int for pair in pairs for entry in pair), (d, n)
+            assert pairs == oracle_unit_pairs(d, n), (d, n)
 
 
 def test_cn_elements_order_and_contents():
-    pairs = [tuple(pair) for pair in cn_elements(-4, 6).tolist()]
+    pairs = cn_elements(-4, 6)
     assert pairs == sorted(pairs) and len(pairs) == len(set(pairs)) == 16
     assert (1, 0) in pairs  # the identity
     assert (0, 0) not in pairs  # zero
@@ -51,7 +52,7 @@ def test_cn_elements_order_and_contents():
 
 @pytest.mark.parametrize("d,n", [(-3, 12), (-4, 8), (-7, 9), (-8, 6), (-7, 30)])
 def test_group_axioms_exhaustive(d, n):
-    elements = [tuple(pair) for pair in cn_elements(d, n).tolist()]
+    elements = cn_elements(d, n)
     as_set = set(elements)
     assert (1, 0) in as_set
     for (ux, uy), (vx, vy) in itertools.product(elements, elements):
@@ -69,7 +70,7 @@ def test_group_axioms_exhaustive(d, n):
 
 
 def test_determinant_is_a_unit():
-    for x, y in cn_elements(-7, 20).tolist():
+    for x, y in cn_elements(-7, 20):
         (a, b), (c, d) = oracle_matrix(-7, 20, x, y)
         assert gcd(a * d - b * c, 20) == 1
 
@@ -142,6 +143,24 @@ def test_stabilizer_matches_per_candidate_oracle():
                 report = max_stabilizer_order(d, p, A)
                 assert report.max_stabilizer_order == oracle_max_stabilizer_order(d, p, A), (d, p, A)
                 A += 1
+
+
+def test_kernel_size_refuses_a_reduction_that_is_not_surjective(monkeypatch):
+    # a mask that drops one unit leaves the level-p^A group one unit short of
+    # the images of the level-p^(A+B) units, which still cover every residue
+    unit_mask = tcm.galois_image._unit_mask
+
+    def one_unit_short(delta, n):
+        mask = unit_mask(delta, n)
+        first = mask.find(1)
+        return mask[:first] + b"\0" + mask[first + 1 :]
+
+    assert kernel_size(-4, 3, 1, 1) == 9
+    monkeypatch.setattr(tcm.galois_image, "_unit_mask", one_unit_short)
+    for d, p, A, B in [(-4, 3, 1, 1), (-7, 2, 2, 3), (-3, 5, 1, 2)]:
+        message = f"reduction mod {p**A} of the level-{p ** (A + B)} group is not surjective"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            kernel_size(d, p, A, B)
 
 
 def test_kernel_size_rejects_composite_level():

@@ -127,10 +127,12 @@ def test_brute_force_phi_accepts_order_discriminants():
 
 
 def test_brute_force_phi_matches_oracle_pairs():
-    # orders too, the cap's edge, and a |D| whose products overflow int64
-    # unless D and (D^2 - D)/4 are reduced mod n first
+    # orders too, the cap's edge, both sides of n = 256 (where the norms no
+    # longer fit in a byte), and a |D| whose products overflow int64 unless
+    # D and (D^2 - D)/4 are reduced mod n first
     cases = [(d, n) for d in order_discriminants(60) for n in range(1, 31)]
     cases += [(-4, 299), (-4, 300)] + [(-999_999_999_999, n) for n in range(1, 31)]
+    cases += [(d, n) for d in (-3, -7, -12, -999_999_999_999) for n in (250, 255, 256, 257, 300)]
     for d, n in cases:
         assert brute_force_phi(d, n) == len(oracle_unit_pairs(d, n)), (d, n)
 

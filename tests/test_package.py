@@ -217,7 +217,7 @@ def test_scan_and_landau_load_no_numpy(command):
 
 def test_exact_layers_and_large_phi_load_no_numpy():
     # h(D) both ways, phi_K, the degree sandwich and the refined rows are
-    # Python ints; numpy loads with the unit scan and `primes.phi_sieve` only
+    # Python ints; of the library, only `primes.phi_sieve` loads numpy
     probe = (
         "import io, json, os, sys, tcm.cli\n"
         "from tcm.feasibility import chain_audit, refined_table\n"
@@ -240,6 +240,29 @@ def test_exact_layers_and_large_phi_load_no_numpy():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout == "False\nFalse\n16 True\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["galois", "--disc", "-4", "--n", "200"],
+        ["galois", "--disc", "-7", "--p", "2", "--a", "3", "--b", "4"],
+        ["galois", "--disc", "-4", "--p", "13", "--a", "1"],
+        ["phi", "--disc", "-4", "--n", "300"],
+    ],
+    ids=["galois-n", "galois-b", "galois-a", "phi-n-300"],
+)
+def test_unit_scans_load_no_numpy(args):
+    # the unit mask is bytes built by `bytes.translate`, and the kernel,
+    # image and orbit scans read it as bytes and ints
+    probe = (
+        "import os, sys, tcm.cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"tcm.cli.cli.main({args!r}, standalone_mode=False)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stderr == "False\n"
 
 
 def _public_records() -> list:
