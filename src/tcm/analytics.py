@@ -72,22 +72,23 @@ def _euler_product(x: int, table: bytes, m: int) -> ProductEstimate:
     """prod over the primes p <= x of (1 - chi(p)/p), chi(p) = _CHI[table[p % m]],
     printed right to 12 digits.
 
-    The float is exp of the ``math.fsum`` of the terms log1p(-chi(p)/p),
-    over one pass of a prime stream.  Relative to the exact product it is
-    within u (12 log x + 4), u = 2^-53: each term is within 10 u of itself
-    (the quotient's rounding, amplified at most 1.45 times by log1p, and
-    4 ulp for log1p), fsum's one rounding adds u times the sum, and exp
-    2 u; the rest is spare.  No second pass over the terms is needed for
-    the sum of their magnitudes: the sum of the |log1p(-chi(p)/p)| is at
-    most that of log(p / (p - 1)), and so at most the sum of
-    log(n / (n - 1)) over n = 2 .. x, which is log x.  The bound is 2e-14
-    at x = 10^6.  ``certified`` settles the 12 digits, near a
-    rounding boundary by the product in 50-digit ``decimal`` (within
-    pi(x) 10^-49 of the exact value) over the same sieve.
+    The float is exp of the ``math.fsum`` of the terms log1p(-chi(p)/p), over one pass
+    of a prime stream.  Relative to the exact product it is within u (12 M + 4),
+    u = 2^-53, for any M above the sum of the |terms|: each term is within 10 u of itself
+    (the quotient's rounding, amplified at most 1.45 times by log1p, and 4 ulp for
+    log1p), fsum's one rounding adds u times the sum, and exp 2 u; the rest is spare.
+    That sum is at most the sum of log(p / (p - 1)), so M needs no second pass: it is
+    gamma + loglog x + log(1 + 1/(2 log^2 x)) for x >= 286 (Rosser and Schoenfeld,
+    Illinois J. Math. 6, 1962, Theorem 8, (3.30)), else log x, the sum of
+    log(n / (n - 1)) over n = 2 .. x.  At x = 10^6, M = 3.21 and the bound is 4.7e-15.
+    ``certified`` settles the 12 digits, near a rounding boundary by the product in
+    50-digit ``decimal`` (within pi(x) 10^-49 of the exact value) over the same sieve.
     """
     sieve = prime_sieve(x)
     total = math.fsum(math.log1p(-_CHI[table[p % m]] / p) for p in primes_in(sieve))
-    bound = 2.0**-53 * (12 * math.log(x) + 4)
+    log_x = math.log(x)
+    mass = EULER_GAMMA + math.log(log_x) + math.log1p(0.5 / log_x**2) if x >= 286 else log_x
+    bound = 2.0**-53 * (12 * mass + 4)
     value = certified(math.exp(total), bound, _exact_product, sieve, table, m)
     return ProductEstimate(value=value, terms=sieve.count(1))
 

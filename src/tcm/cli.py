@@ -1,23 +1,20 @@
 """Command-line surface and serialization.
 
-The only module that performs I/O.  Data rows go to stdout in one of
-three formats (table, json, csv); progress and warnings go to stderr so
-the data stream stays machine-clean.  Rows are written as they are
-formatted.  Exit codes: 0 success, 2 usage error or a request over the
-memory budget, 3 serialization failure (stdout then holds what was
-written before it).
+The only module that performs I/O.  Data rows go to stdout in one of three
+formats (table, json, csv); progress and warnings go to stderr so the data
+stream stays machine-clean.  Rows are written as they are formatted.  Exit
+codes: 0 success, 1 a closed stdout pipe, 2 usage error or a request over the
+memory budget, 3 serialization failure (stdout then holds what was written
+before it).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
 import sys
-
-import click
 
 from . import __version__
 from .feasibility import bound_ratio, bound_records, constant_over, sweep_region
@@ -49,12 +46,10 @@ def memory_budget() -> int:
 
 
 def check_factorable(**values: int) -> None:
-    """Usage error, before any factoring, if a value is over FACTOR_MAX in size."""
+    """ValueError, before any factoring, if a value is over FACTOR_MAX in size."""
     for name, value in values.items():
         if abs(value) > FACTOR_MAX:
-            raise click.UsageError(
-                f"|--{name}| = {abs(value)} is over the factoring bound {FACTOR_MAX:,}"
-            )
+            raise ValueError(f"|--{name}| = {abs(value)} is over the factoring bound {FACTOR_MAX:,}")
 
 
 def _size(n: int, rounding) -> str:
@@ -162,45 +157,11 @@ def emit(envelope: dict, fmt: str) -> None:
             serialize_csv(envelope["rows"], sys.stdout)
         else:
             serialize_table(envelope["rows"], sys.stdout)
-    except OSError:  # a failed write to stdout, such as a closed pipe, is click's to report
+    except OSError:  # a failed write to stdout, such as a closed pipe, is main's to report
         raise
     except Exception as exc:  # pragma: no cover - exercised via injection in tests
         print(f"serialization failed: {exc}", file=sys.stderr)
         sys.exit(3)
-
-
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "table"]),
-    default="table",
-    show_default=True,
-    help="Output format for data rows.",
-)
-
-
-def data_command(group: click.Group, name: str):
-    """Register a function returning (rows, meta) as a data command of group.
-
-    The command maps a library ValueError to a usage error, echoes the
-    options given as `params` (in declaration order, then `format`) and
-    emits the envelope `name` in the chosen format.
-    """
-
-    def register(fn):
-        @functools.wraps(fn)
-        def command(fmt, **options):
-            try:
-                rows, meta = fn(**options)
-            except ValueError as exc:
-                raise click.UsageError(str(exc)) from exc
-            declared = [p.name for p in click.get_current_context().command.params]
-            params = {k: options[k] for k in declared if options.get(k) is not None}
-            emit(make_envelope(name, {**params, "format": fmt}, rows, **meta), fmt)
-
-        return group.command()(command)
-
-    return register
 
 
 def brute_check(d, n: int, value: int) -> dict:
@@ -235,23 +196,12 @@ landau_liminf_check = _analytics("landau_liminf_check")
 
 
 # ---------------------------------------------------------------- commands
+# Each returns (rows, meta); a ValueError is a usage error of its command.
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="tcm")
-def cli():
-    """Explicit per-degree bounds on CM elliptic-curve torsion, plus the
-    exact and analytic machinery behind them."""
-
-
-@data_command(cli, "bound")
-@click.option("--d-min", type=int, required=True, help="Smallest degree.")
-@click.option("--d-max", type=int, required=True, help="Largest degree.")
-@_format_option
 def bound(d_min, d_max):
-    """Per-degree torsion bounds B(d) with maximizing shapes."""
     if not 1 <= d_min <= d_max <= 10**6:
-        raise click.UsageError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
+        raise ValueError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
     region = sweep_region(d_max)
     preflight(f"bound up to d = {d_max} (n_max = {region.n_max})", WRITE_BYTES)
     runs = bound_records(d_min, d_max)
@@ -280,12 +230,7 @@ class BoundRows:
                 yield {"d": d, "a": 1, "b": run.bound, "bound": run.bound, "ratio": ratio}
 
 
-@data_command(cli, "phi")
-@click.option("--disc", type=int, required=True, help="Fundamental discriminant (< 0).")
-@click.option("--n", type=int, required=True, help="Generator of the principal ideal.")
-@_format_option
 def phi(disc, n):
-    """Ideal Euler function of (n), with brute-force cross-check when small."""
     from .ideal_arith import ideal_norm, phi_K, principal_ideal
     from .quad_core import as_discriminant
 
@@ -297,21 +242,13 @@ def phi(disc, n):
     return [{**row, "factorization": str(ideal), **brute_check(d, n, value)}], {}
 
 
-@data_command(cli, "galois")
-@click.option("--disc", type=int, required=True, help="Discriminant (< 0, 0 or 1 mod 4).")
-@click.option("--p", type=int, default=None, help="Prime level.")
-@click.option("--a", "A", type=int, default=None, help="Exponent A (>= 0).")
-@click.option("--b", "B", type=int, default=None, help="Kernel depth B (>= 1).")
-@click.option("--n", type=int, default=None, help="Composite level: group order mode.")
-@_format_option
 def galois(disc, p, A, B, n):
-    """Unit-group scans: group orders, reduction kernels, point stabilizers."""
     from .galois_image import cn_elements, kernel_size, max_stabilizer_order, verify_homotheties
     from .quad_core import as_discriminant
 
     check_factorable(disc=disc)
     if (n is None and None in (p, A)) or (n is not None and (p, A, B) != (None, None, None)):
-        raise click.UsageError("need either --n, or --p with --a (and optionally --b)")
+        raise ValueError("need either --n, or --p with --a (and optionally --b)")
     d = as_discriminant(disc)
     if n is not None:
         order = len(cn_elements(d, n))
@@ -331,27 +268,13 @@ def galois(disc, p, A, B, n):
     return [{"disc": disc, "p": p, "A": A, **row}], {}
 
 
-@cli.group()
-def analytics():
-    """Product estimates and empirical constant scans."""
-
-
-@data_command(analytics, "analytics.mertens")
-@click.option("--x", type=int, required=True, help="Prime cutoff.")
-@_format_option
 def mertens(x):
-    """Product of (1 - 1/p) over primes p <= x."""
     preflight(f"primes up to x = {x}", prime_list_bytes(x))
     est = mertens_product(x)
     return [{"x": x, "value": _round12(est.value), "terms": est.terms}], {}
 
 
-@data_command(analytics, "analytics.product")
-@click.option("--disc", type=int, required=True)
-@click.option("--x", type=int, required=True, help="Prime cutoff.")
-@_format_option
 def product(disc, x):
-    """Character Euler product of (1 - chi(p)/p) over primes p <= x."""
     from .analytics import product_bytes
 
     check_factorable(disc=disc)
@@ -360,12 +283,7 @@ def product(disc, x):
     return [{"disc": disc, "x": x, "value": _round12(est.value), "terms": est.terms}], {}
 
 
-@data_command(analytics, "analytics.scan")
-@click.option("--disc", type=int, required=True)
-@click.option("--x", type=int, required=True, help="Norm cutoff.")
-@_format_option
 def scan(disc, x):
-    """Minimum of phi_K(c) loglog|c| / |c| over ideals with 3 <= |c| <= x."""
     from .analytics import scan_bytes
     from .ideal_arith import ideal_norm
 
@@ -382,18 +300,11 @@ def scan(disc, x):
     return [row], {"window": list(result.window), "norms": result.norms}
 
 
-@data_command(analytics, "analytics.landau")
-@click.option("--disc", type=int, required=True)
-@click.option("--x", type=int, required=True, help="Norm cutoff (>= 100).")
-@_format_option
 def landau(disc, x):
-    """Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi)."""
     from .analytics import scan_bytes
 
     if abs(disc) > CLASS_NUMBER_MAX:
-        raise click.UsageError(
-            f"|--disc| = {abs(disc)} is over the class-number bound {CLASS_NUMBER_MAX:,}"
-        )
+        raise ValueError(f"|--disc| = {abs(disc)} is over the class-number bound {CLASS_NUMBER_MAX:,}")
     preflight(f"norm search and count up to x = {x}", scan_bytes(disc, x))
     result = landau_liminf_check(disc, x)
     row = {
@@ -405,9 +316,196 @@ def landau(disc, x):
     return [row], {"window": list(result.window), "norms": result.norms}
 
 
-def main():
-    cli()
+def _int(flag: str, help: str = "", required: bool = True, dest: str | None = None) -> tuple:
+    return (flag, dest or flag[2:].replace("-", "_"), int, required, None, help)
 
 
-if __name__ == "__main__":
-    main()
+# path -> (function, help, *options); an option is (flag, dest, type, required, default,
+# help), its type int or a tuple of choices.  A group has no function, and its commands are
+# the paths one word longer.  params echo a command's options in this order, unset ones left out.
+_FORMAT = ("--format", "fmt", ("json", "csv", "table"), False, "table", "Output format for data rows.")
+COMMANDS = {
+    "": (None, "Explicit per-degree bounds on CM elliptic-curve torsion, plus the exact and analytic "
+         "machinery behind them."),
+    "bound": (bound, "Per-degree torsion bounds B(d) with maximizing shapes.",
+        _int("--d-min", "Smallest degree."), _int("--d-max", "Largest degree."), _FORMAT),
+    "phi": (phi, "Ideal Euler function of (n), with brute-force cross-check when small.",
+        _int("--disc", "Fundamental discriminant (< 0)."), _int("--n", "Generator of the principal ideal."),
+        _FORMAT),
+    "galois": (galois, "Unit-group scans: group orders, reduction kernels, point stabilizers.",
+        _int("--disc", "Discriminant (< 0, 0 or 1 mod 4)."), _int("--p", "Prime level.", False),
+        _int("--a", "Exponent A (>= 0).", False, "A"), _int("--b", "Kernel depth B (>= 1).", False, "B"),
+        _int("--n", "Composite level: group order mode.", False), _FORMAT),
+    "analytics": (None, "Product estimates and empirical constant scans."),
+    "analytics mertens": (mertens, "Product of (1 - 1/p) over primes p <= x.",
+        _int("--x", "Prime cutoff."), _FORMAT),
+    "analytics product": (product, "Character Euler product of (1 - chi(p)/p) over primes p <= x.",
+        _int("--disc"), _int("--x", "Prime cutoff."), _FORMAT),
+    "analytics scan": (scan, "Minimum of phi_K(c) loglog|c| / |c| over ideals with 3 <= |c| <= x.",
+        _int("--disc"), _int("--x", "Norm cutoff."), _FORMAT),
+    "analytics landau": (landau, "Tail minimum of phi_K(a) loglog|a| / |a| against e^-gamma / L(1,chi).",
+        _int("--disc"), _int("--x", "Norm cutoff (>= 100)."), _FORMAT),
+}
+
+
+# ------------------------------------------------------ parser, help, main
+# Usage errors and help pages are click's, byte for byte, wrapped to the
+# terminal; textwrap, difflib and shutil load only to render them.
+
+
+class UsageError(Exception):
+    """(path, message): a usage error of the command at path, or of none."""
+
+
+def _children(path: str) -> list[str]:
+    return sorted(key.rpartition(" ")[2] for key in COMMANDS if key and key.rpartition(" ")[0] == path)
+
+
+def _did_you_mean(word: str, names) -> str:
+    from difflib import get_close_matches
+
+    close = sorted(get_close_matches(word, names))
+    listed = ", ".join(map(repr, close))
+    return f" (Did you mean one of: {listed}?)" if close[1:] else f" Did you mean {listed}?" if close else ""
+
+
+def _parse(path: str, args: list[str], prog: str) -> tuple[dict | None, list[str]]:
+    """({dest: value} in table order, or None once --help or --version has printed; the
+    arguments left, a group's command and what follows it).  Errors come in click's order:
+    each argument as read, each option as first given and the others as declared, then extras."""
+    fn, _, *options = COMMANDS[path]
+    known = {option[0]: option for option in options}
+    flags = ("--help",) if path else ("--version", "--help")
+    given, rest = {}, []  # given keeps each flag where it first came
+    it = iter(args)
+    for arg in it:
+        if arg == "--":
+            rest += it
+        elif arg[:1] != "-" or arg == "-":
+            rest += [arg, *it] if fn is None else [arg]  # a group's options end at its command
+        else:
+            flag, eq, value = arg.partition("=")
+            if flag not in known and flag not in flags:
+                if arg[:2] != "--":
+                    raise UsageError(path, f"No such option {arg[:2]!r}.")
+                raise UsageError(path, f"No such option {flag!r}." + _did_you_mean(flag, [*known, *flags]))
+            if eq and flag in flags:
+                raise UsageError(None, f"Option '{flag}' does not take a value.")
+            if not eq and flag in known and (value := next(it, None)) is None:
+                raise UsageError(None, f"Option '{flag}' requires an argument.")
+            given[flag] = value
+    for flag in given:
+        if flag in flags:
+            print(_help(path, prog) if flag == "--help" else f"tcm, version {__version__}")
+            return None, []
+    values = dict.fromkeys(option[1] for option in options)
+    for flag in dict.fromkeys([*given, *known]):  # as first given, then as declared
+        _, dest, kind, required, default, _ = known[flag]
+        raw = given.get(flag)
+        if raw is None and required:
+            raise UsageError(path, f"Missing option '{flag}'.")
+        try:
+            values[dest] = default if raw is None else int(raw) if kind is int else kind[kind.index(raw)]
+        except ValueError:
+            why = "a valid integer" if kind is int else f"one of {', '.join(map(repr, kind))}"
+            raise UsageError(path, f"Invalid value for '{flag}': {raw!r} is not {why}.") from None
+    if rest and fn is not None:
+        raise UsageError(path, f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+    return values, rest
+
+
+def _width() -> int:
+    import shutil
+
+    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+
+def _usage(path: str, prog: str, width: int) -> str:
+    from textwrap import fill
+
+    head = f"Usage: {prog} {path}".rstrip() + " "
+    pieces = "[OPTIONS]" if COMMANDS[path][0] else "[OPTIONS] COMMAND [ARGS]..."
+    if width >= len(head) + 20:
+        return fill(pieces, width, initial_indent=head, subsequent_indent=" " * len(head))
+    return head + "\n" + fill(pieces, width, initial_indent=" " * 11, subsequent_indent=" " * 11)
+
+
+def _definitions(title: str, rows: list[tuple[str, str]], width: int) -> list[str]:
+    from textwrap import wrap
+
+    indent = max(len(term) for term, _ in rows) + 4
+    lines = ["", f"{title}:"]
+    for term, text in rows:
+        first, *more = wrap(text, max(width - indent, 10))
+        lines += [f"  {term}".ljust(indent) + first, *(" " * indent + line for line in more)]
+    return lines
+
+
+def _help(path: str, prog: str) -> str:
+    from textwrap import fill, shorten
+
+    width = _width()
+    fn, text, *options = COMMANDS[path]
+    rows = []
+    for flag, _, kind, required, default, help in options:
+        notes = "; ".join([f"default: {default}"] * (default is not None) + ["required"] * required)
+        metavar = "INTEGER" if kind is int else f"[{'|'.join(kind)}]"
+        rows.append((f"{flag} {metavar}", f"{help}  [{notes}]".lstrip() if notes else help))
+    rows += [("--version", "Show the version and exit.")] * (not path)
+    rows.append(("--help", "Show this message and exit."))
+    lines = [_usage(path, prog, width), "", fill(text, width, initial_indent="  ", subsequent_indent="  ")]
+    lines += _definitions("Options", rows, width)
+    if fn is None:  # each help is one sentence, so click's short help is shorten's
+        limit = width - 6 - max(map(len, _children(path)))
+        rows = [(name, COMMANDS[f"{path} {name}".lstrip()][1]) for name in _children(path)]
+        rows = [(name, shorten(help, limit, placeholder="...", break_on_hyphens=False)) for name, help in rows]
+        lines += _definitions("Commands", rows, width)
+    return "\n".join(lines)
+
+
+def main(args: list[str] | None = None, prog: str | None = None) -> None:
+    """Run one command on args (sys.argv[1:]), prog naming the program in help and errors.
+    Returns on success; exits 2 on a usage error (a bare group too, after its help), 1 on
+    a closed pipe."""
+    args = sys.argv[1:] if args is None else list(args)
+    if prog is None:  # python -m <package> when run as a module, else the file name of argv[0]
+        package, name = getattr(sys.modules["__main__"], "__package__", None), os.path.basename(sys.argv[0])
+        stem = os.path.splitext(name)[0]
+        prog = f"python -m {package}" + ("" if stem == "__main__" else f".{stem}") if package else name
+    path = ""
+    try:
+        while COMMANDS[path][0] is None:
+            if not args:
+                print(_help(path, prog), file=sys.stderr)
+                sys.exit(2)
+            values, args = _parse(path, args, prog)
+            if values is None:
+                return
+            if not args:
+                raise UsageError(path, "Missing command.")
+            name, command = args[0], f"{path} {args[0]}".lstrip()
+            if command not in COMMANDS:
+                if not name[:1].isalnum() and _parse(path, args, prog)[0] is None:
+                    return  # as in click, an option-like name is read again as the group's options
+                raise UsageError(path, f"No such command {name!r}." + _did_you_mean(name, _children(path)))
+            path, args = command, args[1:]
+        values, _ = _parse(path, args, prog)
+        if values is None:
+            return
+        fmt = values.pop("fmt")
+        try:
+            rows, meta = COMMANDS[path][0](**values)
+        except ValueError as exc:
+            raise UsageError(path, str(exc)) from exc
+        params = {k: v for k, v in values.items() if v is not None}
+        emit(make_envelope(path.replace(" ", "."), {**params, "format": fmt}, rows, **meta), fmt)
+    except UsageError as exc:
+        where, message = exc.args
+        if where is not None:
+            command = f"{prog} {where}".rstrip()
+            print(f"{_usage(where, prog, _width())}\nTry '{command} --help' for help.\n", file=sys.stderr)
+        print(f"Error: {message}", file=sys.stderr)
+        sys.exit(2)
+    except BrokenPipeError:  # what stdout still buffers is flushed at exit: send it to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

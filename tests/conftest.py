@@ -2,8 +2,46 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 # the discriminant grid used by the exhaustive group scans
 GRID_DISCS = (-3, -4, -7, -8, -11, -15, -20)
+
+
+class Invocation(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(args: list[str], prog: str = "cli", catch_exceptions: bool = True) -> Invocation:
+    """Run ``tcm.cli.main(args, prog)`` in process and capture its exit code,
+    stdout and stderr.
+
+    SystemExit sets the exit code (0 if main returns).  With
+    catch_exceptions any other exception gives exit code 1, as an uncaught
+    one would in a process; without, it propagates.  COLUMNS is 80, so help
+    wraps as in any terminal of 80 columns or more and in a pipe.
+    """
+    import contextlib
+    import io
+    import os
+    from unittest import mock
+
+    from tcm import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args, prog)
+        except SystemExit as exc:
+            code = exc.code or 0
+        except Exception:
+            if not catch_exceptions:
+                raise
+            code = 1
+    return Invocation(code, out.getvalue(), err.getvalue())
 
 
 def naive_phi(n: int) -> int:

@@ -72,6 +72,30 @@ def test_mertens_printed_digits_match_decimal_oracle(x):
     assert f"{mertens_product(x).value:.12g}" == f"{oracle:.12g}"
 
 
+def test_certificate_bounds_the_log_sum(monkeypatch):
+    # M, read back from the error bound u (12 M + 4) passed to certified,
+    # is above the sum of log(p / (p - 1)) over p <= x, here to 40 digits:
+    # log x below x = 286, then Rosser and Schoenfeld's bound, within 0.1%
+    # of the sum at x = 10^6
+    bounds = []
+    monkeypatch.setattr(analytics, "certified", lambda value, rel_err, *args: bounds.append(rel_err) or value)
+    grid = sorted({int(10 ** (k / 4)) for k in range(2, 25)} | {285, 286})
+    primes = list(primes_in(prime_sieve(grid[-1])))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        product, done = Decimal(1), 0
+        for x in grid:
+            for p in primes[done : bisect_right(primes, x)]:
+                product = product * p / (p - 1)
+            done = bisect_right(primes, x)
+            mertens_product(x)
+            mass = (Decimal(bounds.pop()) * 2**53 - 4) / 12
+            assert product.ln() < mass, x
+            if x < 286:
+                assert float(mass) == pytest.approx(math.log(x), rel=1e-14)
+    assert mass < product.ln() * Decimal("1.001")
+
+
 def test_char_product_printed_digits_match_decimal_oracle():
     oracle = decimal_product(lambda p: kronecker(-24, p), 436)
     assert f"{char_euler_product(-24, 436).value:.12g}" == f"{oracle:.12g}"

@@ -14,9 +14,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from tcm.cli import cli
+from conftest import invoke
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_commands.json"
 
@@ -59,8 +58,8 @@ CASES = (
 
 
 def run(args: list[str]) -> dict:
-    # a fixed terminal width, so --help wraps the same in any terminal
-    result = CliRunner().invoke(cli, args, terminal_width=80)
+    # prog "cli", and help wrapped as in a terminal of 80 columns
+    result = invoke(args)
     return {
         "args": args,
         "exit_code": result.exit_code,

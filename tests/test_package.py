@@ -11,6 +11,8 @@ import pytest
 
 import tcm
 
+from conftest import invoke
+
 
 def test_import_tcm_loads_no_submodule():
     # names are imported from their modules; the package holds only the version
@@ -128,8 +130,6 @@ BOUNDARY_COMMANDS = {
 def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
     # the benchmark times these calls by setattr on tcm.cli; a command that
     # reached them through a closure or a second reference would record no span
-    from click.testing import CliRunner
-
     import tcm.cli
 
     names = _cli_boundary()
@@ -145,8 +145,8 @@ def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
 
     for name in names:
         monkeypatch.setattr(tcm.cli, name, counting(name, getattr(tcm.cli, name)))
-    result = CliRunner().invoke(tcm.cli.cli, BOUNDARY_COMMANDS[called])
-    assert result.exit_code == 0, result.output
+    result = invoke(BOUNDARY_COMMANDS[called])
+    assert result.exit_code == 0, result.stderr
     assert calls == {name: int(name in (called, "emit")) for name in names}
 
 
@@ -154,8 +154,6 @@ def test_bench_cli_boundary_wrappers_intercept(monkeypatch, called):
 def test_bench_spans_see_one_sweep_and_one_streamed_emit(monkeypatch, fmt):
     # rows are expanded from the runs inside emit; the benchmark's spans
     # still time one bound_records call and one emit call per tcm bound
-    from click.testing import CliRunner
-
     import tcm.cli
 
     wrapped = [name for name in _cli_boundary() if name in ("bound_records", "emit")]
@@ -172,8 +170,8 @@ def test_bench_spans_see_one_sweep_and_one_streamed_emit(monkeypatch, fmt):
     for name in wrapped:
         monkeypatch.setattr(tcm.cli, name, counting(name, getattr(tcm.cli, name)))
     args = ["bound", "--d-min", "3", "--d-max", "2548", "--format", fmt]
-    result = CliRunner().invoke(tcm.cli.cli, args)
-    assert result.exit_code == 0, result.output
+    result = invoke(args)
+    assert result.exit_code == 0, result.stderr
     assert calls == ["bound_records", "emit"]
 
 
@@ -184,6 +182,21 @@ def test_import_cli_loads_no_dataclasses():
     assert out.stdout == "False\n"
 
 
+def test_import_cli_and_bound_load_no_click_nor_its_imports():
+    # commands are one table and one parser loop: click, and what it pulls
+    # in, cost every run about 30 ms; textwrap and difflib load only to
+    # render help and "Did you mean" suggestions
+    unwanted = {"argparse", "click", "datetime", "difflib", "inspect", "textwrap", "uuid"}
+    probe = f"import sys, tcm.cli; print(sorted({unwanted!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+    argv = [sys.executable, "-X", "importtime", "-m", "tcm", "bound", "--d-min", "3", "--d-max", "50"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True)
+    loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert {"tcm.cli", "tcm.feasibility", "json", "csv"} <= loaded
+    assert not loaded & unwanted
+
+
 def test_import_cli_and_bound_load_no_numpy():
     # numpy's import is about half of a short command's time; bound and
     # --version need none of it, and only the other commands load it
@@ -191,7 +204,7 @@ def test_import_cli_and_bound_load_no_numpy():
         "import os, sys, tcm.cli\n"
         "print('numpy' in sys.modules)\n"
         "sys.stdout = open(os.devnull, 'w')\n"
-        "tcm.cli.cli.main(['bound', '--d-min', '3', '--d-max', '2000', '--format', 'json'], standalone_mode=False)\n"
+        "tcm.cli.main(['bound', '--d-min', '3', '--d-max', '2000', '--format', 'json'])\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
@@ -208,7 +221,7 @@ def test_scan_and_landau_load_no_numpy(command):
     probe = (
         "import os, sys, tcm.cli\n"
         "sys.stdout = open(os.devnull, 'w')\n"
-        f"tcm.cli.cli.main({args!r}, standalone_mode=False)\n"
+        f"tcm.cli.main({args!r})\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
@@ -231,10 +244,10 @@ def test_exact_layers_and_large_phi_load_no_numpy():
         "chain_audit(6, row.disc, row.a, row.b)\n"
         "print('numpy' in sys.modules)\n"
         "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
-        "tcm.cli.cli.main(['phi', '--disc', '-4', '--n', '1009'], standalone_mode=False)\n"
+        "tcm.cli.main(['phi', '--disc', '-4', '--n', '1009'])\n"
         "print('numpy' in sys.modules, file=stdout)\n"
         "sys.stdout = io.StringIO()\n"
-        "tcm.cli.cli.main(['phi', '--disc', '-4', '--n', '5', '--format', 'json'], standalone_mode=False)\n"
+        "tcm.cli.main(['phi', '--disc', '-4', '--n', '5', '--format', 'json'])\n"
         "row = json.loads(sys.stdout.getvalue())['rows'][0]\n"
         "print(row['brute_force'], row['agree'], file=stdout)\n"
     )
@@ -258,7 +271,7 @@ def test_unit_scans_load_no_numpy(args):
     probe = (
         "import os, sys, tcm.cli\n"
         "sys.stdout = open(os.devnull, 'w')\n"
-        f"tcm.cli.cli.main({args!r}, standalone_mode=False)\n"
+        f"tcm.cli.main({args!r})\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
