@@ -112,13 +112,21 @@ class ConstantEstimate(NamedTuple):
 
 
 class ChainStep(NamedTuple):
+    """lhs >= num / den, with the right side kept as two exact ints (den > 0)."""
+
     label: str
     lhs: int
-    rhs: Fraction
+    num: int
+    den: int
+
+    @property
+    def rhs(self) -> Fraction:
+        """num / den as one Fraction; ``holds`` does not build it."""
+        return _field_side()[0](self.num, self.den)
 
     @property
     def holds(self) -> bool:
-        return self.lhs >= self.rhs
+        return self.lhs * self.den >= self.num
 
 
 class ChainAudit(NamedTuple):
@@ -356,8 +364,8 @@ def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
         group = list(group)
         for disc, h, phi in fields:
             for _, a, b in group:
-                lhs = Fraction(h * phi[a * b], 6 * b)
-                rows.append(FeasibilityRow(disc=disc, a=a, b=b, lhs=lhs, feasible=lhs <= d))
+                num = h * phi[a * b]
+                rows.append(FeasibilityRow(disc, a, b, Fraction(num, 6 * b), num <= 6 * b * d))
     return rows
 
 
@@ -373,19 +381,19 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
 
     Step 3 is step 2 divided by 2b, so the two steps' ``holds`` always
     agree.  The left sides 2d, 2bd and d are ints and each right side is
-    one Fraction of ints, so every comparison is exact and no Fraction is
-    divided.
+    kept as its numerator and denominator, so every comparison is one
+    exact product of ints and no Fraction is built.
     """
-    Fraction, ideal_arith, quad_core = _field_side()
+    _, ideal_arith, quad_core = _field_side()
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
     disc = quad_core.require_fundamental(D)
     h = quad_core.class_number(disc)
     h_phi_ab = h * ideal_arith.phi_K_of_N(disc, a * b)
     steps = (
-        ChainStep(label="2d >= h*phi_K(aO)/3", lhs=2 * d, rhs=Fraction(h * ideal_arith.phi_K_of_N(disc, a), 3)),
-        ChainStep(label="2bd >= h*phi_K(abO)/3", lhs=2 * b * d, rhs=Fraction(h_phi_ab, 3)),
-        ChainStep(label="d >= h*phi_K(abO)/(6b)", lhs=d, rhs=Fraction(h_phi_ab, 6 * b)),
+        ChainStep("2d >= h*phi_K(aO)/3", 2 * d, h * ideal_arith.phi_K_of_N(disc, a), 3),
+        ChainStep("2bd >= h*phi_K(abO)/3", 2 * b * d, h_phi_ab, 3),
+        ChainStep("d >= h*phi_K(abO)/(6b)", d, h_phi_ab, 6 * b),
     )
     return ChainAudit(steps=steps)
 

@@ -2,11 +2,13 @@
 
 An element x + y w of O/NO, with w = (D + sqrt(D))/2, is carried as its
 pair (alpha, beta) = (x, y) mod N; it is a unit iff its norm
-x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N, and ``_times`` is the
-group law.  ``_unit_mask`` is the one scan of the residue ring, a bytes
-mask over all N^2 pairs: the group lists its unit pairs,
-``ideal_arith.brute_force_phi`` counts them and ``kernel_size`` reads
-the kernel and the image of reduction off it.  The module scans the
+x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N.  As w^2 = q + D w with
+q = (D - D^2)/4, the group law is (ux, uy)(vx, vy) = (ux vx + q uy vy,
+ux vy + uy vx + D uy vy) mod N.  ``_unit_mask`` is the one scan of the
+residue ring, a bytes mask over all N^2 pairs, memoized on (D, N): the
+group lists its unit pairs, ``ideal_arith.brute_force_phi`` counts them,
+``kernel_size`` reads the kernel and the image of reduction off it and
+``max_stabilizer_order`` its candidates and orbits.  The module scans the
 full group for small N and measures, exhaustively, the facts the
 torsion bound rests on: the homotheties are present, reduction kernels
 have size p^(2B), and point stabilizers divide p - 1 / 1 / p according
@@ -16,6 +18,7 @@ and loads no numpy.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, product
 from math import gcd
 from typing import NamedTuple
@@ -38,16 +41,14 @@ class GaloisImageReport(NamedTuple):
         return self.expected_divisor % self.max_stabilizer_order == 0
 
 
-def _times(delta, n, ux, uy, vx, vy):
-    """(ux + uy w)(vx + vy w) mod n as its pair, where w = (D + sqrt(D))/2
-    satisfies w^2 = q + D w with q = (D - D^2)/4.
-    """
-    qm, dm = (delta - delta * delta) // 4 % n, delta % n
-    return (ux * vx + qm * uy * vy) % n, (ux * vy + uy * vx + dm * uy * vy) % n
-
-
+@lru_cache(maxsize=16)
 def _unit_mask(delta: int, n: int) -> bytes:
     """n * n bytes, x-major: byte x n + y is 1 iff the pair (x, y) is a unit.
+
+    Memoized on (D, n), 16 masks at most (1.4 MB at n = 300, the largest
+    level any caller builds): the group's order and its element list read
+    one scan, and the kernel grid of one discriminant, 14 levels below
+    200, builds each level once.
 
     Every norm is evaluated mod n, one column y at a time.  For fixed y the
     norm is x^2 + b x + g with b = D y mod n = 2k + r (r in {0, 1}) and
@@ -176,7 +177,7 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
 
     mask = _unit_mask(disc.value, n)
     if A == 0:
-        candidates = cn_elements(disc, n)
+        candidates = list(compress(product(range(n), repeat=2), mask))
         expected = {Splitting.SPLIT: p - 1, Splitting.INERT: 1, Splitting.RAMIFIED: p}[kind]
         unmarked = bytearray(b"\0" + b"\1" * (n * n - 1))
     else:
@@ -188,6 +189,7 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
         unmarked = bytearray(b"".join(divisible if x % p == 0 else row for x in range(n)))
     scalars = [t for t in range(1, n) if gcd(t, n) == 1]
     group = int.from_bytes(mask, "big")
+    qm, dm = (disc.value - disc.value**2) // 4 % n, disc.value % n
 
     observed = 0
     index = unmarked.find(1)
@@ -199,7 +201,9 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
         else:
             for t in scalars:
                 unmarked[t * vx % n * n + t * vy % n] = 0
-        fixers = sum(_times(disc.value, n, gx, gy, vx, vy) == (vx, vy) for gx, gy in candidates)
+        # g v = (gx vx + gy (q vy), gx vy + gy (vx + D vy)) mod n
+        qv, dv = qm * vy % n, (vx + dm * vy) % n
+        fixers = sum((gx * vx + gy * qv) % n == vx and (gx * vy + gy * dv) % n == vy for gx, gy in candidates)
         observed = max(observed, fixers)
         index = unmarked.find(1, index)
     return GaloisImageReport(

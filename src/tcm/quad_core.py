@@ -4,9 +4,9 @@ Fundamentality, the Kronecker character and its one table over n < size
 (a bytearray of chi(n) mod 3, built at the primes), unit counts,
 splitting of rational primes, and class numbers computed by two
 independent exact methods: counting reduced binary quadratic forms, and
-the finite character sum of the analytic class number formula.  The two
-are kept permanently wired together so silent corruption of either is
-detectable.
+the half-range character sum of Dirichlet's class number formula, which
+reads chi over half a period.  The two are kept permanently wired
+together so silent corruption of either is detectable.
 
 Everything here is Python ints and bytearrays, so the module loads no
 numpy.
@@ -15,9 +15,7 @@ numpy.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -134,11 +132,8 @@ def kronecker(d: int | Discriminant, n: int) -> int:
 # its negation (1/2 B each), 2.5 B in all; the rest is headroom
 CHI_TABLE_BYTES_PER_RESIDUE = 4
 
-# bytes.translate tables over chi(n) mod 3: negate (1 <-> 2, 0 stays), and
-# select the 1s or the 2s as 1
+# bytes.translate table over chi(n) mod 3: negate (1 <-> 2, 0 stays)
 _NEGATE_MOD_3 = bytes((0, 2, 1, *range(3, 256)))
-_SELECT_1 = bytes((0, 1)) + bytes(254)
-_SELECT_2 = bytes((0, 0, 1)) + bytes(253)
 
 
 def chi_table(d: int | Discriminant, size: int) -> bytearray:
@@ -169,57 +164,59 @@ def chi_table(d: int | Discriminant, size: int) -> bytearray:
     return table
 
 
-def _reduced_triples(value: int) -> Iterator[tuple[int, int, int]]:
-    """The reduced primitive forms (a, b, c) of discriminant value with b >= 0.
-
-    b-first (Cohen, A Course in Computational Algebraic Number Theory,
-    5.3): b = value mod 2 up to sqrt(|value|/3), q = (b^2 - value)/4, and
-    a runs over the divisors of q with b <= a <= sqrt(q), c = q/a.  The
-    form (a, -b, c) is reduced too exactly when 0 < b < a < c.
-    """
-    for b in range(value % 2, isqrt(-value // 3) + 1, 2):
-        q = (b * b - value) // 4
-        for a in range(max(b, 1), isqrt(q) + 1):
-            if q % a == 0 and gcd(gcd(a, b), q // a) == 1:
-                yield a, b, q // a
-
-
 def class_number(d: int | Discriminant) -> int:
     """h(d) as the count of reduced primitive forms of discriminant d.
 
-    Counted without building the forms: (a, b, c) counts once when
-    b = 0, a = b or a = c, and twice (for (a, +-b, c)) otherwise.  The
-    count is memoized on the value of d (``_form_count``), so callers that
-    revisit a few fields row after row count each field's forms once.
+    The count is memoized on the value of d (``_form_count``), so callers
+    that revisit a few fields row after row count each field's forms once.
     """
     return _form_count(as_discriminant(d).value)
 
 
 @lru_cache(maxsize=1024)
 def _form_count(value: int) -> int:
-    return sum(1 if b == 0 or a == b or a == c else 2 for a, b, c in _reduced_triples(value))
+    """The reduced primitive forms (a, b, c) of discriminant value, counted
+    b-first without building them.
+
+    (Cohen, A Course in Computational Algebraic Number Theory, 5.3): b =
+    value mod 2 up to sqrt(|value|/3), q = (b^2 - value)/4, and a runs
+    over the divisors of q with b <= a <= sqrt(q), c = q/a.  Each such
+    (a, b, c) with gcd 1 counts once when b = 0, a = b or a = c, and twice
+    otherwise, since then (a, -b, c) is reduced too.
+    """
+    count = 0
+    for b in range(value % 2, isqrt(-value // 3) + 1, 2):
+        q = (b * b - value) // 4
+        for a in range(max(b, 1), isqrt(q) + 1):
+            if q % a == 0:
+                c = q // a
+                if gcd(a, b, c) == 1:
+                    count += 1 if b == 0 or a == b or a == c else 2
+    return count
 
 
 def class_number_dirichlet(d: int | Discriminant) -> int:
-    """h(d) from the finite character sum (w / 2|d|) * |sum chi(k) k|.
+    """h(d) from the half-range character sum of Dirichlet's formula.
 
-    Only valid for fundamental d (the sum as written needs the primitive
-    character); serves as the independent oracle for class_number.  The
-    sum over k = 1 .. |d| - 1 is the sum of the k with chi(k) = 1 less
-    that of the k with chi(k) = -1, each read off ``chi_table`` over one
-    period by ``bytes.translate`` and ``compress`` (chi(|d|) = 0).
+    For fundamental d < -4, h = (sum of chi(k) over 1 <= k < |d|/2) / (2 - chi(2))
+    (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    5.3); d = -3 and d = -4 have h = 1.  Only valid for fundamental d (the
+    formula needs the primitive character); serves as the independent
+    oracle for class_number.  The sum is the count of 1s less the count
+    of 2s in ``chi_table`` over k <= |d|/2 (chi(0) = 0, and chi(|d|/2) = 0
+    for even d), and table[2] is chi(2) mod 3.  Raises ArithmeticError
+    when the sum is not a positive multiple of 2 - chi(2).
     """
     disc = require_fundamental(d)
     m = -disc.value
-    table = chi_table(disc, m)
-    total = sum(compress(range(m), table.translate(_SELECT_1))) - sum(
-        compress(range(m), table.translate(_SELECT_2))
-    )
-    w = unit_count(disc)
-    num = w * abs(total)
-    if num % (2 * m):
-        raise ArithmeticError(f"character sum for {disc.value} is not an integer multiple")
-    return num // (2 * m)
+    if m <= 4:
+        return 1
+    table = chi_table(disc, m // 2 + 1)
+    total = table.count(1) - table.count(2)
+    divisor = (2, 1, 3)[table[2]]  # 2 - chi(2)
+    if total <= 0 or total % divisor:
+        raise ArithmeticError(f"character sum for {disc.value} is not a positive multiple of {divisor}")
+    return total // divisor
 
 
 def unit_count(d: int | Discriminant) -> int:

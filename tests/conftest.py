@@ -512,6 +512,44 @@ def oracle_reduced_forms(d: int) -> set[tuple[int, int, int]]:
     return forms
 
 
+def reduced_triples(value: int):
+    """The reduced primitive forms (a, b, c) of discriminant value with b >= 0,
+    b-first: the triples ``quad_core._form_count`` counts.
+
+    b = value mod 2 up to sqrt(|value|/3), q = (b^2 - value)/4, and a runs
+    over the divisors of q with b <= a <= sqrt(q), c = q/a.  The form
+    (a, -b, c) is reduced too exactly when 0 < b < a < c.
+    """
+    from math import gcd, isqrt
+
+    for b in range(value % 2, isqrt(-value // 3) + 1, 2):
+        q = (b * b - value) // 4
+        for a in range(max(b, 1), isqrt(q) + 1):
+            if q % a == 0 and gcd(gcd(a, b), q // a) == 1:
+                yield a, b, q // a
+
+
+def full_period_class_number(d: int) -> int:
+    """h(d) = w |T| / (2m) with T = sum of chi(k) k over 0 < k < m = |d|, for
+    fundamental d: the oracle of the half-range sum of
+    ``quad_core.class_number_dirichlet``, with chi from ``character_table``.
+
+    Why the two agree, for d < -4 (w = 2): let S and U be the sums of
+    chi(k) and chi(k) k over 0 < k < m/2.  As chi(m - k) = -chi(k), pairing
+    k with m - k gives T = 2U - mS.  For odd m, split T into even k = 2j
+    and odd k = m - 2j (0 < j < m/2): T = 2 chi(2) U - chi(2) (mS - 2U),
+    so T = chi(2) (2T + mS), T = -mS / (2 - chi(2)) for chi(2) = +-1, and
+    h = |T| / m = S / (2 - chi(2)).  For even m, chi(2) = 0 and chi(k + m/2)
+    = -chi(k), so T = U - (U + mS/2) = -mS/2 and h = S/2 again.
+    """
+    m = -d
+    w = {-3: 6, -4: 4}.get(d, 2)
+    total = sum(k * chi for k, chi in enumerate(character_table(d).tolist()))
+    num = w * abs(total)
+    assert num % (2 * m) == 0, d
+    return num // (2 * m)
+
+
 def oracle_unit_pairs(d: int, n: int) -> list[tuple[int, int]]:
     """The pairs (x, y) mod n whose norm x^2 + dxy + ((d^2 - d)/4) y^2 is a
     unit mod n, by one gcd per pair, in (x, y) order."""
@@ -524,6 +562,14 @@ def oracle_unit_pairs(d: int, n: int) -> list[tuple[int, int]]:
         for y in range(n)
         if gcd((x * x + d * x * y + quad * y * y) % n, n) == 1
     ]
+
+
+def pair_times(d: int, n: int, ux: int, uy: int, vx: int, vy: int) -> tuple[int, int]:
+    """(ux + uy w)(vx + vy w) mod n as its pair, where w = (d + sqrt(d))/2
+    satisfies w^2 = q + d w with q = (d - d^2)/4: the group law that
+    ``galois_image.max_stabilizer_order`` applies inline."""
+    qm, dm = (d - d * d) // 4 % n, d % n
+    return (ux * vx + qm * uy * vy) % n, (ux * vy + uy * vx + dm * uy * vy) % n
 
 
 def oracle_matrix(d: int, n: int, x: int, y: int) -> list[list[int]]:

@@ -447,6 +447,21 @@ def test_chain_audit_matches_degree_bounds_route():
         assert [s.holds for s in steps] == [lhs >= rhs for lhs, rhs in expected]
 
 
+def test_chain_steps_compare_in_integers_exactly():
+    # every refined row at d = 6: holds is the Fraction comparison, and the
+    # right sides are the Fractions h phi_K(aO)/3, h phi_K(abO)/3 and
+    # h phi_K(abO)/(6b)
+    d = 6
+    for row in refined_table(d, 100):
+        h = class_number(row.disc)
+        phi_a, phi_ab = phi_K_of_N(row.disc, row.a), phi_K_of_N(row.disc, row.a * row.b)
+        rhs = [Fraction(h * phi_a, 3), Fraction(h * phi_ab, 3), Fraction(h * phi_ab, 6 * row.b)]
+        steps = chain_audit(d, row.disc, row.a, row.b).steps
+        assert [s.rhs for s in steps] == rhs, (row.disc.value, row.a, row.b)
+        assert [s.holds for s in steps] == [s.lhs >= Fraction(s.num, s.den) for s in steps]
+        assert row.lhs == rhs[2] and row.feasible == (row.lhs <= d)
+
+
 def test_chain_audit_computes_class_number_once(monkeypatch):
     # chain_audit imports class_number from quad_core when it runs
     import tcm.ray_class_bounds
@@ -465,19 +480,11 @@ def test_chain_audit_computes_class_number_once(monkeypatch):
     assert len(calls) == len(cases)
 
 
-def test_forms_are_counted_once_per_field(monkeypatch):
+def test_forms_are_counted_once_per_field():
     # class_number is memoized on the discriminant value: auditing every
     # refined row and every degree sandwich counts each field's forms once
-    import tcm.quad_core as quad_core
-
-    counted = []
-    triples = quad_core._reduced_triples
-
-    def counting(value):
-        counted.append(value)
-        return triples(value)
-
-    monkeypatch.setattr(quad_core, "_reduced_triples", counting)
+    # (every field misses the emptied memo once, so 31 misses are the 31
+    # fields, once each)
     quad_core._form_count.cache_clear()
     for row in refined_table(6, 100):
         chain_audit(6, row.disc, row.a, row.b)
@@ -485,6 +492,7 @@ def test_forms_are_counted_once_per_field(monkeypatch):
     for D in fields:
         for n in range(1, 101):
             degree_bounds(D, principal_ideal(D, n))
+    info = quad_core._form_count.cache_info()
     assert len(fields) == 31
-    assert sorted(counted, reverse=True) == fields
-    assert quad_core._form_count.cache_info().maxsize is not None
+    assert info.misses == info.currsize == len(fields)
+    assert info.maxsize is not None

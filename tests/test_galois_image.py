@@ -6,15 +6,15 @@ import pytest
 
 import tcm.galois_image
 from tcm.galois_image import (
-    _times,
     cn_elements,
     kernel_size,
     max_stabilizer_order,
     verify_homotheties,
 )
+from tcm.ideal_arith import brute_force_phi
 from tcm.quad_core import Splitting, splitting_type
 
-from conftest import GRID_DISCS, oracle_matrix, oracle_max_stabilizer_order, oracle_unit_pairs
+from conftest import GRID_DISCS, oracle_matrix, oracle_max_stabilizer_order, oracle_unit_pairs, pair_times
 
 
 def test_cn_sizes_examples():
@@ -56,9 +56,9 @@ def test_group_axioms_exhaustive(d, n):
     as_set = set(elements)
     assert (1, 0) in as_set
     for (ux, uy), (vx, vy) in itertools.product(elements, elements):
-        prod = _times(d, n, ux, uy, vx, vy)
+        prod = pair_times(d, n, ux, uy, vx, vy)
         assert prod in as_set
-        assert _times(d, n, vx, vy, ux, uy) == prod  # the ring is commutative
+        assert pair_times(d, n, vx, vy, ux, uy) == prod  # the ring is commutative
         # the pair law reproduces the literal matrix product
         (a, b), (c, e) = oracle_matrix(d, n, ux, uy)
         (f, g), (h, k) = oracle_matrix(d, n, vx, vy)
@@ -161,6 +161,25 @@ def test_kernel_size_refuses_a_reduction_that_is_not_surjective(monkeypatch):
         message = f"reduction mod {p**A} of the level-{p ** (A + B)} group is not surjective"
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             kernel_size(d, p, A, B)
+
+
+def test_unit_mask_is_built_once_per_level():
+    unit_mask = tcm.galois_image._unit_mask
+    assert unit_mask.cache_info().maxsize is not None
+    # the group's elements and its order read one scan of the ring
+    unit_mask.cache_clear()
+    assert len(cn_elements(-7, 60)) == brute_force_phi(-7, 60)
+    assert unit_mask.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # kernels from level 2^(A+B) to 2^A, A, B >= 1, up to 128: seven levels
+    unit_mask.cache_clear()
+    for A in range(1, 7):
+        for B in range(1, 8 - A):
+            assert kernel_size(-7, 2, A, B) == 4**B
+    assert unit_mask.cache_info().misses == 7
+    # a level-p stabilizer scan reads its candidates off its own mask
+    unit_mask.cache_clear()
+    max_stabilizer_order(-7, 13, 0)
+    assert unit_mask.cache_info()[:2] == (0, 1)
 
 
 def test_kernel_size_rejects_composite_level():

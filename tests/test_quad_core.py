@@ -7,7 +7,6 @@ from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
     CHI_TABLE_BYTES_PER_RESIDUE,
     _form_count,
-    _reduced_triples,
     as_discriminant,
     chi_table,
     class_number,
@@ -23,8 +22,10 @@ from tcm.quad_core import (
 from conftest import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     character_table,
+    full_period_class_number,
     oracle_reduced_forms,
     order_discriminants,
+    reduced_triples,
     traced_peak,
     trial_factor,
 )
@@ -129,7 +130,7 @@ def reduced_forms(d: int) -> set[tuple[int, int, int]]:
     """The triples (a, b, c) with b >= 0 that class_number counts, each
     expanded to (a, +-b, c) when the form with -b is reduced too."""
     forms = set()
-    for a, b, c in _reduced_triples(d):
+    for a, b, c in reduced_triples(d):
         forms.add((a, b, c))
         if 0 < b < a < c:
             forms.add((a, -b, c))
@@ -203,6 +204,11 @@ def test_class_number_double_entry_small_range():
 def test_class_number_double_entry_to_ten_thousand():
     for d in fundamental_discriminants(10**4):
         assert class_number(d) == class_number_dirichlet(d), d
+
+
+def test_half_range_sum_matches_full_period_sum():
+    for d in fundamental_discriminants(2000):
+        assert class_number_dirichlet(d) == full_period_class_number(d), d
 
 
 @pytest.mark.parametrize("d", [-3, -4, -7, -8, -11, -19, -43, -67, -163])
