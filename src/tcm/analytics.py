@@ -6,19 +6,20 @@ uniform lower bound for the ideal Euler function.  Values here are
 floating point; everything rigorous lives upstream in the exact modules.
 
 Everything here is plain Python and loads no numpy.  The two products
-are one ``math.fsum`` over a stream of primes from one bytearray sieve,
-with chi(p) read from ``quad_core.chi_table``.  The scans are a search
-over the prime sets of the norms for the window minimum, and Lucy's and
-min_25's recursions over the values x // k for the number of norms, so
-neither holds an array over the norms up to x.
+are one ``math.fsum`` over a stream of primes from one bytearray sieve
+on a wheel mod 30, with chi(p) read from ``quad_core.chi_table``.  The
+scans are a search over the prime sets of the norms for the window
+minimum, and Lucy's and min_25's recursions over the values x // k for
+the number of norms, so neither holds an array over the norms up to x.
+``decimal`` is imported only by the exact fallbacks of the certified
+digits, which few values take.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from itertools import accumulate, count
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ideal_arith import FactoredIdeal, min_phi_ideal
 from .primes import EULER_GAMMA, certified, factorize, nth_prime, prime_list_bytes, prime_sieve, primes_in
@@ -31,6 +32,9 @@ from .quad_core import (
     require_fundamental,
     unit_count,
 )
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 # the search's bound is scaled by 1 - _LOG_SLACK: the few ulps by which
 # its floats may exceed the exact bound cannot then skip a norm whose
@@ -94,6 +98,8 @@ def _euler_product(x: int, table: bytes, m: int) -> ProductEstimate:
 
 
 def _exact_product(sieve: bytearray, table: bytes, m: int) -> Decimal:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 50
         product = Decimal(1)
@@ -261,6 +267,8 @@ def _scan_value(phi: int, n: int) -> float:
 
 
 def _exact_scan_value(phi: int, n: int) -> Decimal:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 40
         return phi * Decimal(n).ln().ln() / n

@@ -6,18 +6,21 @@ stream stays machine-clean.  Rows are written as they are formatted.  Exit
 codes: 0 success, 1 a closed stdout pipe, 2 usage error or a request over the
 memory budget, 3 serialization failure (stdout then holds what was written
 before it).
+
+A command loads only what it runs: ``feasibility`` and ``analytics`` are
+imported at the first call of a library function (``_lazy``), ``csv``
+only by the csv writer, and the help renderers' modules only for help.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import sys
+from importlib import import_module
 
 from . import __version__
-from .feasibility import bound_ratio, bound_records, constant_over, sweep_region
 from .primes import prime_list_bytes
 
 # the peak memory of tcm bound is its writing phase, where csv's record
@@ -108,6 +111,8 @@ def serialize_json(envelope: dict, out) -> None:
 
 def serialize_csv(rows, out) -> None:
     """Write the rows as CSV, a header from the first row's keys, None as ""."""
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     header = None
     for row in rows:
@@ -172,27 +177,29 @@ def brute_check(d, n: int, value: int) -> dict:
     return {"brute_force": brute, "agree": None if brute is None else brute == value}
 
 
-def _analytics(name: str):
-    """analytics.<name>, imported at its first call.
+def _lazy(module: str, name: str):
+    """tcm.<module>.<name>, imported at its first call.
 
-    ``tcm bound``, ``phi``, ``galois`` and ``--version`` do without the
-    module.  The commands call these through the module's globals, so a
-    caller can wrap each one by setattr on this module.
+    ``tcm --version`` loads neither ``feasibility`` nor ``analytics``, the
+    analytics commands do without ``feasibility``, and ``bound``, ``phi``
+    and ``galois`` without ``analytics``.  The commands call these through
+    the module's globals, so a caller can wrap each one by setattr on this
+    module.
     """
 
     def call(*args):
-        from . import analytics
-
-        return getattr(analytics, name)(*args)
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
-mertens_product = _analytics("mertens_product")
-char_euler_product = _analytics("char_euler_product")
-phi_bound_scan = _analytics("phi_bound_scan")
-landau_liminf_check = _analytics("landau_liminf_check")
+bound_records = _lazy("feasibility", "bound_records")
+sweep_region = _lazy("feasibility", "sweep_region")
+mertens_product = _lazy("analytics", "mertens_product")
+char_euler_product = _lazy("analytics", "char_euler_product")
+phi_bound_scan = _lazy("analytics", "phi_bound_scan")
+landau_liminf_check = _lazy("analytics", "landau_liminf_check")
 
 
 # ---------------------------------------------------------------- commands
@@ -200,6 +207,8 @@ landau_liminf_check = _analytics("landau_liminf_check")
 
 
 def bound(d_min, d_max):
+    from .feasibility import constant_over
+
     if not 1 <= d_min <= d_max <= 10**6:
         raise ValueError(f"need 1 <= d-min <= d-max <= 10^6, got [{d_min}, {d_max}]")
     region = sweep_region(d_max)
@@ -224,6 +233,8 @@ class BoundRows:
         self.runs = runs
 
     def __iter__(self):
+        from .feasibility import bound_ratio
+
         for run in self.runs:
             for d in range(run.d_lo, run.d_hi + 1):
                 ratio = None if d < 3 else _round12(bound_ratio(d, run.bound))

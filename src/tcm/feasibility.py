@@ -383,15 +383,29 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     agree.  The left sides 2d, 2bd and d are ints and each right side is
     kept as its numerator and denominator, so every comparison is one
     exact product of ints and no Fraction is built.
+
+    ab is factored once and chi read once at each of its primes; every
+    prime of a divides ab, so phi_K((a)) is read off the same primes at
+    a's exponents.
     """
     _, ideal_arith, quad_core = _field_side()
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
     disc = quad_core.require_fundamental(D)
     h = quad_core.class_number(disc)
-    h_phi_ab = h * ideal_arith.phi_K_of_N(disc, a * b)
+    factors = factorize(a * b)
+    chi = {p: quad_core.kronecker(disc, p) for p, _ in factors}
+    a_factors = []
+    for p, _ in factors:
+        e, rest = 0, a
+        while rest % p == 0:
+            e, rest = e + 1, rest // p
+        if e:
+            a_factors.append((p, e))
+    h_phi_a = h * ideal_arith._phi_K_local(a_factors, chi.__getitem__)
+    h_phi_ab = h * ideal_arith._phi_K_local(factors, chi.__getitem__)
     steps = (
-        ChainStep("2d >= h*phi_K(aO)/3", 2 * d, h * ideal_arith.phi_K_of_N(disc, a), 3),
+        ChainStep("2d >= h*phi_K(aO)/3", 2 * d, h_phi_a, 3),
         ChainStep("2bd >= h*phi_K(abO)/3", 2 * b * d, h_phi_ab, 3),
         ChainStep("d >= h*phi_K(abO)/(6b)", d, h_phi_ab, 6 * b),
     )

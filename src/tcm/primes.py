@@ -1,17 +1,20 @@
 """Prime generation and elementary factorization helpers.
 
 Everything here but ``certified`` is exact integer arithmetic.  The
-prime sieve is one odd-only bytearray, ``prime_sieve``, read as a
-stream by ``primes_in``: the Euler products of ``analytics`` and chi's
-table in ``quad_core`` read their primes from it, and no list of primes
-is kept.  ``nth_prime`` reads the primes the prime-set searches
-(``feasibility.bound_records``, and the window minimum behind
-``analytics.phi_bound_scan`` and ``landau_liminf_check``) reach, one
-``is_prime`` at a time, so they sieve nothing.  ``prime_list_bytes``
+prime sieve is one bytearray on a wheel mod 30, ``prime_sieve``: the
+flags of 2, 3 and 5, then one entry per number coprime to 30, 8 per 30
+numbers.  ``primes_in`` reads it as an ascending stream: the Euler
+products of ``analytics`` and chi's table in ``quad_core`` read their
+primes from it, and no list of primes is kept.  ``nth_prime`` reads the
+primes the prime-set searches (``feasibility.bound_records``, and the
+window minimum behind ``analytics.phi_bound_scan`` and
+``landau_liminf_check``) reach, one ``is_prime`` at a time, so they
+sieve nothing.  ``prime_list_bytes``
 estimates peak memory by arithmetic alone, so a caller can refuse a
 request before allocating anything.  ``certified`` settles the 12
-printed digits of a float from its error bound, with an exact fallback
-near a rounding boundary.  ``phi_sieve``, the totient as one numpy
+printed digits of a float from its error bound, by the float distance
+of the scaled value from the nearest rounding boundary, with an exact
+fallback near one.  ``phi_sieve``, the totient as one numpy
 table, has no reader in the library; the benchmark times it.
 
 numpy is imported by ``phi_sieve`` when it runs, not with the module, so
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import chain, compress
-from math import inf, isqrt, nextafter
+from itertools import accumulate, chain, compress, cycle
+from math import floor, inf, isqrt, log10, nextafter, ulp
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -36,16 +39,39 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 EULER_GAMMA = 0.5772156649015329
 
 
+def _digits_settled(value: float, rel_err: float) -> bool:
+    """Whether no 12-digit rounding boundary lies within relative rel_err
+    of value, so every x that near prints value's 12 significant digits.
+
+    |value| is scaled by 10^k into [10^11, 10^12), where the boundaries are
+    the half-integers and the nearest one to the scaled value s is
+    floor(s) + 1/2.  10^k is exact for |k| <= 22, so s is within u = 2^-53
+    of |value| 10^k and its fraction is exact; x is then within
+    s (rel_err + 2u) of s, and one ulp of s is spare.  Outside that range,
+    or when log10 lands s off it, the answer is False.
+    """
+    magnitude = abs(value)
+    if not 0 < magnitude < inf:
+        return False
+    k = 11 - floor(log10(magnitude))
+    if abs(k) > 22:
+        return False
+    scaled = magnitude * 10.0**k if k >= 0 else magnitude / 10.0**-k
+    if not 1e11 <= scaled < 1e12:
+        return False
+    return abs(scaled - floor(scaled) - 0.5) > scaled * (rel_err + 2.0**-52) + ulp(scaled)
+
+
 def certified(value: float, rel_err: float, exact: Callable[..., Decimal], *args) -> float:
     """value if its 12 significant digits are surely those of x, else the
     float nearest x whose 12 digits are.
 
     value is within relative rel_err of x, with an ulp to spare, and
     exact(*args) gives x as a Decimal to far more than 12 digits; it is
-    called only when a 12-digit rounding boundary lies within rel_err of
-    value.
+    called only when ``_digits_settled`` finds a 12-digit rounding
+    boundary near value.
     """
-    if f"{value * (1 - rel_err):.12g}" == f"{value * (1 + rel_err):.12g}":
+    if _digits_settled(value, rel_err):
         return value
     x = exact(*args)
     value = float(x)
@@ -55,30 +81,52 @@ def certified(value: float, rel_err: float, exact: Callable[..., Decimal], *args
     return value
 
 
-def prime_sieve(x: int) -> bytearray:
-    """The sieve of Eratosthenes over the odd n <= x: entry i is 1 exactly
-    when 2i + 1 is prime, but entry 0, which would stand for 1, stands
-    for 2.  So ``count(1)`` is the number of primes <= x.
+# the wheel mod 30: the residues coprime to 30, the gap from each to the
+# next, and the number of them <= r for r = 0 .. 29
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
+_GAPS = (6, 4, 2, 4, 2, 4, 6, 2)
+_RANK = bytes(sum(w <= r for w in _WHEEL) for r in range(30))
 
-    Each odd prime p <= isqrt(x) zeroes its odd multiples from p^2 on,
-    one slice assignment from a zero bytearray of the slice's length (x/6
-    B at p = 3; a ``bytes`` would be copied into a bytearray first).
+
+def _wheel_count(n: int) -> int:
+    """The number of 1 <= m <= n coprime to 30, n >= 0; for such an n,
+    its index among them + 1, so its sieve entry is 2 + this."""
+    return 8 * (n // 30) + _RANK[n % 30]
+
+
+def prime_sieve(x: int) -> bytearray:
+    """The sieve of Eratosthenes over the n <= x coprime to 30, with flags
+    for 2, 3 and 5: entries 0, 1 and 2 are 1 when 2, 3 and 5 are <= x, and
+    entry 3 + i is 1 exactly when the i-th number coprime to 30 (1, 7, 11,
+    13, 17, 19, 23, 29, 31, ...) is prime.  So ``count(1)`` is the number
+    of primes <= x, and the sieve holds 8x/30 B.
+
+    Each prime p <= isqrt(x) above 5 zeroes p m for the m >= p coprime to
+    30.  p m steps 30 p, that is 8 p entries, as m steps 30, so the zeros
+    are 8 strided slices of step 8 p, one from each of the first 8 such m;
+    each is one slice assignment from a zero bytearray of its length (x/210
+    B at p = 7; a ``bytes`` would be copied into a bytearray first).
     """
-    if x < 2:
-        return bytearray(max(x + 1, 0) // 2)
-    size = (x + 1) // 2
+    x = max(x, 1)  # below 1: the three flags and the entry of 1, all 0
+    size = 3 + _wheel_count(x)
     sieve = bytearray(b"\x01") * size
-    for i in range(1, (isqrt(x) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            sieve[start::p] = bytearray(len(range(start, size, p)))
+    sieve[:4] = bytes((x >= 2, x >= 3, x >= 5, 0))
+    for i in range(1, _wheel_count(isqrt(x))):
+        if sieve[3 + i]:
+            p = 30 * (i >> 3) + _WHEEL[i & 7]
+            step, m = 8 * p, p
+            for k in range(8):
+                start = 2 + _wheel_count(p * m)
+                sieve[start::step] = bytearray(len(range(start, size, step)))
+                m += _GAPS[(i + k) & 7]
     return sieve
 
 
 def primes_in(sieve: bytearray) -> Iterator[int]:
-    """The primes a ``prime_sieve`` marks, ascending, as a stream."""
-    return compress(chain((2,), range(3, 2 * len(sieve), 2)), sieve)
+    """The primes a ``prime_sieve`` marks, ascending, as a stream: its
+    flags read against 2, 3 and 5, then its entries against the numbers
+    coprime to 30, which accumulate the gaps from 1."""
+    return compress(chain((2, 3, 5), accumulate(cycle(_GAPS), initial=1)), sieve)
 
 
 @lru_cache(maxsize=8)
@@ -160,8 +208,8 @@ def squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-# prime_list_bytes: per number up to x, the sieve (1/2 B) and the zero
-# bytes its slice at p = 3 assigns from (1/6 B); and the rest: the float
+# prime_list_bytes: per number up to x, the sieve (8/30 B) and the zero
+# bytes its slices at p = 7 assign from (1/210 B); and the rest: the float
 # sum's partials, the decimal fallback and the printed digits
 _PRIME_SIEVE_FIXED_BYTES = 64 << 10
 
@@ -170,11 +218,11 @@ def prime_list_bytes(x: int) -> int:
     """Upper estimate of the peak memory of an Euler product over the primes <= x.
 
     The primes are a stream over one ``prime_sieve``, so the product
-    holds the sieve, x/2 B, and at its building the zero bytes of the
-    slice at p = 3, x/6 B; no list of primes.
+    holds the sieve, 8x/30 B, and at its building the zero bytes of one
+    slice at p = 7, x/210 B; no list of primes.
     """
     x = max(x, 0)
-    return x // 2 + x // 6 + _PRIME_SIEVE_FIXED_BYTES
+    return 8 * x // 30 + x // 210 + _PRIME_SIEVE_FIXED_BYTES
 
 
 def phi_sieve(limit: int):

@@ -128,8 +128,8 @@ def kronecker(d: int | Discriminant, n: int) -> int:
 
 
 # bytes chi_table holds per residue at its peak: the table, the prime
-# sieve beside it (1/2 B) and, at p = 2, a slice of every other entry and
-# its negation (1/2 B each), 2.5 B in all; the rest is headroom
+# sieve beside it (8/30 B) and, at p = 2, a slice of every other entry and
+# its negation (1/2 B each), 2.27 B in all; the rest is headroom
 CHI_TABLE_BYTES_PER_RESIDUE = 4
 
 # bytes.translate table over chi(n) mod 3: negate (1 <-> 2, 0 stays)
@@ -169,8 +169,13 @@ def class_number(d: int | Discriminant) -> int:
 
     The count is memoized on the value of d (``_form_count``), so callers
     that revisit a few fields row after row count each field's forms once.
+    An int d is checked for its shape only: the count needs no
+    factorization of |d|, which ``Discriminant`` would make.
     """
-    return _form_count(as_discriminant(d).value)
+    if isinstance(d, Discriminant):
+        return _form_count(d.value)
+    _check_discriminant_shape(d)
+    return _form_count(d)
 
 
 @lru_cache(maxsize=1024)

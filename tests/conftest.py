@@ -310,6 +310,12 @@ def sieve_window(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
     return sieve_window_min(least_phi_by_norm(d, x), lo)
 
 
+def twelve_digits_settled(value: float, rel_err: float) -> bool:
+    """The boundary test ``primes.certified`` made by formatting: value's
+    two ends at relative rel_err print the same 12 significant digits."""
+    return f"{value * (1 - rel_err):.12g}" == f"{value * (1 + rel_err):.12g}"
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes tracemalloc sees while fn(*args) runs."""
     import tracemalloc

@@ -462,6 +462,31 @@ def test_chain_steps_compare_in_integers_exactly():
         assert row.lhs == rhs[2] and row.feasible == (row.lhs <= d)
 
 
+def test_chain_audit_factors_ab_once_and_reads_chi_once_per_prime(monkeypatch):
+    # each audit of a refined row at d = 6: one factorize, of ab, and one
+    # kronecker per prime of ab (test_chain_steps_compare_in_integers_exactly
+    # checks the steps against phi_K_of_N on the same rows)
+    rows = refined_table(6, 100)
+    owners = {"factorize": feasibility, "kronecker": quad_core}
+    calls = dict.fromkeys(owners, 0)
+
+    def counting(name):
+        fn = getattr(owners[name], name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counting(name))
+    for row in rows:
+        chain_audit(6, row.disc, row.a, row.b)
+    primes_of_ab = sum(len(primes.factorize(row.a * row.b)) for row in rows)
+    assert calls == {"factorize": len(rows), "kronecker": primes_of_ab}
+
+
 def test_chain_audit_computes_class_number_once(monkeypatch):
     # chain_audit imports class_number from quad_core when it runs
     import tcm.ray_class_bounds

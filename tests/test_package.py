@@ -193,7 +193,8 @@ def test_import_cli_and_bound_load_no_click_nor_its_imports():
     argv = [sys.executable, "-X", "importtime", "-m", "tcm", "bound", "--d-min", "3", "--d-max", "50"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True)
     loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
-    assert {"tcm.cli", "tcm.feasibility", "json", "csv"} <= loaded
+    assert {"tcm.cli", "tcm.feasibility", "json"} <= loaded
+    assert "csv" not in loaded  # only the csv format loads it
     assert not loaded & unwanted
 
 
@@ -226,6 +227,37 @@ def test_scan_and_landau_load_no_numpy(command):
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stderr == "False\n"
+
+
+def _loaded_by(args: list[str], names: tuple[str, ...]) -> list[str]:
+    """Which of names are in sys.modules after tcm.cli.main(args), stdout discarded."""
+    probe = (
+        "import os, sys, tcm.cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"tcm.cli.main({args!r})\n"
+        f"print(sorted(set({names!r}) & set(sys.modules)), file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["scan", "landau", "mertens", "product"])
+def test_analytics_commands_load_no_decimal_csv_nor_feasibility(command):
+    # decimal serves only the rare exact fallback of a certified digit, csv
+    # only the csv format, and feasibility only tcm bound
+    args = ["analytics", command, *(["--disc", "-84"] if command != "mertens" else []), "--x", "10000"]
+    assert _loaded_by(args, ("decimal", "csv", "tcm.feasibility")) == []
+
+
+def test_version_loads_no_csv_nor_feasibility():
+    assert _loaded_by(["--version"], ("csv", "tcm.feasibility", "tcm.analytics")) == []
+
+
+def test_product_on_the_exact_path_loads_decimal():
+    # at D = -4 and x = 2531 a 12-digit rounding boundary lies within the
+    # product's error bound, so its digits come from the 50-digit product
+    args = ["analytics", "product", "--disc", "-4", "--x", "2531"]
+    assert _loaded_by(args, ("decimal", "csv")) == ["decimal"]
 
 
 def test_exact_layers_and_large_phi_load_no_numpy():

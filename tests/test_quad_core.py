@@ -326,3 +326,23 @@ def test_as_discriminant_factors_once(monkeypatch):
     assert calls == [1]
     as_discriminant(-4)  # the fundamentality test is memoized on the value
     assert calls == [1]
+
+
+def test_class_number_of_an_int_checks_its_shape_only(monkeypatch):
+    # the form count needs no fundamentality test, so an int d factors
+    # nothing; a value that is no discriminant still raises ValueError
+    import tcm.quad_core as quad_core
+
+    values = (-4, -12, -9748, -(10**6) - 3)
+    expected = [1, 1, class_number_dirichlet(-9748), class_number_dirichlet(-(10**6) - 3)]
+    calls = []
+    monkeypatch.setattr(quad_core, "squarefree", lambda n: calls.append(n) or True)
+    quad_core.is_fundamental.cache_clear()
+    _form_count.cache_clear()
+    assert [class_number(d) for d in values] == expected
+    assert calls == []
+    for bad in (0, 5, -1, -6, -10**6 - 2):
+        with pytest.raises(ValueError):
+            class_number(bad)
+    assert calls == []
+
