@@ -5,12 +5,13 @@ class number formula, and scans measuring the observed constant in the
 uniform lower bound for the ideal Euler function.  Values here are
 floating point; everything rigorous lives upstream in the exact modules.
 
-Everything here is plain Python and loads no numpy.  The two products
-are one ``math.fsum`` over a stream of primes from one bytearray sieve
-on a wheel mod 30, with chi(p) read from ``quad_core.chi_table``.  The
-scans are a search over the prime sets of the norms for the window
-minimum, and Lucy's and min_25's recursions over the values x // k for
-the number of norms, so neither holds an array over the norms up to x.
+The two products are one ``math.fsum`` over a stream of primes from
+one bytearray sieve on a wheel mod 30, with chi(p) read from
+``quad_core.chi_table``.  The scans are a search over the prime sets of
+the norms for the window minimum, and Lucy's and min_25's recursions
+over the values x // k for the number of norms, so neither holds an
+array over the norms up to x; both read chi from one ``chi_table`` per
+window.
 ``decimal`` is imported only by the exact fallbacks of the certified
 digits, which few values take.
 """
@@ -28,7 +29,6 @@ from .quad_core import (
     Discriminant,
     chi_table,
     class_number,
-    kronecker,
     require_fundamental,
     unit_count,
 )
@@ -87,9 +87,14 @@ def _euler_product(x: int, table: bytes, m: int) -> ProductEstimate:
     log(n / (n - 1)) over n = 2 .. x.  At x = 10^6, M = 3.21 and the bound is 4.7e-15.
     ``certified`` settles the 12 digits, near a rounding boundary by the product in
     50-digit ``decimal`` (within pi(x) 10^-49 of the exact value) over the same sieve.
+    The character of period 1 is 1 at every prime, so its terms read no table.
     """
     sieve = prime_sieve(x)
-    total = math.fsum(math.log1p(-_CHI[table[p % m]] / p) for p in primes_in(sieve))
+    if m == 1:
+        quotients = (-1 / p for p in primes_in(sieve))
+    else:
+        quotients = (-_CHI[table[p % m]] / p for p in primes_in(sieve))
+    total = math.fsum(map(math.log1p, quotients))
     log_x = math.log(x)
     mass = EULER_GAMMA + math.log(log_x) + math.log1p(0.5 / log_x**2) if x >= 286 else log_x
     bound = 2.0**-53 * (12 * mass + 4)
@@ -200,7 +205,7 @@ def _greedy_factor(i: int, budget: int) -> float:
             budget //= r
 
 
-def _window_min(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int, int]:
+def _window_min(disc: Discriminant, lo: int, x: int, table: bytes) -> tuple[float | None, int, int]:
     """(value, n, phi): the least float(minphi(n)) * math.log(math.log(n)) / n
     over the norms n in [lo, x] that have an ideal, the smallest n that
     attains it and phi = minphi(n); (None, 0, 0) when the window has no norm.
@@ -217,10 +222,11 @@ def _window_min(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int,
     the first child skipped ends the loop.  It is scaled by
     1 - _LOG_SLACK, so the rounding of its floats cannot skip a norm that
     ties.  Each norm's value is the float expression of the ideal-by-ideal
-    scan, so the minimum is bit-identical to it.
+    scan, so the minimum is bit-identical to it.  chi(q) is read from table,
+    a ``chi_table`` over min(|d|, x + 1) residues, at q mod |d|.
     """
+    period = -disc.value
     best = [math.inf, 0, 0]
-    chi: dict[int, int] = {}
 
     def walk(n: int, phi: int, start: int) -> None:
         if n >= lo:
@@ -236,14 +242,13 @@ def _window_min(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int,
             bound = ratio * (1 - 1 / q) * _greedy_factor(i, x // m) * math.log(math.log(max(lo, m)))
             if bound * (1 - _LOG_SLACK) > best[0]:
                 return
-            if q not in chi:
-                chi[q] = kronecker(disc, q)
-            if chi[q] < 0:
+            chi = _CHI[table[q % period]]
+            if chi < 0:
                 m, f, step = m * q, phi * (q * q - 1), q * q
             else:
                 walk(m, phi * (q - 1), i + 1)
                 # the second power: (q - 1)^2 split, q (q - 1) ramified
-                m, f, step = m * q, phi * (q - 1) * (q - 1 if chi[q] else q), q
+                m, f, step = m * q, phi * (q - 1) * (q - 1 if chi else q), q
             while m <= x:
                 walk(m, f, i + 1)
                 m, f = m * step, f * step
@@ -274,16 +279,15 @@ def _exact_scan_value(phi: int, n: int) -> Decimal:
         return phi * Decimal(n).ln().ln() / n
 
 
-def _chi_sums(disc: Discriminant, size: int, values: list[int]) -> list[int]:
+def _chi_sums(disc: Discriminant, table: bytes, values: list[int]) -> list[int]:
     """The sum of chi(n) over 2 <= n <= v for each v of values (0 below 2).
 
     The sum depends on v mod |d| only, as a period of chi sums to 0, and
-    every v mod |d| is below size.  The v's are read in the order of
-    v mod |d|, each adding the 1s less the 2s of ``chi_table`` since the
-    last, as counted by ``bytearray.count``.
+    every v mod |d| is below the length of table, a ``chi_table``.  The
+    v's are read in the order of v mod |d|, each adding the 1s less the
+    2s of the table since the last, as counted by ``bytearray.count``.
     """
     m = -disc.value
-    table = chi_table(disc, size)
     sums = [0] * len(values)
     at = total = 0
     for i in sorted(range(len(values)), key=lambda i: values[i] % m):
@@ -295,12 +299,13 @@ def _chi_sums(disc: Discriminant, size: int, values: list[int]) -> list[int]:
 
 
 def _prime_sums(
-    disc: Discriminant, x: int, ramified: list[int]
+    disc: Discriminant, x: int, ramified: list[int], table: bytes
 ) -> tuple[list[int], list[bool], list[int], list[int]]:
     """(primes, noninert, small, large): the primes p <= r = isqrt(x), for
     each whether chi(p) >= 0, and the number of split and ramified primes
     <= v for v <= r (small[v]) and for v = x // k (large[k], k = 1 .. r).
-    ramified lists the primes dividing d.
+    ramified lists the primes dividing d, and table is a ``chi_table`` that
+    holds chi(n mod |d|) for every n <= x.
 
     Lucy's recursion gives pi(v) and pi_chi(v) = sum of chi(p) over p <= v
     at every v = x // k; the split and ramified primes <= v number
@@ -310,13 +315,12 @@ def _prime_sums(
     least prime factor is p: S(v) -= f(p) (S(v // p) - S(p - 1)), with
     f = 1 for pi and f = chi for pi_chi (chi is completely
     multiplicative).  The start S(v) = v - 1 for pi, and for pi_chi the
-    sum of chi(n) over 2 <= n <= v, from ``_chi_sums`` over min(|d|, x + 1)
-    residues.
+    sum of chi(n) over 2 <= n <= v, from ``_chi_sums``.
     """
     r = math.isqrt(x)
     m = -disc.value
     top = [0, *(x // k for k in range(1, r + 1))]
-    chi_sums = _chi_sums(disc, min(m, x + 1), [*range(r + 1), *top])
+    chi_sums = _chi_sums(disc, table, [*range(r + 1), *top])
     small_chi, large_chi = chi_sums[: r + 1], chi_sums[r + 1 :]
     del chi_sums
     small_pi = [max(v - 1, 0) for v in range(r + 1)]
@@ -325,7 +329,7 @@ def _prime_sums(
     for p in range(2, r + 1):
         if small_pi[p] == small_pi[p - 1]:
             continue  # a multiple of a smaller prime
-        c = kronecker(disc, p)
+        c = _CHI[table[p % m]]
         primes.append(p)
         noninert.append(c >= 0)
         p2 = p * p
@@ -349,9 +353,9 @@ def _prime_sums(
     return primes, noninert, good(range(r + 1), small_pi, small_chi), good(top, large_pi, large_chi)
 
 
-def _norm_count(disc: Discriminant, x: int, ramified: list[int]) -> int:
+def _norm_count(disc: Discriminant, x: int, ramified: list[int], table: bytes) -> int:
     """The number of n in [1, x] that are the norm of an ideal; ramified
-    lists the primes dividing d.
+    lists the primes dividing d, and table is the ``chi_table`` of ``_prime_sums``.
 
     The indicator of norms is multiplicative: 1 at every power of a split
     or ramified prime, and at the even powers of an inert one.  It is
@@ -362,7 +366,7 @@ def _norm_count(disc: Discriminant, x: int, ramified: list[int]) -> int:
     least prime above p_k (when p_k^e is a norm), and p_k^(e+1) (when it
     is one).  Every v it reaches is some x // k.
     """
-    primes, noninert, small, large = _prime_sums(disc, x, ramified)
+    primes, noninert, small, large = _prime_sums(disc, x, ramified, table)
     r = len(small) - 1
     before = [0, *accumulate(noninert)]  # split and ramified primes among primes[:j]
 
@@ -386,14 +390,16 @@ def _norm_count(disc: Discriminant, x: int, ramified: list[int]) -> int:
 
 
 def _window(disc: Discriminant, lo: int, x: int) -> tuple[float | None, int, int]:
-    """(certified minimum, its norm, the number of norms) over [lo, x], lo >= 3."""
+    """(certified minimum, its norm, the number of norms) over [lo, x], lo >= 3,
+    with chi read from one ``chi_table`` over min(|d|, x + 1) residues."""
     # no table holds x: the cap stands in for a time bound, as the count
     # of norms takes O(x^(3/4)) steps and chi's table min(|D|, x + 1)
     if x >= 2**31:
         raise ValueError(f"need x < 2^31, got {x}")
-    value, n, phi = _window_min(disc, lo, x)
+    table = chi_table(disc, min(-disc.value, x + 1))
+    value, n, phi = _window_min(disc, lo, x, table)
     ramified = [p for p, _ in factorize(-disc.value)]
-    norms = _norm_count(disc, x, ramified) - _norm_count(disc, lo - 1, ramified)
+    norms = _norm_count(disc, x, ramified, table) - _norm_count(disc, lo - 1, ramified, table)
     return (None if value is None else _scan_value(phi, n)), n, norms
 
 

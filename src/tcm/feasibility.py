@@ -327,9 +327,9 @@ def sweep_region(d_max: int) -> SweepRegion:
 def _field_side():
     """Fraction, ideal_arith and quad_core, imported at the first call.
 
-    None of them loads numpy, but imported with this module they would add
-    about 6 ms to ``import tcm.cli``, which tcm bound and tcm --version pay
-    and do not use.  The cached call costs chain_audit, run once per
+    Imported with this module they would add about 6 ms to
+    ``import tcm.cli``, which tcm bound and tcm --version pay and do not
+    use.  The cached call costs chain_audit, run once per
     refined row, a tenth of what three import statements would."""
     from fractions import Fraction
 

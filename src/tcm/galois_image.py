@@ -12,8 +12,7 @@ group lists its unit pairs, ``ideal_arith.brute_force_phi`` counts them,
 full group for small N and measures, exhaustively, the facts the
 torsion bound rests on: the homotheties are present, reduction kernels
 have size p^(2B), and point stabilizers divide p - 1 / 1 / p according
-to the splitting of p.  It is plain Python over C-level byte operations
-and loads no numpy.
+to the splitting of p.  It is plain Python over C-level byte operations.
 """
 
 from __future__ import annotations

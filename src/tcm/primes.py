@@ -14,24 +14,22 @@ estimates peak memory by arithmetic alone, so a caller can refuse a
 request before allocating anything.  ``certified`` settles the 12
 printed digits of a float from its error bound, by the float distance
 of the scaled value from the nearest rounding boundary, with an exact
-fallback near one.  ``phi_sieve``, the totient as one numpy
-table, has no reader in the library; the benchmark times it.
-
-numpy is imported by ``phi_sieve`` when it runs, not with the module, so
-everything else here loads without it: ``tcm bound``, every
-``analytics`` command and ``quad_core`` read this module and load no
-numpy.
+fallback near one.  ``phi_sieve``, the totient table, has no reader in
+the library; the benchmark times it.  It imports ``array`` when it runs:
+no command builds the table, and each would pay 0.3 ms for the import.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, compress, cycle
+from itertools import accumulate, chain, compress, cycle, repeat
 from math import floor, inf, isqrt, log10, nextafter, ulp
+from operator import floordiv, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from array import array
     from decimal import Decimal
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -225,25 +223,23 @@ def prime_list_bytes(x: int) -> int:
     return 8 * x // 30 + x // 210 + _PRIME_SIEVE_FIXED_BYTES
 
 
-def phi_sieve(limit: int):
-    """Totient table phi[0..limit] (phi[0] = 0) as a numpy int32 array.
+def phi_sieve(limit: int) -> array:
+    """Totient table phi[0..limit] (phi[0] = 0) as an ``array("i")``.
 
-    One slice update per prime: phi[p::p] -= phi[p::p] // p for every
-    prime p <= limit / 2, and p - 1 at the primes above limit / 2, which
-    have no other multiple in the table.  int32 holds every entry while
-    limit < 2^31; a larger limit is refused before the table exists.
+    One slice update per prime p <= limit, ascending: phi[p::p] -= phi[p::p] // p.
+    The division is exact, as before it phi[n] is n times the (1 - 1/q) of
+    the primes q < p dividing n, which p still divides.  The array's C int
+    holds every entry while limit < 2^31; a larger limit is refused before
+    the table exists.
     """
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} does not fit int32")
-    import numpy as np
+    from array import array
 
-    primes = np.fromiter(primes_in(prime_sieve(limit)), dtype=np.int64)
-    phi = np.arange(limit + 1, dtype=np.int32)
-    half = int(np.searchsorted(primes, limit // 2, side="right"))
-    phi[primes[half:]] -= 1
-    for p in map(int, primes[:half]):
+    phi = array("i", range(limit + 1))
+    for p in primes_in(prime_sieve(limit)):
         multiples = phi[p::p]
-        multiples -= multiples // p
+        phi[p::p] = array("i", map(sub, multiples, map(floordiv, multiples, repeat(p))))
     return phi
 
 

@@ -7,9 +7,6 @@ independent exact methods: counting reduced binary quadratic forms, and
 the half-range character sum of Dirichlet's class number formula, which
 reads chi over half a period.  The two are kept permanently wired
 together so silent corruption of either is detectable.
-
-Everything here is Python ints and bytearrays, so the module loads no
-numpy.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import sys
 from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -23,6 +24,7 @@ from tcm.quad_core import Splitting, chi_table, fundamental_discriminants, krone
 from conftest import (
     REDUCE_CHUNK,
     character_table,
+    invoke,
     least_phi_by_norm,
     oracle_scan,
     sieve_window,
@@ -201,9 +203,11 @@ def test_streamed_window_min_matches_one_table(d, step, chunk):
 def search_and_count(d: int, lo: int, x: int) -> tuple[float | None, int, int]:
     """The search's (value, n) and the recursions' norm count over [lo, x]."""
     disc = require_fundamental(d)
-    value, n, _ = analytics._window_min(disc, lo, x)
+    table = chi_table(disc, min(-d, x + 1))
+    value, n, _ = analytics._window_min(disc, lo, x, table)
     ramified = [p for p, _ in factorize(-d)]
-    return value, n, analytics._norm_count(disc, x, ramified) - analytics._norm_count(disc, lo - 1, ramified)
+    count = analytics._norm_count
+    return value, n, count(disc, x, ramified, table) - count(disc, lo - 1, ramified, table)
 
 
 # every fundamental |D| <= 200, x = 10^2 .. 10^5, lo = 3 and x // 10: 496 cases
@@ -248,8 +252,9 @@ def test_norm_count_matches_ideal_enumeration(d):
     norms = sorted({ideal_norm(ideal) for ideal in ideals_up_to_norm(d, 600)})
     disc = require_fundamental(d)
     ramified = [p for p, _ in factorize(-d)]
+    table = chi_table(disc, min(-d, 601))
     for x in range(1, 601):
-        assert analytics._norm_count(disc, x, ramified) == bisect_right(norms, x), (d, x)
+        assert analytics._norm_count(disc, x, ramified, table) == bisect_right(norms, x), (d, x)
 
 
 def twelve_digits(value) -> float:
@@ -292,6 +297,29 @@ def test_scans_record_their_window():
     check = landau_liminf_check(-4, 200)
     assert check.window == (20, 200)
     assert check.norms == 68
+
+
+@pytest.mark.parametrize("disc", ["-84", "-100003"])
+@pytest.mark.parametrize("command", ["scan", "landau"])
+def test_scans_read_chi_from_one_table(monkeypatch, command, disc):
+    # the search and both norm counts read chi(p) from one chi_table, over
+    # a period at -84 and over x + 1 residues at -100003, so kronecker
+    # runs once: for chi(2), inside chi_table; analytics holds no reference
+    # to kronecker that would bypass the wrapper
+    from tcm import quad_core
+
+    calls = []
+    kronecker = quad_core.kronecker
+
+    def counting(d, n):
+        calls.append((sys._getframe(1).f_code.co_name, n))
+        return kronecker(d, n)
+
+    monkeypatch.setattr(quad_core, "kronecker", counting)
+    assert not hasattr(analytics, "kronecker")
+    result = invoke(["analytics", command, "--disc", disc, "--x", "10000"])
+    assert result.exit_code == 0, result.stderr
+    assert calls == [("chi_table", 2)]
 
 
 @pytest.mark.parametrize("d,x", [(-100003, 100), (-4, 10**6), (-100000000003, 10**6)])

@@ -260,13 +260,23 @@ def test_product_on_the_exact_path_loads_decimal():
     assert _loaded_by(args, ("decimal", "csv")) == ["decimal"]
 
 
-def test_exact_layers_and_large_phi_load_no_numpy():
-    # h(D) both ways, phi_K, the degree sandwich and the refined rows are
-    # Python ints; of the library, only `primes.phi_sieve` loads numpy
+def test_commands_and_library_run_without_numpy(tmp_path):
+    # tcm depends on the standard library alone: with numpy unimportable,
+    # every README command runs in each format, h(D) both ways, phi_K, the
+    # degree sandwich, the refined rows and the totient table are computed,
+    # and phi --n 1009 skips the residue-ring scan that --n 5 checks
+    from conftest import norm_sieve
+    from test_cli_golden import README_COMMANDS
+
+    commands = [[*args, "--format", fmt] for args in README_COMMANDS for fmt in ("table", "json", "csv")]
+    table = tmp_path / "phi.bin"
     probe = (
-        "import io, json, os, sys, tcm.cli\n"
+        "import io, json, os, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import tcm.cli\n"
         "from tcm.feasibility import chain_audit, refined_table\n"
         "from tcm.ideal_arith import min_phi_ideal, phi_K, phi_K_of_N, principal_ideal\n"
+        "from tcm.primes import phi_sieve\n"
         "from tcm.quad_core import class_number, class_number_dirichlet, fundamental_discriminants, kronecker, splitting_type\n"
         "from tcm.ray_class_bounds import degree_bounds\n"
         "class_number(-9748), class_number_dirichlet(-9748), kronecker(-84, 101), splitting_type(-84, 7)\n"
@@ -274,17 +284,22 @@ def test_exact_layers_and_large_phi_load_no_numpy():
         "degree_bounds(-84, principal_ideal(-84, 360)), fundamental_discriminants(10**4)\n"
         "row = refined_table(6, 100)[0]\n"
         "chain_audit(6, row.disc, row.a, row.b)\n"
-        "print('numpy' in sys.modules)\n"
+        f"with open({str(table)!r}, 'wb') as f:\n"
+        "    phi_sieve(612_546).tofile(f)\n"
         "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
-        "tcm.cli.main(['phi', '--disc', '-4', '--n', '1009'])\n"
-        "print('numpy' in sys.modules, file=stdout)\n"
+        f"for args in {commands!r} + [['phi', '--disc', '-4', '--n', '1009']]:\n"
+        "    tcm.cli.main(args)\n"
         "sys.stdout = io.StringIO()\n"
         "tcm.cli.main(['phi', '--disc', '-4', '--n', '5', '--format', 'json'])\n"
         "row = json.loads(sys.stdout.getvalue())['rows'][0]\n"
         "print(row['brute_force'], row['agree'], file=stdout)\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\nFalse\n16 True\n"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "16 True\n"
+    import numpy as np
+
+    assert np.array_equal(np.fromfile(table, dtype=np.int32), norm_sieve(612_546))
 
 
 @pytest.mark.parametrize(
