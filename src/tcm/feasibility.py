@@ -285,10 +285,27 @@ def product_cutoff(c: float) -> int:
     [64, limit], so nothing between M(c) and limit is feasible either).
     The floor 63 leaves the non-monotone range n < 64 unclaimed.
     """
+    return next(_product_cutoffs((c,)))
+
+
+def _product_cutoffs(cs: Iterable[float]) -> Iterator[int]:
+    """M(c) for each c in turn, by ``product_cutoff``'s two passes.
+
+    The first failing power of two is found from the previous c's: halve
+    while the half fails too, then double while it passes (from 64 for
+    the first c).  n/E(n)^2 increases on the powers of two from 64, so
+    this is the first failing one from 64 on, whatever the order of the
+    cs; for a nonincreasing sequence it only moves down, where a fresh
+    doubling would climb from 64 each time.  The refinement is the
+    doubling's last test, at the failing power.
+    """
     limit = 64
-    while limit <= c * _totient_envelope(limit) ** 2:
-        limit *= 2
-    return max(63, int(c * _totient_envelope(limit) ** 2) + 1)
+    for c in cs:
+        while limit > 64 and limit // 2 > c * _totient_envelope(limit // 2) ** 2:
+            limit //= 2
+        while limit <= (top := c * _totient_envelope(limit) ** 2):
+            limit *= 2
+        yield max(63, int(top) + 1)
 
 
 def feasible_product_cutoff(d: int) -> int:
@@ -309,11 +326,17 @@ class SweepRegion(NamedTuple):
 
 
 def sweep_region(d_max: int) -> SweepRegion:
-    """The region's three counts, each a's cutoff summed as it is found."""
+    """The region's three counts, each a's cutoff summed as it is found.
+
+    The cutoffs M(6 d_max / a) come from one pass of ``_product_cutoffs``
+    over a = 1, 2, ...: c falls as a grows, so each a's first failing
+    power of two is at or below the one before.
+    """
     n_max = feasible_product_cutoff(d_max)
     a_max = pairs = 0
-    for a in range(1, 12 * d_max + 1):  # phi(n)^2 >= n/2 forces a <= 12d
-        cutoff = product_cutoff(6 * d_max / a)
+    cutoffs = _product_cutoffs(6 * d_max / a for a in count(1))
+    # phi(n)^2 >= n/2 forces a <= 12d
+    for a, cutoff in zip(range(1, 12 * d_max + 1), cutoffs):
         if cutoff < a:  # M is nondecreasing in c, so every larger a fails too
             break
         a_max, pairs = a, pairs + min(n_max, cutoff) // a
@@ -384,26 +407,25 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     kept as its numerator and denominator, so every comparison is one
     exact product of ints and no Fraction is built.
 
-    ab is factored once and chi read once at each of its primes; every
-    prime of a divides ab, so phi_K((a)) is read off the same primes at
-    a's exponents.
+    ab is factored once and chi read once at each of its primes, by
+    Euler's criterion (``quad_core._chi_at_prime``); every prime of a
+    divides ab, so phi_K((a)) is read off the same primes at a's
+    exponents.  Both are products of p^(2e-2) (p - 1) (p - chi(p)) over
+    p^e || n, as ``ideal_arith.phi_K_of_N`` computes them.
     """
-    _, ideal_arith, quad_core = _field_side()
+    _, _, quad_core = _field_side()
     if d < 1 or a < 1 or b < 1:
         raise ValueError("need d, a, b >= 1")
     disc = quad_core.require_fundamental(D)
-    h = quad_core.class_number(disc)
-    factors = factorize(a * b)
-    chi = {p: quad_core.kronecker(disc, p) for p, _ in factors}
-    a_factors = []
-    for p, _ in factors:
-        e, rest = 0, a
+    h_phi_a = h_phi_ab = quad_core.class_number(disc)
+    for p, e in factorize(a * b):
+        local = (p - 1) * (p - quad_core._chi_at_prime(disc.value, p))
+        h_phi_ab *= p ** (2 * e - 2) * local
+        k, rest = 0, a
         while rest % p == 0:
-            e, rest = e + 1, rest // p
-        if e:
-            a_factors.append((p, e))
-    h_phi_a = h * ideal_arith._phi_K_local(a_factors, chi.__getitem__)
-    h_phi_ab = h * ideal_arith._phi_K_local(factors, chi.__getitem__)
+            k, rest = k + 1, rest // p
+        if k:
+            h_phi_a *= p ** (2 * k - 2) * local
     steps = (
         ChainStep("2d >= h*phi_K(aO)/3", 2 * d, h_phi_a, 3),
         ChainStep("2bd >= h*phi_K(abO)/3", 2 * b * d, h_phi_ab, 3),

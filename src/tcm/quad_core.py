@@ -124,6 +124,19 @@ def kronecker(d: int | Discriminant, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _chi_at_prime(value: int, p: int) -> int:
+    """chi(p) = (value|p) at a prime p, for a discriminant value.
+
+    Euler's criterion at an odd p: value^((p - 1)/2) is 1, p - 1 or 0 mod
+    p.  At 2 the rule of ``kronecker``: 0 for even value, +1 for value =
+    +-1 mod 8 and -1 for value = +-3 mod 8.
+    """
+    if p == 2:
+        return 0 if value % 2 == 0 else 1 if value % 8 in (1, 7) else -1
+    c = pow(value % p, p >> 1, p)
+    return c if c < 2 else -1
+
+
 # bytes chi_table holds per residue at its peak: the table, the prime
 # sieve beside it (8/30 B) and, at p = 2, a slice of every other entry and
 # its negation (1/2 B each), 2.27 B in all; the rest is headroom
@@ -137,23 +150,22 @@ def chi_table(d: int | Discriminant, size: int) -> bytearray:
     """chi(n) mod 3, that is 2 where chi(n) = -1, for n = 0 .. size - 1, size >= 2.
 
     chi = (d|.) is completely multiplicative.  The table starts at 1 (0 at
-    n = 0); each prime p < size, with chi(p) by Euler's criterion, zeroes
-    the multiples of p when chi(p) = 0, and negates the multiples of each
-    power p^k < size when chi(p) = -1, so every entry ends at the product
-    of chi(p)^e over p^e || n.  The primes come from ``primes.prime_sieve``.
-    Each step is one slice, so the Python steps number about pi(size),
-    not size.  chi has period |d|, so size = min(|d|, x + 1) serves every
-    n <= x through n mod |d|.
+    n = 0); each prime p < size, with chi(p) from ``_chi_at_prime``,
+    zeroes the multiples of p when chi(p) = 0, and negates the multiples
+    of each power p^k < size when chi(p) = -1, so every entry ends at the
+    product of chi(p)^e over p^e || n.  The primes come from
+    ``primes.prime_sieve``.  Each step is one slice, so the Python steps
+    number about pi(size), not size.  chi has period |d|, so size =
+    min(|d|, x + 1) serves every n <= x through n mod |d|.
     """
     disc = as_discriminant(d)
     table = bytearray(b"\x01") * size
     table[0] = 0
     for p in primes_in(prime_sieve(size - 1)):
-        # Euler's criterion at an odd p: d^((p - 1)/2) is 1, p - 1 or 0 mod p
-        c = pow(disc.value % p, p >> 1, p) if p > 2 else kronecker(disc, 2) % 3
+        c = _chi_at_prime(disc.value, p)
         if c == 0:
             table[p::p] = bytearray(len(range(p, size, p)))
-        elif c != 1:
+        elif c < 0:
             power = p
             while power < size:
                 table[power::power] = table[power::power].translate(_NEGATE_MOD_3)

@@ -402,6 +402,21 @@ def oracle_bound_records(d_max: int) -> list[tuple[int, int, int]]:
     return records
 
 
+def oracle_sweep_region(d_max: int):
+    """``sweep_region`` by a fresh ``product_cutoff`` per a, each doubling
+    from 64: the per-a loop the one-pass cutoffs replaced."""
+    from tcm.feasibility import SweepRegion, feasible_product_cutoff, product_cutoff
+
+    n_max = feasible_product_cutoff(d_max)
+    a_max = pairs = 0
+    for a in range(1, 12 * d_max + 1):
+        cutoff = product_cutoff(6 * d_max / a)
+        if cutoff < a:
+            break
+        a_max, pairs = a, pairs + min(n_max, cutoff) // a
+    return SweepRegion(n_max=n_max, a_max=a_max, pairs_scanned=pairs)
+
+
 # multiples of a per numpy step of sweep_activations
 _SWEEP_STEP = 1 << 15
 

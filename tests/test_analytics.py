@@ -303,23 +303,29 @@ def test_scans_record_their_window():
 @pytest.mark.parametrize("command", ["scan", "landau"])
 def test_scans_read_chi_from_one_table(monkeypatch, command, disc):
     # the search and both norm counts read chi(p) from one chi_table, over
-    # a period at -84 and over x + 1 residues at -100003, so kronecker
-    # runs once: for chi(2), inside chi_table; analytics holds no reference
-    # to kronecker that would bypass the wrapper
+    # a period at -84 and over x + 1 residues at -100003, so _chi_at_prime
+    # runs once per prime, inside chi_table, and kronecker not at all;
+    # analytics holds no reference to either that would bypass the wrappers
     from tcm import quad_core
 
     calls = []
-    kronecker = quad_core.kronecker
 
-    def counting(d, n):
-        calls.append((sys._getframe(1).f_code.co_name, n))
-        return kronecker(d, n)
+    def counting(name):
+        fn = getattr(quad_core, name)
 
-    monkeypatch.setattr(quad_core, "kronecker", counting)
-    assert not hasattr(analytics, "kronecker")
+        def wrapper(d, n):
+            calls.append((name, sys._getframe(1).f_code.co_name, n))
+            return fn(d, n)
+
+        return wrapper
+
+    for name in ("kronecker", "_chi_at_prime"):
+        monkeypatch.setattr(quad_core, name, counting(name))
+        assert not hasattr(analytics, name)
     result = invoke(["analytics", command, "--disc", disc, "--x", "10000"])
     assert result.exit_code == 0, result.stderr
-    assert calls == [("chi_table", 2)]
+    size = min(-int(disc), 10001)
+    assert calls == [("_chi_at_prime", "chi_table", p) for p in primes_in(prime_sieve(size - 1))]
 
 
 @pytest.mark.parametrize("d,x", [(-100003, 100), (-4, 10**6), (-100000000003, 10**6)])

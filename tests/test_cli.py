@@ -83,13 +83,52 @@ def test_envelope_json_round_trip():
     assert json.loads(written(serialize_json, envelope)) == envelope
 
 
-@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+def tricky_rows(count: int) -> list[dict]:
+    """count flat rows whose strings hold braces, commas, quotes and newlines,
+    among them the row break the json writer rewrites."""
+    notes = ['}, {', '},\n      {', 'say "}",\n{"a": 1}', "{\n    },\n    {", ",", '"']
+    return [
+        {"d": i, "note": notes[i % len(notes)], "key,}{": None if i % 3 else f"{i}\n}}", "ratio": i / 7}
+        for i in range(count)
+    ]
+
+
+# row counts around the json writer's batch: none, one, one batch less a row,
+# one batch, one more, and two batches and a row
+BATCH_ROW_SETS = {
+    f"batch-{n}": tricky_rows(n)
+    for n in (0, 1, cli_mod.JSON_BATCH - 1, cli_mod.JSON_BATCH, cli_mod.JSON_BATCH + 1, 2 * cli_mod.JSON_BATCH + 1)
+}
+
+
+@pytest.mark.parametrize(
+    "rows", [*ROW_SETS.values(), *BATCH_ROW_SETS.values()], ids=[*ROW_SETS, *BATCH_ROW_SETS]
+)
 def test_json_writer_equals_json_dumps(rows):
     envelope = make_envelope("bound", {"d_min": 1, "name": 'a"b', "format": "json"}, rows, window=[3, 10], x=None)
     assert written(serialize_json, envelope) == json.dumps(envelope, indent=2) + "\n"
     assert json.loads(written(serialize_json, envelope)) == envelope
     streamed = make_envelope("bound", {}, iter(rows), constant={"value": 0.5, "argmax_d": 3})
     assert written(serialize_json, streamed) == json.dumps({**streamed, "rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("read", [1, cli_mod.JSON_BATCH - 1, cli_mod.JSON_BATCH, cli_mod.JSON_BATCH + 5])
+def test_json_writer_writes_the_rows_read_before_the_iterator_raised(read):
+    # a partial batch is written before the error propagates, so the output
+    # is the full output's prefix up to and including the last row read
+    rows = tricky_rows(2 * cli_mod.JSON_BATCH + 1)
+
+    def failing():
+        yield from rows[:read]
+        raise TypeError("unserializable")
+
+    out = io.StringIO()
+    with pytest.raises(TypeError, match="unserializable"):
+        serialize_json(make_envelope("bound", {}, failing()), out)
+    full = written(serialize_json, make_envelope("bound", {}, rows))
+    prefix = written(serialize_json, make_envelope("bound", {}, rows[:read]))
+    assert full.startswith(out.getvalue())
+    assert out.getvalue() == prefix[: prefix.rindex("\n  ]")]
 
 
 @pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from tcm.ray_class_bounds import degree_bounds
 from conftest import (
     expand_runs,
     oracle_bound_records,
+    oracle_sweep_region,
     relaxed_feasible,
     sieve_phi,
     sweep_activations,
@@ -184,6 +186,15 @@ def test_sweep_region_counts_at_the_cap():
     # sum of the per-a cutoffs up to the CLI's cap
     assert sweep_region(10**5) == (22_561_035, 4_020, 36_485_902)
     assert sweep_region(10**6) == (237_662_443, 13_148, 385_953_084)
+
+
+def test_sweep_region_equals_the_per_a_oracle():
+    # one pass of the cutoffs, each a's first failing power of two found
+    # from the last a's, against a fresh doubling from 64 per a: at every
+    # degree to 3,000, at a seeded sample up to 10^7, and at the CLI's cap
+    degrees = [*range(1, 3001), *random.Random(32).sample(range(3001, 10**7 + 1), 8), 10**6]
+    for d in degrees:
+        assert sweep_region(d) == oracle_sweep_region(d), d
 
 
 def test_bound_records_match_oracle_to_2000(oracle_to_2000):
@@ -464,10 +475,11 @@ def test_chain_steps_compare_in_integers_exactly():
 
 def test_chain_audit_factors_ab_once_and_reads_chi_once_per_prime(monkeypatch):
     # each audit of a refined row at d = 6: one factorize, of ab, and one
-    # kronecker per prime of ab (test_chain_steps_compare_in_integers_exactly
-    # checks the steps against phi_K_of_N on the same rows)
+    # _chi_at_prime per prime of ab, and no kronecker
+    # (test_chain_steps_compare_in_integers_exactly checks the steps against
+    # phi_K_of_N on the same rows)
     rows = refined_table(6, 100)
-    owners = {"factorize": feasibility, "kronecker": quad_core}
+    owners = {"factorize": feasibility, "_chi_at_prime": quad_core, "kronecker": quad_core}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):
@@ -484,7 +496,7 @@ def test_chain_audit_factors_ab_once_and_reads_chi_once_per_prime(monkeypatch):
     for row in rows:
         chain_audit(6, row.disc, row.a, row.b)
     primes_of_ab = sum(len(primes.factorize(row.a * row.b)) for row in rows)
-    assert calls == {"factorize": len(rows), "kronecker": primes_of_ab}
+    assert calls == {"factorize": len(rows), "_chi_at_prime": primes_of_ab, "kronecker": 0}
 
 
 def test_chain_audit_computes_class_number_once(monkeypatch):

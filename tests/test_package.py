@@ -193,9 +193,29 @@ def test_import_cli_and_bound_load_no_click_nor_its_imports():
     argv = [sys.executable, "-X", "importtime", "-m", "tcm", "bound", "--d-min", "3", "--d-max", "50"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True)
     loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
-    assert {"tcm.cli", "tcm.feasibility", "json"} <= loaded
-    assert "csv" not in loaded  # only the csv format loads it
+    assert {"tcm.cli", "tcm.feasibility"} <= loaded
+    assert not loaded & {"csv", "json"}  # only the csv and json formats load them
     assert not loaded & unwanted
+
+
+@pytest.mark.parametrize(
+    "args,wanted",
+    [
+        (["--version"], False),
+        (["bound", "--d-min", "3", "--d-max", "50", "--format", "table"], False),
+        (["bound", "--d-min", "3", "--d-max", "50", "--format", "csv"], False),
+        (["bound", "--d-min", "3", "--d-max", "50", "--format", "json"], True),
+    ],
+    ids=["version", "table", "csv", "json"],
+)
+def test_only_the_json_writer_loads_json(args, wanted):
+    # json and its encoder cost every run about 2 ms at import, and only
+    # the json writer uses them
+    argv = [sys.executable, "-X", "importtime", "-m", "tcm", *args]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True)
+    loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert "tcm.cli" in loaded
+    assert ("json" in loaded) == wanted
 
 
 def test_import_cli_and_bound_load_no_numpy():

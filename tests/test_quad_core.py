@@ -6,6 +6,7 @@ import pytest
 from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
     CHI_TABLE_BYTES_PER_RESIDUE,
+    _chi_at_prime,
     _form_count,
     as_discriminant,
     chi_table,
@@ -101,6 +102,18 @@ def test_kronecker_matches_residue_oracle():
     for d in fundamental_discriminants(60):
         for n in range(1, 201):
             assert kronecker(d, n) == _chi_oracle(d, n), (d, n)
+
+
+def test_chi_at_prime_matches_kronecker():
+    # every discriminant, fundamental or not, down to -400, at the primes
+    # below 200 (each residue class mod 8 at 2, and p | d), and two primes
+    # past 10^12 at a large field
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    for d in order_discriminants(400):
+        for p in primes:
+            assert _chi_at_prime(d, p) == kronecker(d, p), (d, p)
+    for p in (10**12 + 39, 10**12 + 61):
+        assert _chi_at_prime(-100000000003, p) == kronecker(-100000000003, p)
 
 
 @pytest.mark.parametrize("d", [-4, -3, -23, -40])
