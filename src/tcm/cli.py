@@ -35,7 +35,8 @@ WRITE_BYTES = 256 << 10
 FACTOR_MAX = 10**12
 
 # the largest |--disc| whose class number landau counts: the form count is
-# O(|d|), 0.47 s at |d| = 10^8 + 7 and 5.1 s at 10^9 + 7 on the same VM
+# O(|d|), 0.36 to 0.57 s at |d| = 10^8 + 7 and 3.6 to 5.6 s at 10^9 + 7 on
+# the same VM, as the shared host's speed varies
 CLASS_NUMBER_MAX = 10**9
 
 

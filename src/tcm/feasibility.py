@@ -361,35 +361,71 @@ def _field_side():
     return Fraction, ideal_arith, quad_core
 
 
-def refined_table(d: int, D_cap: int) -> list[FeasibilityRow]:
-    """Exact per-field feasibility of every relaxed-feasible shape.
+class RefinedRows:
+    """The rows of ``refined_table``, built on each pass and held by none.
+
+    A sized view that can be iterated more than once: each pass builds
+    the rows from the size groups (each a list of (a, b) pairs of one
+    size a^2 b, descending) and each field's (disc, h, phi) with phi the
+    dict n -> phi_K((n)).  ``rows[i]``, negative i too, finds its group,
+    field and pair by arithmetic over the group sizes.
+    """
+
+    def __init__(self, d: int, groups: list[list[tuple[int, int]]], fields: list[tuple[Discriminant, int, dict]]):
+        self._d, self._groups, self._fields = d, groups, fields
+        self._len = len(fields) * sum(map(len, groups))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[FeasibilityRow]:
+        for group in self._groups:
+            for field in self._fields:
+                for a, b in group:
+                    yield self._row(field, a, b)
+
+    def __getitem__(self, i: int) -> FeasibilityRow:
+        if not -self._len <= i < self._len:
+            raise IndexError(f"row {i} of {self._len}")
+        i %= self._len
+        for group in self._groups:
+            span = len(self._fields) * len(group)
+            if i < span:
+                field, pair = divmod(i, len(group))
+                return self._row(self._fields[field], *group[pair])
+            i -= span
+
+    def _row(self, field: tuple[Discriminant, int, dict], a: int, b: int) -> FeasibilityRow:
+        disc, h, phi = field
+        num = h * phi[a * b]
+        return FeasibilityRow(disc, a, b, _field_side()[0](num, 6 * b), num <= 6 * b * self._d)
+
+
+def refined_table(d: int, D_cap: int) -> RefinedRows:
+    """Exact per-field feasibility of every relaxed-feasible shape, in the
+    order (-a^2 b, |D|, a, b), as a ``RefinedRows`` view: memory grows
+    with fields times distinct ab, not with the rows.
 
     Diagnostic only: restricting the fields to |D| <= D_cap does not by
     itself certify an upper bound over all fields.
     """
-    Fraction, ideal_arith, quad_core = _field_side()
+    _, ideal_arith, quad_core = _field_side()
     if D_cap < 3:
         raise ValueError("need D_cap >= 3")
-    # rows by (-a^2 b, |D|, a, b) as built: the pairs sorted once by
-    # (-a^2 b, a, b), then each size's pairs field by field, |D| ascending
+    # the pairs sorted once by (-a^2 b, a, b) and grouped by size; each
+    # size's pairs are emitted field by field, |D| ascending
     by_size = sorted((-a * a * b, a, b) for a, b in relaxed_pairs(d))
+    groups = [[(a, b) for _, a, b in group] for _, group in groupby(by_size, key=itemgetter(0))]
     # each n = ab factored once, and chi read once per field at its primes
     factors = {n: factorize(n) for n in {a * b for _, a, b in by_size}}
     primes = {p for f in factors.values() for p, _ in f}
     fields = []
     for value in quad_core.fundamental_discriminants(D_cap):
         disc = quad_core.require_fundamental(value)
-        chi = {p: quad_core.kronecker(disc, p) for p in primes}
+        chi = {p: quad_core._chi_at_prime(value, p) for p in primes}
         phi = {n: ideal_arith._phi_K_local(f, chi.__getitem__) for n, f in factors.items()}
         fields.append((disc, quad_core.class_number(disc), phi))
-    rows: list[FeasibilityRow] = []
-    for _, group in groupby(by_size, key=itemgetter(0)):
-        group = list(group)
-        for disc, h, phi in fields:
-            for _, a, b in group:
-                num = h * phi[a * b]
-                rows.append(FeasibilityRow(disc, a, b, Fraction(num, 6 * b), num <= 6 * b * d))
-    return rows
+    return RefinedRows(d, groups, fields)
 
 
 def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:

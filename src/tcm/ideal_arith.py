@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .primes import cached_primes, factorize
-from .quad_core import Discriminant, Splitting, as_discriminant, kronecker, require_fundamental
+from .quad_core import Discriminant, Splitting, _chi_at_prime, as_discriminant, require_fundamental
 
 BRUTE_FORCE_CAP = 300
 
@@ -60,7 +60,7 @@ class FactoredIdeal(NamedTuple):
 
 def _primes_over(disc: Discriminant, p: int) -> list[PrimeIdeal]:
     """The prime ideals over a p known to be prime (no primality test), by conjugate_index."""
-    kind = Splitting.of(kronecker(disc, p))
+    kind = Splitting.of(_chi_at_prime(disc.value, p))
     if kind is Splitting.SPLIT:
         return [PrimeIdeal(p, 0, kind, p), PrimeIdeal(p, 1, kind, p)]
     return [PrimeIdeal(p, 0, kind, p * p if kind is Splitting.INERT else p)]
@@ -108,7 +108,7 @@ def phi_K_of_N(d: int | Discriminant, n: int) -> int:
     disc = require_fundamental(d)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _phi_K_local(factorize(n), lambda p: kronecker(disc, p))
+    return _phi_K_local(factorize(n), lambda p: _chi_at_prime(disc.value, p))
 
 
 def _phi_K_local(factors: list[tuple[int, int]], chi) -> int:

@@ -1,19 +1,23 @@
 """Exact arithmetic of negative quadratic discriminants.
 
-Fundamentality, the Kronecker character and its one table over n < size
-(a bytearray of chi(n) mod 3, built at the primes), unit counts,
-splitting of rational primes, and class numbers computed by two
-independent exact methods: counting reduced binary quadratic forms, and
-the half-range character sum of Dirichlet's class number formula, which
-reads chi over half a period.  The two are kept permanently wired
-together so silent corruption of either is detectable.
+Fundamentality, the Kronecker character, chi at one prime by Euler's
+criterion (which the chi table, ``ideal_arith`` and ``feasibility``
+read) and the one table of chi over n < size (a bytearray of chi(n)
+mod 3, built at the primes), unit counts, splitting of rational primes,
+and class numbers computed by two independent exact methods: counting
+reduced binary quadratic forms, a-first for a < 64 by one
+``bytes.count`` per a over a table of b^2 mod 4a (built at the first
+count) and b-first by divisors above, and the half-range character sum
+of Dirichlet's class number formula, which reads chi over half a period.
+The two are kept permanently wired together so silent corruption of
+either is detectable.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cache, lru_cache
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .primes import is_prime, prime_sieve, primes_in, squarefree
@@ -187,25 +191,91 @@ def class_number(d: int | Discriminant) -> int:
     return _form_count(d)
 
 
+# a < A_FIRST is counted a-first from the residue tables, a >= A_FIRST b-first
+A_FIRST = 64
+
+_ODD_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_ODD_PRIMORIAL = prod(_ODD_SMALL_PRIMES)
+_ODD_PRIMORIAL_SQUARED = _ODD_PRIMORIAL**2
+
+
+@cache
+def _square_residues() -> tuple[bytes, ...]:
+    """b^2 mod 4a for b = 0 .. a, one bytes per a = 1 .. A_FIRST - 1
+    (every entry is below 4a <= 252).  Built at the first form count,
+    not on import: it takes 0.3 to 0.4 ms, which callers that count no
+    forms should not pay."""
+    return tuple(bytes(b * b % (4 * a) for b in range(a + 1)) for a in range(1, A_FIRST))
+
+
 @lru_cache(maxsize=1024)
 def _form_count(value: int) -> int:
     """The reduced primitive forms (a, b, c) of discriminant value, counted
-    b-first without building them.
+    without building them: a-first for a < A_FIRST, b-first above.
 
-    (Cohen, A Course in Computational Algebraic Number Theory, 5.3): b =
-    value mod 2 up to sqrt(|value|/3), q = (b^2 - value)/4, and a runs
-    over the divisors of q with b <= a <= sqrt(q), c = q/a.  Each such
-    (a, b, c) with gcd 1 counts once when b = 0, a = b or a = c, and twice
-    otherwise, since then (a, -b, c) is reduced too.
+    (Cohen, A Course in Computational Algebraic Number Theory, 5.3.)  A
+    form with a >= A_FIRST is found b-first: b = value mod 2 up to
+    sqrt(|value|/3), q = (b^2 - value)/4, and a runs over the divisors
+    of q with max(b, A_FIRST) <= a <= sqrt(q), c = q/a.  Each such
+    (a, b, c) with gcd 1 counts once when b = 0, a = b or a = c, and
+    twice otherwise, since then (a, -b, c) is reduced too.
+
+    The forms with a < A_FIRST are counted by ``_all_forms_a_first``,
+    primitive or not.  A form of content g is g times a primitive form of
+    discriminant value/g^2 with a/g in place of a, so the primitive ones
+    are the Moebius sum over the squarefree g < A_FIRST whose g^2 divides
+    value with value/g^2 = 0 or 1 mod 4 (the g dividing the conductor):
+    mu(g) times the forms of value/g^2 with a <= (A_FIRST - 1) // g.  The
+    odd such g are products of the odd p < A_FIRST with p^2 | value, and
+    one gcd with the square of their product finds whether there is any;
+    2 qualifies iff |value| = 0 or 12 mod 16.  The a-first count is not
+    memoized, so this memo sees one call per discriminant.
     """
+    m = -value
+    a_top = isqrt(m // 3)
     count = 0
-    for b in range(value % 2, isqrt(-value // 3) + 1, 2):
-        q = (b * b - value) // 4
-        for a in range(max(b, 1), isqrt(q) + 1):
+    for b in range(value % 2, a_top + 1 if a_top >= A_FIRST else 0, 2):
+        q = (b * b + m) // 4
+        for a in range(max(b, A_FIRST), isqrt(q) + 1):
             if q % a == 0:
                 c = q // a
                 if gcd(a, b, c) == 1:
                     count += 1 if b == 0 or a == b or a == c else 2
+    contents = [(1, 1), (2, -1)] if m % 16 in (0, 12) else [(1, 1)]
+    if _ODD_PRIMORIAL % gcd(m, _ODD_PRIMORIAL_SQUARED):  # some odd p < A_FIRST has p^2 | m
+        for p in _ODD_SMALL_PRIMES:
+            if m % (p * p) == 0:
+                contents += [(g * p, -mu) for g, mu in contents if g * p < A_FIRST]
+    for g, mu in contents:
+        count += mu * _all_forms_a_first(value // (g * g), (A_FIRST - 1) // g)
+    return count
+
+
+def _all_forms_a_first(value: int, a_max: int) -> int:
+    """The reduced forms (a, b, c) of discriminant value with a <= a_max <
+    A_FIRST, primitive or not, one ``bytes.count`` per a.
+
+    For each a <= sqrt(|value|/3) the b in (-a, a] with b^2 = value
+    (mod 4a) give c = (b^2 - value)/(4a), and c >= a iff |b| >= b0 =
+    ceil(sqrt(max(0, 4a^2 - |value|))).  The count of b in [b0, a] in the
+    table of b^2 mod 4a counts each twice, for +-b, less once for b = 0,
+    for b = a (-a is not reduced) and for the b = b0 with c = a (b0^2 =
+    4a^2 - |value|; -b0 is not reduced either), each b once.  b = a is
+    always in range: a <= sqrt(|value|/3) gives b0 <= a.  The a with
+    4a^2 <= |value| have b0 = 0, and there b = 0 is the only b with c = a.
+    """
+    m = -value
+    top = min(a_max, isqrt(m // 3))
+    wide = min(top, isqrt(m) // 2)  # the last a with b0 = 0
+    residues = _square_residues()
+    count = 0
+    for a, squares in zip(range(1, wide + 1), residues):
+        r = value % (4 * a)
+        count += 2 * squares.count(r) - (r == 0) - (squares[a] == r)
+    for a in range(wide + 1, top + 1):
+        squares, r, excess = residues[a - 1], value % (4 * a), 4 * a * a - m
+        b0 = isqrt(excess - 1) + 1
+        count += 2 * squares.count(r, b0) - (squares[a] == r) - (b0 < a and b0 * b0 == excess)
     return count
 
 

@@ -534,8 +534,9 @@ def oracle_reduced_forms(d: int) -> set[tuple[int, int, int]]:
 
 
 def reduced_triples(value: int):
-    """The reduced primitive forms (a, b, c) of discriminant value with b >= 0,
-    b-first: the triples ``quad_core._form_count`` counts.
+    """The reduced primitive forms (a, b, c) of discriminant value with b >= 0:
+    the b-first oracle of the a-first count, ``quad_core._form_count``,
+    which counts these triples a-first for a < 64, from residue tables.
 
     b = value mod 2 up to sqrt(|value|/3), q = (b^2 - value)/4, and a runs
     over the divisors of q with b <= a <= sqrt(q), c = q/a.  The form

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from conftest import (
     sieve_phi,
     sweep_activations,
     sweep_bound_records,
+    traced_peak,
 )
 
 
@@ -364,6 +366,27 @@ def test_refined_table_sorted_by_size_descending():
     assert sizes == sorted(sizes, reverse=True)
 
 
+@pytest.mark.parametrize("d,D_cap", [(1, 8), (3, 40)])
+def test_refined_table_is_a_sized_indexable_view(d, D_cap):
+    # len, two equal passes, and rows[i] at every i and i - len
+    rows = refined_table(d, D_cap)
+    listed = list(rows)
+    assert len(rows) == len(listed) == len(fundamental_discriminants(D_cap)) * len(relaxed_pairs(d))
+    assert list(rows) == listed
+    assert rows[0] == listed[0] and rows[-1] == listed[-1]
+    assert [rows[i] for i in range(len(rows))] == [rows[i - len(rows)] for i in range(len(rows))] == listed
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+
+
+def test_refined_table_pass_holds_no_rows():
+    # a full pass at (6, 100), 9,331 rows, builds each row as it goes: the
+    # rows held as a list would take about 1.7 MB
+    refined_table(6, 100)  # the field side's imports and the forms' memo
+    assert traced_peak(lambda: deque(refined_table(6, 100), maxlen=0)) <= 512 << 10
+
+
 @pytest.mark.parametrize("d,D_cap", [(1, 8), (3, 40), (6, 100)])
 def test_refined_table_matches_one_phi_call_per_row(monkeypatch, d, D_cap):
     # each n = ab factored once per table and chi read once per field, with
@@ -379,9 +402,9 @@ def test_refined_table_matches_one_phi_call_per_row(monkeypatch, d, D_cap):
             lhs = Fraction(h * phi_K_of_N(value, a * b), 6 * b)
             expected.append((value, a, b, lhs, lhs <= d))
     expected.sort(key=lambda r: (-r[1] * r[1] * r[2], -r[0], r[1], r[2]))
-    # factorize is feasibility's own import; kronecker is imported from
+    # factorize is feasibility's own import; _chi_at_prime is read from
     # quad_core when refined_table runs
-    owners = {"factorize": feasibility, "kronecker": quad_core}
+    owners = {"factorize": feasibility, "_chi_at_prime": quad_core}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):
@@ -399,7 +422,7 @@ def test_refined_table_matches_one_phi_call_per_row(monkeypatch, d, D_cap):
     assert [(r.disc.value, r.a, r.b, r.lhs, r.feasible) for r in rows] == expected
     ns = {a * b for a, b in pairs}
     ps = {p for n in ns for p, _ in primes.factorize(n)}
-    assert calls == {"factorize": len(ns), "kronecker": len(fundamental_discriminants(D_cap)) * len(ps)}
+    assert calls == {"factorize": len(ns), "_chi_at_prime": len(fundamental_discriminants(D_cap)) * len(ps)}
 
 
 def test_refined_feasibility_implies_relaxed():

@@ -282,9 +282,10 @@ def test_product_on_the_exact_path_loads_decimal():
 
 def test_commands_and_library_run_without_numpy(tmp_path):
     # tcm depends on the standard library alone: with numpy unimportable,
-    # every README command runs in each format, h(D) both ways, phi_K, the
-    # degree sandwich, the refined rows and the totient table are computed,
-    # and phi --n 1009 skips the residue-ring scan that --n 5 checks
+    # every README command runs in each format, h(D) both ways (also past
+    # the a-first range, |D| > 3 * 64^2), phi_K, the degree sandwich, two
+    # passes of the refined rows and the totient table are computed, and
+    # phi --n 1009 skips the residue-ring scan that --n 5 checks
     from conftest import norm_sieve
     from test_cli_golden import README_COMMANDS
 
@@ -302,8 +303,10 @@ def test_commands_and_library_run_without_numpy(tmp_path):
         "class_number(-9748), class_number_dirichlet(-9748), kronecker(-84, 101), splitting_type(-84, 7)\n"
         "phi_K(principal_ideal(-84, 360)), phi_K_of_N(-84, 360), min_phi_ideal(-84, 7 * 25)\n"
         "degree_bounds(-84, principal_ideal(-84, 360)), fundamental_discriminants(10**4)\n"
-        "row = refined_table(6, 100)[0]\n"
-        "chain_audit(6, row.disc, row.a, row.b)\n"
+        "assert class_number(-19999) == class_number_dirichlet(-19999) == 52\n"
+        "rows = refined_table(6, 100)\n"
+        "assert list(rows) == list(rows) and rows[0] == next(iter(rows))\n"
+        "chain_audit(6, rows[0].disc, rows[0].a, rows[0].b)\n"
         f"with open({str(table)!r}, 'wb') as f:\n"
         "    phi_sieve(612_546).tofile(f)\n"
         "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
@@ -320,6 +323,19 @@ def test_commands_and_library_run_without_numpy(tmp_path):
     import numpy as np
 
     assert np.array_equal(np.fromfile(table, dtype=np.int32), norm_sieve(612_546))
+
+
+def test_import_quad_core_builds_no_residue_table():
+    # the form count's table of b^2 mod 4a (0.3 to 0.4 ms) is built at the
+    # first count, which importing the module, or tcm scan, never runs
+    probe = (
+        "import tcm.quad_core as q\n"
+        "print(q._square_residues.cache_info().currsize)\n"
+        "q.class_number(-23)\n"
+        "print(q._square_residues.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n1\n"
 
 
 @pytest.mark.parametrize(

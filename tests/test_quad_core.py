@@ -5,6 +5,7 @@ import pytest
 
 from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
+    A_FIRST,
     CHI_TABLE_BYTES_PER_RESIDUE,
     _chi_at_prime,
     _form_count,
@@ -217,6 +218,41 @@ def test_class_number_double_entry_small_range():
 def test_class_number_double_entry_to_ten_thousand():
     for d in fundamental_discriminants(10**4):
         assert class_number(d) == class_number_dirichlet(d), d
+
+
+def test_form_count_past_the_a_first_range_matches_a_first_scan():
+    # |D| > 3 * 63^2 reaches a >= A_FIRST = 64, which the b-first loop
+    # counts; every order discriminant, so the Moebius sum over contents
+    # runs at conductors with odd and even squares
+    assert A_FIRST == 64 and 3 * 63**2 < 12_200 and 3 * 64**2 < 13_000
+    for d in order_discriminants(13_000):
+        if d <= -12_200:
+            assert class_number(d) == len(oracle_reduced_forms(d)), d
+
+
+def test_form_count_past_the_a_first_range_matches_character_sum():
+    for d in fundamental_discriminants(20_000):
+        if d < -3 * A_FIRST**2:
+            assert class_number(d) == class_number_dirichlet(d), d
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        -4 * 63**2,  # b = 0 and c = a at a = 63: the non-primitive (63, 0, 63)
+        -4 * 64**2,  # the same at a = 64, in the b-first loop
+        -(4 * 63**2 - 5**2),  # b0^2 = 4a^2 - |D|: (63, 5, 63), c = a at b = b0
+        -(4 * 64**2 - 5**2),  # (64, 5, 64)
+        -3 * 63**2,  # b = a = c at a = 63: (63, 63, 63)
+        -3 * 64**2 - 4,
+        -3 * 64**2 + 4,
+    ],
+)
+def test_form_count_boundaries(d):
+    forms = oracle_reduced_forms(d)
+    assert class_number(d) == len(forms) == len(reduced_forms(d)), d
+    if is_fundamental(d):
+        assert class_number(d) == class_number_dirichlet(d)
 
 
 def test_half_range_sum_matches_full_period_sum():
