@@ -133,6 +133,12 @@ class ChainAudit(NamedTuple):
     steps: tuple[ChainStep, ...]
 
 
+# builds a NamedTuple (a ChainStep, a ChainAudit) from the tuple of its
+# fields with no Python frame, where the class's own __new__ runs one;
+# chain_audit builds four per row
+_from_fields = tuple.__new__
+
+
 # ---------------------------------------------------------------- the search
 
 def _greedy_gain(c: int, i: int, num: int, den: int, rad: int) -> tuple[int, int]:
@@ -446,8 +452,9 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     ab is factored once and chi read once at each of its primes, by
     Euler's criterion (``quad_core._chi_at_prime``); every prime of a
     divides ab, so phi_K((a)) is read off the same primes at a's
-    exponents.  Both are products of p^(2e-2) (p - 1) (p - chi(p)) over
-    p^e || n, as ``ideal_arith.phi_K_of_N`` computes them.
+    exponents, which are sought only at the p dividing a.  Both are
+    products of p^(2e-2) (p - 1) (p - chi(p)) over p^e || n, as
+    ``ideal_arith.phi_K_of_N`` computes them.
     """
     _, _, quad_core = _field_side()
     if d < 1 or a < 1 or b < 1:
@@ -457,17 +464,17 @@ def chain_audit(d: int, D: int | Discriminant, a: int, b: int) -> ChainAudit:
     for p, e in factorize(a * b):
         local = (p - 1) * (p - quad_core._chi_at_prime(disc.value, p))
         h_phi_ab *= p ** (2 * e - 2) * local
-        k, rest = 0, a
-        while rest % p == 0:
-            k, rest = k + 1, rest // p
-        if k:
+        if a % p == 0:
+            k, rest = 1, a // p
+            while rest % p == 0:
+                k, rest = k + 1, rest // p
             h_phi_a *= p ** (2 * k - 2) * local
     steps = (
-        ChainStep("2d >= h*phi_K(aO)/3", 2 * d, h_phi_a, 3),
-        ChainStep("2bd >= h*phi_K(abO)/3", 2 * b * d, h_phi_ab, 3),
-        ChainStep("d >= h*phi_K(abO)/(6b)", d, h_phi_ab, 6 * b),
+        _from_fields(ChainStep, ("2d >= h*phi_K(aO)/3", 2 * d, h_phi_a, 3)),
+        _from_fields(ChainStep, ("2bd >= h*phi_K(abO)/3", 2 * b * d, h_phi_ab, 3)),
+        _from_fields(ChainStep, ("d >= h*phi_K(abO)/(6b)", d, h_phi_ab, 6 * b)),
     )
-    return ChainAudit(steps=steps)
+    return _from_fields(ChainAudit, (steps,))
 
 
 __all__ = [

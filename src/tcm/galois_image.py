@@ -1,18 +1,21 @@
-"""The unit group of O/NO as a list of unit pairs, verified by scan.
+"""The unit group of O/NO as a view of its unit pairs, verified by scan.
 
 An element x + y w of O/NO, with w = (D + sqrt(D))/2, is carried as its
 pair (alpha, beta) = (x, y) mod N; it is a unit iff its norm
 x^2 + D x y + ((D^2 - D)/4) y^2 is a unit mod N.  As w^2 = q + D w with
 q = (D - D^2)/4, the group law is (ux, uy)(vx, vy) = (ux vx + q uy vy,
 ux vy + uy vx + D uy vy) mod N.  ``_unit_mask`` is the one scan of the
-residue ring, a bytes mask over all N^2 pairs, memoized on (D, N): the
-group lists its unit pairs, ``ideal_arith.brute_force_phi`` counts them,
-``kernel_size`` reads the kernel and the image of reduction off it and
-``max_stabilizer_order`` its candidates and orbits.  The module scans the
-full group for small N and measures, exhaustively, the facts the
-torsion bound rests on: the homotheties are present, reduction kernels
-have size p^(2B), and point stabilizers divide p - 1 / 1 / p according
-to the splitting of p.  It is plain Python over C-level byte operations.
+residue ring, a bytes mask over all N^2 pairs, memoized on (D, N).
+``UnitGroup`` is the group as a view of that mask: its order is the
+mask's count of 1s, a membership test reads one byte, and iterating it
+is the one place the unit pairs are built.  ``ideal_arith.brute_force_phi``
+counts the mask, ``kernel_size`` reads the kernel and the image of
+reduction off it, and ``max_stabilizer_order`` its orbits, with its
+level-p candidates from the view.  The module scans the full group for
+small N and measures, exhaustively, the facts the torsion bound rests
+on: the homotheties are present, reduction kernels have size p^(2B),
+and point stabilizers divide p - 1 / 1 / p according to the splitting
+of p.  It is plain Python over C-level byte operations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, product
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .primes import is_prime
 from .quad_core import Discriminant, Splitting, as_discriminant, splitting_type
@@ -45,9 +48,9 @@ def _unit_mask(delta: int, n: int) -> bytes:
     """n * n bytes, x-major: byte x n + y is 1 iff the pair (x, y) is a unit.
 
     Memoized on (D, n), 16 masks at most (1.4 MB at n = 300, the largest
-    level any caller builds): the group's order and its element list read
-    one scan, and the kernel grid of one discriminant, 14 levels below
-    200, builds each level once.
+    level any caller builds): the ``cn_elements`` view and the count of
+    ``ideal_arith.brute_force_phi`` read one scan, and the kernel grid of
+    one discriminant, 14 levels below 200, builds each level once.
 
     Every norm is evaluated mod n, one column y at a time.  For fixed y the
     norm is x^2 + b x + g with b = D y mod n = 2k + r (r in {0, 1}) and
@@ -76,23 +79,50 @@ def _unit_mask(delta: int, n: int) -> bytes:
     return b"".join(by_column[x::n] for x in range(n))
 
 
-def cn_elements(d: int | Discriminant, n: int) -> list[tuple[int, int]]:
+class UnitGroup:
+    """The unit group mod n as a sized view of its ``_unit_mask``.
+
+    ``len`` is the mask's count of 1s; iterating gives the unit pairs
+    (x, y) as tuples, in lexicographic order, built on each pass and held
+    by none; ``(x, y) in group`` reads one mask byte, and is False for a
+    pair outside [0, n)^2.
+    """
+
+    __slots__ = ("_mask", "_n")
+
+    def __init__(self, mask: bytes, n: int):
+        self._mask, self._n = mask, n
+
+    def __len__(self) -> int:
+        return self._mask.count(1)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return compress(product(range(self._n), repeat=2), self._mask)
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        x, y = pair
+        n = self._n
+        return 0 <= x < n and 0 <= y < n and self._mask[x * n + y] == 1
+
+
+def cn_elements(d: int | Discriminant, n: int) -> UnitGroup:
     """The full unit group mod n, from a scan of all (alpha, beta) pairs.
 
-    The unit pairs (x, y) as tuples, in lexicographic order.
+    A ``UnitGroup`` view of the memoized mask: its order costs one
+    ``bytes.count`` and no pair is built until the view is iterated.
     """
     disc = as_discriminant(d)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > CN_CAP:
         raise ValueError(f"n={n} exceeds cap {CN_CAP}")
-    return list(compress(product(range(n), repeat=2), _unit_mask(disc.value, n)))
+    return UnitGroup(_unit_mask(disc.value, n), n)
 
 
 def verify_homotheties(d: int | Discriminant, n: int) -> bool:
     """Check every unit scalar a mod n lies in the group, as the pair (a, 0)."""
-    scalars = {x for x, y in cn_elements(d, n) if y == 0}
-    return all(a in scalars for a in range(1, n) if gcd(a, n) == 1)
+    group = cn_elements(d, n)
+    return all((a, 0) in group for a in range(1, n) if gcd(a, n) == 1)
 
 
 def _capped_power(p: int, e: int, what: str) -> int:
@@ -176,7 +206,7 @@ def max_stabilizer_order(d: int | Discriminant, p: int, A: int) -> GaloisImageRe
 
     mask = _unit_mask(disc.value, n)
     if A == 0:
-        candidates = list(compress(product(range(n), repeat=2), mask))
+        candidates = list(UnitGroup(mask, n))
         expected = {Splitting.SPLIT: p - 1, Splitting.INERT: 1, Splitting.RAMIFIED: p}[kind]
         unmarked = bytearray(b"\0" + b"\1" * (n * n - 1))
     else:

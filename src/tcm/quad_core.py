@@ -1,16 +1,17 @@
 """Exact arithmetic of negative quadratic discriminants.
 
-Fundamentality, the Kronecker character, chi at one prime by Euler's
-criterion (which the chi table, ``ideal_arith`` and ``feasibility``
-read) and the one table of chi over n < size (a bytearray of chi(n)
-mod 3, built at the primes), unit counts, splitting of rational primes,
-and class numbers computed by two independent exact methods: counting
-reduced binary quadratic forms, a-first for a < 64 by one
-``bytes.count`` per a over a table of b^2 mod 4a (built at the first
-count) and b-first by divisors above, and the half-range character sum
-of Dirichlet's class number formula, which reads chi over half a period.
-The two are kept permanently wired together so silent corruption of
-either is detectable.
+Fundamentality, the Kronecker character chi = (d|.) at one prime by
+Euler's criterion (which the chi table, the splitting of primes,
+``ideal_arith`` and ``feasibility`` read; the reciprocity recursion for
+chi at any n is a test oracle, in ``tests/conftest.py``), the one table
+of chi over n < size (a bytearray of chi(n) mod 3, built at the primes),
+unit counts, splitting of rational primes, and class numbers computed
+by two independent exact methods: counting reduced binary quadratic
+forms, a-first for a < 64 by one ``bytes.count`` per a over a table of
+b^2 mod 4a (built at the first count) and b-first by divisors above,
+and the half-range character sum of Dirichlet's class number formula,
+which reads chi over half a period.  The two are kept permanently wired
+together so silent corruption of either is detectable.
 """
 
 from __future__ import annotations
@@ -97,43 +98,13 @@ def require_fundamental(d: int | Discriminant) -> Discriminant:
     return disc
 
 
-def kronecker(d: int | Discriminant, n: int) -> int:
-    """Kronecker symbol (d|n) for n >= 1.
-
-    Completely multiplicative in n, with period dividing |d|.  Implemented
-    by the reciprocity recursion with the explicit rule at 2: (d|2) is 0
-    for even d, +1 for d = +-1 mod 8 and -1 for d = +-3 mod 8.
-    """
-    a = as_discriminant(d).value
-    if n < 1:
-        raise ValueError(f"kronecker symbol defined here for n >= 1, got {n}")
-    result = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # Jacobi recursion; n odd >= 1, top argument reduced mod n.
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def _chi_at_prime(value: int, p: int) -> int:
-    """chi(p) = (value|p) at a prime p, for a discriminant value.
+    """chi(p) = (value|p), the Kronecker symbol at a prime p, for a
+    discriminant value: the one route to chi at a prime in the package.
 
     Euler's criterion at an odd p: value^((p - 1)/2) is 1, p - 1 or 0 mod
-    p.  At 2 the rule of ``kronecker``: 0 for even value, +1 for value =
-    +-1 mod 8 and -1 for value = +-3 mod 8.
+    p.  At 2 the Kronecker symbol's own rule: 0 for even value, +1 for
+    value = +-1 mod 8 and -1 for value = +-3 mod 8.
     """
     if p == 2:
         return 0 if value % 2 == 0 else 1 if value % 8 in (1, 7) else -1
@@ -314,10 +285,11 @@ def unit_count(d: int | Discriminant) -> int:
 
 
 def splitting_type(d: int | Discriminant, p: int) -> Splitting:
-    """Behavior of the rational prime p: split, inert, or ramified."""
+    """Behavior of the rational prime p: split, inert, or ramified, from
+    chi(p) by ``_chi_at_prime``."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return Splitting.of(kronecker(d, p))
+    return Splitting.of(_chi_at_prime(as_discriminant(d).value, p))
 
 
 def fundamental_discriminants(bound: int) -> list[int]:
@@ -351,7 +323,6 @@ __all__ = [
     "class_number_dirichlet",
     "fundamental_discriminants",
     "is_fundamental",
-    "kronecker",
     "require_fundamental",
     "splitting_type",
     "unit_count",

@@ -352,10 +352,40 @@ def relaxed_feasible(d: int, a: int, b: int) -> bool:
     return f * f <= 6 * b * d
 
 
+def kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d|n) for a discriminant d (an int) and n >= 1;
+    the oracle of ``quad_core._chi_at_prime`` and of ``chi_table``.
+
+    Completely multiplicative in n, with period dividing |d|.  Computed
+    by the reciprocity recursion with the explicit rule at 2: (d|2) is 0
+    for even d, +1 for d = +-1 mod 8 and -1 for d = +-3 mod 8.
+    """
+    a = d
+    if n < 1:
+        raise ValueError(f"kronecker symbol defined here for n >= 1, got {n}")
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            result = -result
+    # Jacobi recursion; n odd >= 1, top argument reduced mod n.
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def ideal_count_oracle(d: int, n: int) -> int:
     """Number of ideals of norm exactly n, as the divisor sum of chi."""
-    from tcm.quad_core import kronecker
-
     return sum(kronecker(d, m) for m in range(1, n + 1) if n % m == 0)
 
 

@@ -21,9 +21,8 @@ from tcm.cli import (
 )
 from tcm import feasibility
 from tcm.feasibility import bound_ratio, bound_records, sweep_region
-from tcm.quad_core import kronecker
 
-from conftest import child_peak_rss, expand_runs, ideal_count_oracle, invoke, oracle_scan, trial_factor
+from conftest import child_peak_rss, expand_runs, ideal_count_oracle, invoke, kronecker, oracle_scan, trial_factor
 
 
 # ------------------------------------------------------------- serialization

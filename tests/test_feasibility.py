@@ -498,11 +498,12 @@ def test_chain_steps_compare_in_integers_exactly():
 
 def test_chain_audit_factors_ab_once_and_reads_chi_once_per_prime(monkeypatch):
     # each audit of a refined row at d = 6: one factorize, of ab, and one
-    # _chi_at_prime per prime of ab, and no kronecker
-    # (test_chain_steps_compare_in_integers_exactly checks the steps against
-    # phi_K_of_N on the same rows)
+    # _chi_at_prime per prime of ab, and no kronecker, which quad_core no
+    # longer has (test_chain_steps_compare_in_integers_exactly checks the
+    # steps against phi_K_of_N on the same rows)
     rows = refined_table(6, 100)
-    owners = {"factorize": feasibility, "_chi_at_prime": quad_core, "kronecker": quad_core}
+    assert not hasattr(quad_core, "kronecker")
+    owners = {"factorize": feasibility, "_chi_at_prime": quad_core}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):
@@ -519,7 +520,7 @@ def test_chain_audit_factors_ab_once_and_reads_chi_once_per_prime(monkeypatch):
     for row in rows:
         chain_audit(6, row.disc, row.a, row.b)
     primes_of_ab = sum(len(primes.factorize(row.a * row.b)) for row in rows)
-    assert calls == {"factorize": len(rows), "_chi_at_prime": primes_of_ab, "kronecker": 0}
+    assert calls == {"factorize": len(rows), "_chi_at_prime": primes_of_ab}
 
 
 def test_chain_audit_computes_class_number_once(monkeypatch):

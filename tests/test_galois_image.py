@@ -6,6 +6,7 @@ import pytest
 
 import tcm.galois_image
 from tcm.galois_image import (
+    UnitGroup,
     cn_elements,
     kernel_size,
     max_stabilizer_order,
@@ -14,7 +15,14 @@ from tcm.galois_image import (
 from tcm.ideal_arith import brute_force_phi
 from tcm.quad_core import Splitting, splitting_type
 
-from conftest import GRID_DISCS, oracle_matrix, oracle_max_stabilizer_order, oracle_unit_pairs, pair_times
+from conftest import (
+    GRID_DISCS,
+    oracle_matrix,
+    oracle_max_stabilizer_order,
+    oracle_unit_pairs,
+    pair_times,
+    traced_peak,
+)
 
 
 def test_cn_sizes_examples():
@@ -37,17 +45,41 @@ def test_cn_elements_matches_oracle_pairs():
     for d in GRID_DISCS + (-12,):
         for n in range(2, 41):
             pairs = cn_elements(d, n)
-            assert type(pairs) is list and all(type(pair) is tuple and len(pair) == 2 for pair in pairs), (d, n)
-            assert all(type(entry) is int for pair in pairs for entry in pair), (d, n)
-            assert pairs == oracle_unit_pairs(d, n), (d, n)
+            assert type(pairs) is UnitGroup, (d, n)
+            listed = list(pairs)
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in listed), (d, n)
+            assert all(type(entry) is int for pair in listed for entry in pair), (d, n)
+            assert listed == oracle_unit_pairs(d, n), (d, n)
 
 
 def test_cn_elements_order_and_contents():
     pairs = cn_elements(-4, 6)
-    assert pairs == sorted(pairs) and len(pairs) == len(set(pairs)) == 16
+    assert list(pairs) == sorted(pairs) and len(pairs) == len(set(pairs)) == 16
     assert (1, 0) in pairs  # the identity
     assert (0, 0) not in pairs  # zero
     assert (2, 0) not in pairs  # a zero divisor
+
+
+def test_unit_group_view_matches_oracle():
+    # len, two equal passes, and membership by one mask byte at every pair
+    # of [0, n)^2; a pair outside that square is no member
+    for d in GRID_DISCS + (-12,):
+        for n in range(2, 41):
+            group, oracle = cn_elements(d, n), oracle_unit_pairs(d, n)
+            assert len(group) == len(oracle), (d, n)
+            assert list(group) == list(group) == oracle, (d, n)
+            units = set(oracle)
+            for pair in itertools.product(range(n), repeat=2):
+                assert (pair in group) is (pair in units), (d, n, pair)
+            for pair in [(n, 0), (0, n), (-1, 0), (0, -1), (1, n), (n + 1, 1), (-n, 0)]:
+                assert pair not in group, (d, n, pair)
+
+
+def test_group_order_builds_no_pairs():
+    # with the mask memoized the order is one bytes.count; a list of one
+    # (x, y) tuple per unit takes about 700 KiB here
+    cn_elements(-4, 200)
+    assert traced_peak(lambda: len(cn_elements(-4, 200))) < 4096
 
 
 @pytest.mark.parametrize("d,n", [(-3, 12), (-4, 8), (-7, 9), (-8, 6), (-7, 30)])

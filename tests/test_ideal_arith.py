@@ -14,10 +14,11 @@ from tcm.ideal_arith import (
     phi_K_of_N,
     principal_ideal,
 )
-from tcm.quad_core import Splitting, fundamental_discriminants, kronecker
+from tcm.quad_core import Splitting, fundamental_discriminants
 
 from conftest import (
     ideal_count_oracle,
+    kronecker,
     least_phi_by_norm,
     naive_phi,
     oracle_min_phi,

@@ -298,9 +298,9 @@ def test_commands_and_library_run_without_numpy(tmp_path):
         "from tcm.feasibility import chain_audit, refined_table\n"
         "from tcm.ideal_arith import min_phi_ideal, phi_K, phi_K_of_N, principal_ideal\n"
         "from tcm.primes import phi_sieve\n"
-        "from tcm.quad_core import class_number, class_number_dirichlet, fundamental_discriminants, kronecker, splitting_type\n"
+        "from tcm.quad_core import class_number, class_number_dirichlet, fundamental_discriminants, splitting_type\n"
         "from tcm.ray_class_bounds import degree_bounds\n"
-        "class_number(-9748), class_number_dirichlet(-9748), kronecker(-84, 101), splitting_type(-84, 7)\n"
+        "class_number(-9748), class_number_dirichlet(-9748), splitting_type(-84, 7)\n"
         "phi_K(principal_ideal(-84, 360)), phi_K_of_N(-84, 360), min_phi_ideal(-84, 7 * 25)\n"
         "degree_bounds(-84, principal_ideal(-84, 360)), fundamental_discriminants(10**4)\n"
         "assert class_number(-19999) == class_number_dirichlet(-19999) == 52\n"

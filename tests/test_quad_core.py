@@ -15,7 +15,6 @@ from tcm.quad_core import (
     class_number_dirichlet,
     fundamental_discriminants,
     is_fundamental,
-    kronecker,
     splitting_type,
     unit_count,
     Splitting,
@@ -25,6 +24,7 @@ from conftest import (
     CHARACTER_TABLE_BYTES_PER_RESIDUE,
     character_table,
     full_period_class_number,
+    kronecker,
     oracle_reduced_forms,
     order_discriminants,
     reduced_triples,
