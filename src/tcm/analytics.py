@@ -47,6 +47,8 @@ _BYTES_PER_ROOT = 320
 _SCAN_FIXED_BYTES = 64 << 10
 # chi(n) from its code chi(n) mod 3 in a chi_table
 _CHI = (0, 1, -1)
+# Euler's constant to 50 digits, the exact side of the Landau target
+_EULER_GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
 
 
 class ProductEstimate(NamedTuple):
@@ -440,8 +442,56 @@ def landau_liminf_check(d: int | Discriminant, x: int) -> LandauCheck:
         raise ValueError(f"need x >= 100, got {x}")
     lo = x // 10
     best, _, norms = _window(disc, lo, x)
-    target = math.exp(-EULER_GAMMA) / l1_from_class_number(disc)
-    return LandauCheck(empirical_min_tail=best, target=target, window=(lo, x), norms=norms)
+    return LandauCheck(empirical_min_tail=best, target=_landau_target(disc), window=(lo, x), norms=norms)
+
+
+def _landau_target(disc: Discriminant) -> float:
+    """e^-gamma / L(1, chi) = e^-gamma w sqrt|d| / (2 pi h), the Landau
+    target as it is printed, ``certified`` against the value in 40-digit
+    ``decimal``.
+
+    The float is exp(-gamma) / ``l1_from_class_number``.  With u = 2^-53:
+    the float gamma is within u/2 of gamma, so exp(-gamma) is within u/2
+    plus exp's ulp (2u relative) of its value; pi, the product by h, the
+    square root of the exact |d|, the product by w and the quotient add u
+    each to L(1, chi); the last quotient adds u; that is 8.5 u, and 12 u
+    leaves spare.
+    """
+    value = math.exp(-EULER_GAMMA) / l1_from_class_number(disc)
+    return certified(value, 2.0**-53 * 12, _exact_landau_target, disc)
+
+
+def _exact_landau_target(disc: Discriminant) -> Decimal:
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        numerator = (-Decimal(_EULER_GAMMA_50)).exp() * unit_count(disc) * Decimal(-disc.value).sqrt()
+        return numerator / (2 * _decimal_pi() * class_number(disc))
+
+
+def _decimal_pi() -> Decimal:
+    """pi at the precision of the current ``decimal`` context, by Machin's
+    formula pi = 16 arctan(1/5) - 4 arctan(1/239), each arctan(1/x) the sum
+    of its Taylor series until a term no longer moves it, carried 5 digits
+    past the context."""
+    from decimal import Decimal, localcontext
+
+    def arctan_of_inverse(x: int) -> Decimal:
+        power = total = Decimal(1) / x
+        k = 1
+        while True:
+            power /= -x * x
+            k += 2
+            following = total + power / k
+            if following == total:
+                return total
+            total = following
+
+    with localcontext() as ctx:
+        ctx.prec += 5
+        pi = 16 * arctan_of_inverse(5) - 4 * arctan_of_inverse(239)
+    return +pi
 
 
 __all__ = [

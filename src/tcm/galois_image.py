@@ -56,24 +56,29 @@ def _unit_mask(delta: int, n: int) -> bytes:
     norm is x^2 + b x + g with b = D y mod n = 2k + r (r in {0, 1}) and
     g = ((D^2 - D)/4) y^2, which equals s^2 + r s + c at s = x + k, where
     c = g - k^2 - r k.  So the column is the table of s^2 + r s mod n,
-    rotated by k, read through the table of units rotated by c: one
-    ``bytes.translate`` while the values fit in a byte (n < 256), one
-    ``map`` over the table above that.
+    rotated by k, read through the table of units rotated by c.  While the
+    values fit in a byte (n < 256) the column is one slice of the doubled
+    squares table, translated through one 256-byte slice of the units
+    table repeated past n + 256 bytes (entry v < n says whether v + c is a
+    unit; the entries from n on are never read); above that, one ``map``
+    over the rotated tables.  The columns are transposed to x-major with
+    one strided slice per x.
     """
     units = bytes(gcd(v, n) == 1 for v in range(n))
     squares = [[(s * s + r * s) % n for s in range(n)] for r in (0, 1)]
     if n < 256:
-        squares = [bytes(table) for table in squares]
+        squares = [bytes(table) * 2 for table in squares]
+        units = units * (256 // n + 2)
     quad = (delta * delta - delta) // 4 % n
     columns = []
     for y in range(n):
         k, r = divmod(delta * y % n, 2)
         c = (quad * y * y - k * k - r * k) % n
-        shifted = squares[r][k:] + squares[r][:k]  # entry x is s^2 + r s at s = x + k
-        table = units[c:] + units[:c]  # entry v says whether v + c is a unit
         if n < 256:
-            columns.append(shifted.translate(table.ljust(256, b"\0")))
+            columns.append(squares[r][k : k + n].translate(units[c : c + 256]))
         else:
+            shifted = squares[r][k:] + squares[r][:k]  # entry x is s^2 + r s at s = x + k
+            table = units[c:] + units[:c]  # entry v says whether v + c is a unit
             columns.append(bytes(map(table.__getitem__, shifted)))
     by_column = b"".join(columns)
     return b"".join(by_column[x::n] for x in range(n))

@@ -7,18 +7,22 @@ chi at any n is a test oracle, in ``tests/conftest.py``), the one table
 of chi over n < size (a bytearray of chi(n) mod 3, built at the primes),
 unit counts, splitting of rational primes, and class numbers computed
 by two independent exact methods: counting reduced binary quadratic
-forms, a-first for a < 64 by one ``bytes.count`` per a over a table of
-b^2 mod 4a (built at the first count) and b-first by divisors above,
-and the half-range character sum of Dirichlet's class number formula,
-which reads chi over half a period.  The two are kept permanently wired
-together so silent corruption of either is detectable.
+forms, a-first for a < 64 from residue tables built at the first count
+(for the a with 4a^2 <= |d|, the entry at d mod 4a of a table of the
+b in (-a, a] by b^2 mod 4a, summed in one C-level pass; above, one
+``bytes.count`` per a over a table of b^2 mod 4a) and b-first by
+divisors above, and the half-range character sum of Dirichlet's class
+number formula, which reads chi over half a period.  The two are kept
+permanently wired together so silent corruption of either is detectable.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cache, lru_cache
+from itertools import repeat
 from math import gcd, isqrt, prod
+from operator import getitem, mod
 from typing import NamedTuple
 
 from .primes import is_prime, prime_sieve, primes_in, squarefree
@@ -170,13 +174,29 @@ _ODD_PRIMORIAL = prod(_ODD_SMALL_PRIMES)
 _ODD_PRIMORIAL_SQUARED = _ODD_PRIMORIAL**2
 
 
+# 4a for a = 1 .. A_FIRST - 1, the moduli of the residue tables
+_FOUR_A = tuple(range(4, 4 * A_FIRST, 4))
+
+
 @cache
-def _square_residues() -> tuple[bytes, ...]:
-    """b^2 mod 4a for b = 0 .. a, one bytes per a = 1 .. A_FIRST - 1
-    (every entry is below 4a <= 252).  Built at the first form count,
-    not on import: it takes 0.3 to 0.4 ms, which callers that count no
-    forms should not pay."""
-    return tuple(bytes(b * b % (4 * a) for b in range(a + 1)) for a in range(1, A_FIRST))
+def _square_residues() -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The residue tables of the a-first count, one bytes of each per
+    a = 1 .. A_FIRST - 1: b^2 mod 4a for b = 0 .. a (every entry is below
+    4a <= 252), and the count table of 4a entries whose entry r is the
+    number of b in (-a, a] with b^2 = r (mod 4a), that is
+    2 #{0 <= b <= a : b^2 = r} - [r = 0] - [a^2 = r] (at most 12; 8,064 B
+    in all).  Built at the first form count, not on import: it takes about
+    0.3 ms, which callers that count no forms should not pay."""
+    squares = tuple(bytes(b * b % (4 * a) for b in range(a + 1)) for a in range(1, A_FIRST))
+    counts = []
+    for a, table in zip(range(1, A_FIRST), squares):
+        count = [0] * (4 * a)
+        for r in table:
+            count[r] += 2
+        count[0] -= 1
+        count[table[a]] -= 1
+        counts.append(bytes(count))
+    return squares, tuple(counts)
 
 
 @lru_cache(maxsize=1024)
@@ -224,25 +244,24 @@ def _form_count(value: int) -> int:
 
 def _all_forms_a_first(value: int, a_max: int) -> int:
     """The reduced forms (a, b, c) of discriminant value with a <= a_max <
-    A_FIRST, primitive or not, one ``bytes.count`` per a.
+    A_FIRST, primitive or not, read from the residue tables.
 
     For each a <= sqrt(|value|/3) the b in (-a, a] with b^2 = value
     (mod 4a) give c = (b^2 - value)/(4a), and c >= a iff |b| >= b0 =
-    ceil(sqrt(max(0, 4a^2 - |value|))).  The count of b in [b0, a] in the
-    table of b^2 mod 4a counts each twice, for +-b, less once for b = 0,
-    for b = a (-a is not reduced) and for the b = b0 with c = a (b0^2 =
-    4a^2 - |value|; -b0 is not reduced either), each b once.  b = a is
-    always in range: a <= sqrt(|value|/3) gives b0 <= a.  The a with
-    4a^2 <= |value| have b0 = 0, and there b = 0 is the only b with c = a.
+    ceil(sqrt(max(0, 4a^2 - |value|))).  The a with 4a^2 <= |value| (about
+    87% of them) have b0 = 0, and there b = 0 is the only b with c = a, so
+    each b in (-a, a] gives one reduced form: their number is the entry at
+    value mod 4a of a's count table, all of them summed in one C-level
+    pass.  Above, the count of b in [b0, a] in the table of b^2 mod 4a
+    counts each twice, for +-b, less once for b = a and for the b = b0
+    with c = a (b0^2 = 4a^2 - |value|; -b0 is not reduced either), each b
+    once.  b = a is always in range: a <= sqrt(|value|/3) gives b0 <= a.
     """
     m = -value
     top = min(a_max, isqrt(m // 3))
     wide = min(top, isqrt(m) // 2)  # the last a with b0 = 0
-    residues = _square_residues()
-    count = 0
-    for a, squares in zip(range(1, wide + 1), residues):
-        r = value % (4 * a)
-        count += 2 * squares.count(r) - (r == 0) - (squares[a] == r)
+    residues, counts = _square_residues()
+    count = sum(map(getitem, counts, map(mod, repeat(value, wide), _FOUR_A)))
     for a in range(wide + 1, top + 1):
         squares, r, excess = residues[a - 1], value % (4 * a), 4 * a * a - m
         b0 = isqrt(excess - 1) + 1

@@ -19,7 +19,13 @@ from tcm.analytics import (
 )
 from tcm.ideal_arith import ideal_norm, ideals_up_to_norm, min_phi_ideal, phi_K, principal_ideal
 from tcm.primes import EULER_GAMMA, factorize, prime_sieve, primes_in
-from tcm.quad_core import Splitting, chi_table, fundamental_discriminants, require_fundamental
+from tcm.quad_core import (
+    Splitting,
+    chi_table,
+    class_number_dirichlet,
+    fundamental_discriminants,
+    require_fundamental,
+)
 
 from conftest import (
     REDUCE_CHUNK,
@@ -383,6 +389,61 @@ def test_landau_tail_minimum_mostly_below_target():
         assert [d for d, c in checks.items() if not c.empirical_min_tail < c.target] == not_below
         ratios = [c.empirical_min_tail / c.target for c in checks.values()]
         assert 0.46 <= min(ratios) and max(ratios) <= 1.08
+
+
+def euler_maclaurin_gamma(prec: int) -> Decimal:
+    """Euler's constant from H_n - log n - 1/(2n) + sum of B_2k / (2k n^2k),
+    k = 1 .. 10, at n = 1000: the first omitted term is below 10^-63."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, 21):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    n = 1000
+    tail = sum(bernoulli[2 * k] / (2 * k * n ** (2 * k)) for k in range(1, 11))
+    rational = sum(Fraction(1, j) for j in range(1, n + 1)) - Fraction(1, 2 * n) + tail
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(rational.numerator) / rational.denominator - Decimal(n).ln()
+
+
+PI_60 = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
+def test_landau_constants_to_fifty_digits():
+    with localcontext() as ctx:
+        ctx.prec = 70
+        assert abs(Decimal(analytics._EULER_GAMMA_50) - euler_maclaurin_gamma(70)) < Decimal("1e-50")
+        ctx.prec = 60
+        assert str(analytics._decimal_pi()) == PI_60
+
+
+def decimal_landau_target(d: int, gamma: Decimal) -> Decimal:
+    """e^-gamma w sqrt|d| / (2 pi h) in 40-digit decimal, h from the character sum."""
+    w = {-3: 6, -4: 4}.get(d, 2)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (-gamma).exp() * w * Decimal(-d).sqrt() / (2 * Decimal(PI_60) * class_number_dirichlet(d))
+
+
+# where the float target lies next to a 12-digit rounding boundary, so that
+# its digits come from the exact value
+LANDAU_EXACT_PATH = (-5331, -7604, -7732, -7736, -9347)
+
+
+def test_landau_target_digits_match_decimal_oracle():
+    gamma = euler_maclaurin_gamma(60)
+    for d in fundamental_discriminants(200) + list(LANDAU_EXACT_PATH):
+        target = analytics._landau_target(require_fundamental(d))
+        assert twelve_digits(target) == twelve_digits(decimal_landau_target(d, gamma)), d
+        assert target == pytest.approx(math.exp(-EULER_GAMMA) / l1_from_class_number(d), rel=1e-15)
+
+
+def test_landau_target_next_to_a_rounding_boundary(monkeypatch):
+    exact = analytics._exact_landau_target
+    called = []
+    monkeypatch.setattr(analytics, "_exact_landau_target", lambda disc: called.append(disc.value) or exact(disc))
+    for d in LANDAU_EXACT_PATH + (-4, -23):
+        analytics._landau_target(require_fundamental(d))
+    assert called == list(LANDAU_EXACT_PATH)
 
 
 def test_split_squarefree_density():

@@ -195,6 +195,18 @@ def test_kernel_size_refuses_a_reduction_that_is_not_surjective(monkeypatch):
             kernel_size(d, p, A, B)
 
 
+def test_unit_mask_matches_oracle_pairs_on_both_sides_of_the_byte_split():
+    # n < 256 reads each column through bytes.translate, n >= 256 through a
+    # map; two order discriminants beside the grid
+    unit_mask = tcm.galois_image._unit_mask
+    for d in GRID_DISCS + (-12, -27):
+        for n in (*range(2, 61), 250, 255, 256, 257, 300):
+            expected = bytearray(n * n)
+            for x, y in oracle_unit_pairs(d, n):
+                expected[x * n + y] = 1
+            assert unit_mask(d, n) == expected, (d, n)
+
+
 def test_unit_mask_is_built_once_per_level():
     unit_mask = tcm.galois_image._unit_mask
     assert unit_mask.cache_info().maxsize is not None

@@ -280,6 +280,13 @@ def test_product_on_the_exact_path_loads_decimal():
     assert _loaded_by(args, ("decimal", "csv")) == ["decimal"]
 
 
+def test_landau_on_the_exact_path_loads_decimal():
+    # at D = -5331 a 12-digit rounding boundary lies within the target's
+    # error bound, so its digits come from the 40-digit target
+    args = ["analytics", "landau", "--disc", "-5331", "--x", "1000"]
+    assert _loaded_by(args, ("decimal", "csv")) == ["decimal"]
+
+
 def test_commands_and_library_run_without_numpy(tmp_path):
     # tcm depends on the standard library alone: with numpy unimportable,
     # every README command runs in each format, h(D) both ways (also past

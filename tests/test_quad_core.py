@@ -1,5 +1,7 @@
 import math
-from math import gcd
+import subprocess
+import sys
+from math import gcd, isqrt
 
 import pytest
 
@@ -7,8 +9,10 @@ from tcm.analytics import l1_from_class_number
 from tcm.quad_core import (
     A_FIRST,
     CHI_TABLE_BYTES_PER_RESIDUE,
+    _all_forms_a_first,
     _chi_at_prime,
     _form_count,
+    _square_residues,
     as_discriminant,
     chi_table,
     class_number,
@@ -253,6 +257,60 @@ def test_form_count_boundaries(d):
     assert class_number(d) == len(forms) == len(reduced_forms(d)), d
     if is_fundamental(d):
         assert class_number(d) == class_number_dirichlet(d)
+
+
+def test_count_tables_recount_every_b():
+    # entry r of a's count table is the number of b in (-a, a] with b^2 = r
+    # (mod 4a); 4a entries for each a < A_FIRST
+    squares, counts = _square_residues()
+    assert len(squares) == len(counts) == A_FIRST - 1
+    assert sum(map(len, counts)) == 8064 and max(map(max, counts)) <= 12
+    for a, table in zip(range(1, A_FIRST), counts):
+        recount = [0] * (4 * a)
+        for b in range(-a + 1, a + 1):
+            recount[b * b % (4 * a)] += 1
+        assert list(table) == recount, a
+
+
+def test_a_first_count_matches_b_first_oracle_at_every_a_max():
+    # the forms with a <= a_max, primitive or not, are g times the primitive
+    # forms of value/g^2 with a <= a_max // g, over the contents g; those are
+    # counted b-first by reduced_triples.  Every a_max that _form_count's
+    # Moebius sum passes, (A_FIRST - 1) // g, at every |D| <= 3 * 63^2, where
+    # the a-first count covers every reduced form
+    a_maxes = sorted({(A_FIRST - 1) // g for g in range(1, A_FIRST)})
+    primitive_a = {}  # value -> [(a, forms with that triple)]
+
+    def all_forms(value, a_max):
+        total = 0
+        for g in range(1, isqrt(-value // 3) + 1):
+            inner = value // (g * g)
+            if value % (g * g) or inner % 4 > 1:
+                continue
+            if inner not in primitive_a:
+                primitive_a[inner] = [
+                    (a, 1 if b == 0 or a == b or a == c else 2) for a, b, c in reduced_triples(inner)
+                ]
+            total += sum(weight for a, weight in primitive_a[inner] if a <= a_max // g)
+        return total
+
+    for value in order_discriminants(3 * 63**2):
+        for a_max in a_maxes:
+            assert _all_forms_a_first(value, a_max) == all_forms(value, a_max), (value, a_max)
+
+
+def test_import_builds_neither_residue_table_and_the_first_count_both():
+    probe = (
+        "import tcm.quad_core as q\n"
+        "info = q._square_residues.cache_info\n"
+        "print(info().currsize)\n"
+        "q.class_number(-23)\n"
+        "print(info().currsize, info().misses)\n"
+        "squares, counts = q._square_residues()\n"
+        "print(info().misses, len(squares), len(counts))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == f"0\n1 1\n1 {A_FIRST - 1} {A_FIRST - 1}\n"
 
 
 def test_half_range_sum_matches_full_period_sum():
